@@ -150,7 +150,8 @@ def _greedy(
         for z in range(fam.n):
             # residuals stay recomputable from the mass placed so far
             placed = sum(values.get(u, 0) for u in nbhd[z])
-            assert residual[z] == max(0, fam.intervals[z].weight - placed)
+            if residual[z] != max(0, fam.intervals[z].weight - placed):
+                raise TheoremViolation(f"residual of interval {z} drifted from the placed mass")
     f = DominationFunction(values)
     return f, GreedyTrace(tuple(steps))
 

@@ -1,8 +1,11 @@
 """Independent ground-truth oracles: brute force, exact rational LP, matrix tests.
 
-Everything here is deliberately separate from the structured solvers so the
-two routes can disagree loudly in tests.  All arithmetic is exact: integer
-branch and bound, Fraction simplex, fraction-free determinants.
+Everything here is deliberately separate from the interval and tree-edge
+solvers so the two routes can disagree loudly in tests.  The branch and bound
+`min_dominating` is also the split solver's cover search; the split tests
+therefore keep a plain exhaustive reference that does not use it.  All
+arithmetic is exact: integer branch and bound, Fraction simplex,
+fraction-free determinants.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BadPermutation, InstanceTooLarge, LPInternalError
+from .errors import BadPermutation, InstanceTooLarge, LPInternalError, TheoremViolation
 from .graph_core import (
     DominationFunction,
     WeightedGraph,
@@ -32,7 +35,7 @@ def _closed_masks(g: WeightedGraph) -> list[int]:
     return [(1 << v) | sum(1 << u for u in g.adjacency[v]) for v in g.vertices]
 
 
-def _min_dominating(
+def min_dominating(
     g: WeightedGraph,
     demands: Iterable[int],
     suppliers: Iterable[int] | None = None,
@@ -42,7 +45,8 @@ def _min_dominating(
     Depth-first branch and bound.  Values on a vertex are capped by the worst
     remaining deficit in its neighborhood (anything above is reducible), the
     lower bound packs demands with disjoint neighborhoods, and the incumbent
-    starts from w itself improved by a greedy cover.
+    starts from w itself improved by a greedy cover.  When suppliers is
+    given, only those vertices may carry mass and w is no incumbent.
     """
     w = g.weights
     nmask = _closed_masks(g)
@@ -143,14 +147,15 @@ def _min_dominating(
 
     dfs(0, 0)
     result = DominationFunction(best_values)
-    assert is_w_dominating(g, result, demand_list)
+    if not is_w_dominating(g, result, demand_list):
+        raise TheoremViolation("branch and bound returned a function that misses a demand")
     return best_size, result
 
 
 def brute_gamma(g: WeightedGraph, cap: int = DEFAULT_CAP) -> tuple[int, DominationFunction]:
     """Exact gamma_w by branch and bound."""
     _check_cap(g, cap)
-    return _min_dominating(g, g.vertices)
+    return min_dominating(g, g.vertices)
 
 
 def _near2_masks(g: WeightedGraph) -> list[int]:
@@ -224,10 +229,11 @@ def brute_gamma_i(
         if not maximal:
             continue
         members = _mask_members(m)
-        cost, func = _min_dominating(g, members)
+        cost, func = min_dominating(g, members)
         if best is None or cost > best[0]:
             best = (cost, members, func)
-    assert best is not None  # the empty set is maximal only in the empty graph
+    if best is None:  # every graph, the empty one too, has a maximal independent set
+        raise TheoremViolation("no maximal independent set was priced")
     return best
 
 

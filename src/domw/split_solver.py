@@ -1,20 +1,20 @@
 """Exact weighted domination on split graphs, where it equals the
 independent-domination value.
 
-On a split graph (clique A, independent set B) the minimum w-dominating
-function is either an exact minimum cover of the demands in B supported on A,
-or, when the heaviest clique vertex costs more than that cover, the cover
-topped up on that vertex.  Either way an independent set certifies the value:
-B itself, or the heaviest clique vertex alone.
+On a split graph (clique A, independent set B) a B vertex with no neighbor
+pays its own weight.  For the rest, the minimum w-dominating function is the
+exact minimum cover of B on A from `oracles.min_dominating`, topped up on the
+heaviest clique vertex when that costs more.  An independent set certifies
+the value: B, or the isolated B vertices and the heaviest clique vertex.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import IsolatedBVertex, NotAClique, NotAPartition, NotIndependent
 from .graph_core import DominationFunction, WeightedGraph
+from .oracles import min_dominating
 
 
 @dataclass(frozen=True)
@@ -53,100 +53,40 @@ def validate_split(graph: WeightedGraph, clique: frozenset[int], independent: fr
     return SplitInstance(graph, frozenset(clique), frozenset(independent))
 
 
+def _covered_by(inst: SplitInstance, demands: frozenset[int]) -> DominationFunction:
+    """Exact minimum function supported on the clique that dominates demands."""
+    return min_dominating(inst.graph, demands, inst.clique)[1]
+
+
 def min_cover_B(inst: SplitInstance) -> DominationFunction:
     """Exact minimum function supported on the clique that dominates B.
 
-    Depth-first branch and bound over the clique values, capped by the
-    largest demand; the incumbent starts from a greedy cover.  Mass on a B
-    vertex can always be shifted onto a clique neighbor, so restricting the
-    support loses nothing as long as no B vertex is isolated.
+    Mass on a B vertex can always be shifted onto a clique neighbor, so the
+    restricted support loses nothing; an isolated B vertex raises IsolatedBVertex.
     """
-    graph = inst.graph
-    w = graph.weights
-    demands = sorted(inst.independent)
-    suppliers_of: dict[int, list[int]] = {}
-    for b in demands:
-        sup = sorted(graph.adjacency[b] & inst.clique)
-        if not sup:
+    for b in sorted(inst.independent):
+        if not inst.graph.adjacency[b] & inst.clique:
             raise IsolatedBVertex(f"vertex {b} has positive weight and no clique neighbor")
-        suppliers_of[b] = sup
-    if not demands:
-        return DominationFunction.zero()
-
-    b_nbrs: dict[int, list[int]] = {}
-    for b in demands:
-        for a in suppliers_of[b]:
-            b_nbrs.setdefault(a, []).append(b)
-    variables = sorted(b_nbrs, key=lambda a: (-len(b_nbrs[a]), a))
-    var_index = {a: i for i, a in enumerate(variables)}
-    supplier_indices = {b: sorted(var_index[a] for a in suppliers_of[b]) for b in demands}
-    cap = max(w[b] for b in demands)
-
-    # greedy incumbent: a covering subset of A, each member paying its worst demand
-    chosen: list[int] = []
-    for b in demands:
-        if not any(a in chosen for a in suppliers_of[b]):
-            chosen.append(max(suppliers_of[b], key=lambda a: (len(b_nbrs[a]), -a)))
-    seed = {a: max(w[b] for b in b_nbrs[a]) for a in chosen}
-    best_size = sum(seed.values())
-    best_values = dict(seed)
-
-    placed = {b: 0 for b in demands}
-    assign: dict[int, int] = {}
-
-    def remaining_suppliers(b: int, idx: int) -> int:
-        return len(supplier_indices[b]) - bisect_left(supplier_indices[b], idx)
-
-    def dfs(idx: int, size: int) -> None:
-        nonlocal best_size, best_values
-        if size >= best_size:
-            return
-        deficits = [w[b] - placed[b] for b in demands if placed[b] < w[b]]
-        if not deficits:
-            best_size = size
-            best_values = {a: x for a, x in assign.items() if x > 0}
-            return
-        if idx == len(variables):
-            return
-        if size + max(deficits) >= best_size:
-            return
-        for b in demands:
-            if placed[b] < w[b] and remaining_suppliers(b, idx) == 0:
-                return
-        a = variables[idx]
-        local = [b for b in b_nbrs[a] if placed[b] < w[b]]
-        top = min(cap, max((w[b] - placed[b] for b in local), default=0))
-        forced = max(
-            (w[b] - placed[b] for b in local if remaining_suppliers(b, idx) == 1),
-            default=0,
-        )
-        for val in range(forced, top + 1):
-            assign[a] = val
-            for b in b_nbrs[a]:
-                placed[b] += val
-            dfs(idx + 1, size + val)
-            for b in b_nbrs[a]:
-                placed[b] -= val
-        assign.pop(a, None)
-
-    dfs(0, 0)
-    return DominationFunction(best_values)
+    return _covered_by(inst, inst.independent)
 
 
 def solve_split(inst: SplitInstance) -> SplitResult:
-    """gamma_w of a split graph with an independent witness of the same cost."""
-    graph = inst.graph
-    w = graph.weights
-    if not inst.clique:
-        # pure independent set: every vertex must pay for itself
-        values = {b: w[b] for b in inst.independent}
-        f = DominationFunction(values)
-        return SplitResult(f.size, f, inst.independent, f.size)
-    cover = min_cover_B(inst)
-    heaviest = max(w[a] for a in inst.clique)
-    if cover.size >= heaviest:
-        return SplitResult(cover.size, cover, inst.independent, cover.size)
-    a_star = min(a for a in inst.clique if w[a] == heaviest)
+    """gamma_w of a split graph with an independent witness of the same cost.
+
+    B vertices without a neighbor pay their own weight and join any witness:
+    gamma_w = w(isolated) + gamma_w(G - isolated).  On the rest the value is
+    the larger of the clique cover of B and the heaviest clique vertex.
+    """
+    w = inst.graph.weights
+    isolated = frozenset(b for b in inst.independent if not inst.graph.adjacency[b])
+    cover = _covered_by(inst, inst.independent - isolated)
     values = dict(cover.values)
-    values[a_star] = values.get(a_star, 0) + heaviest - cover.size
-    return SplitResult(heaviest, DominationFunction(values), frozenset({a_star}), heaviest)
+    values.update((b, w[b]) for b in isolated)
+    heaviest = max((w[a] for a in inst.clique), default=0)
+    witness = inst.independent
+    if cover.size < heaviest:
+        a_star = min(a for a in inst.clique if w[a] == heaviest)
+        values[a_star] = values.get(a_star, 0) + heaviest - cover.size
+        witness = isolated | {a_star}
+    f = DominationFunction(values)
+    return SplitResult(f.size, f, witness, f.size)

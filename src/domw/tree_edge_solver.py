@@ -202,7 +202,8 @@ def root_adjust(t: RootedEdgeTree, f: DominationFunction) -> tuple[DominationFun
         if d is None or gap > d:
             d = gap
             e0 = eid
-    assert d is not None  # a component always has at least one root edge
+    if d is None:  # a component always has at least one root edge
+        raise TheoremViolation("the root has no out-edge")
     if d <= 0:
         return f, d, None
     bumped = dict(f.values)
@@ -247,7 +248,8 @@ def extract_dispersed_tree(
         )
         chosen: list[int] = []
         if first and d > 0:
-            assert e0 is not None
+            if e0 is None:
+                raise TheoremViolation("a positive root adjustment names no root edge")
             chosen.append(e0)
         else:
             for v_s in roots:

@@ -58,13 +58,15 @@ def tree_edge_subsets(draw, max_n: int = 8, max_w: int = 5):
 
 @st.composite
 def split_instances(draw, max_a: int = 4, max_b: int = 4, max_w: int = 5) -> SplitInstance:
-    n_a = draw(st.integers(min_value=1, max_value=max_a))
-    n_b = draw(st.integers(min_value=0, max_value=max_b))
+    """Any split partition: the clique may be empty and a B vertex may have
+    no clique neighbor."""
+    n_a = draw(st.integers(min_value=0, max_value=max_a))
+    n_b = draw(st.integers(min_value=0 if n_a else 1, max_value=max_b))
     n = n_a + n_b
     weights = tuple(draw(st.integers(min_value=1, max_value=max_w)) for _ in range(n))
     edges = [(u, v) for u in range(n_a) for v in range(u + 1, n_a)]
     for b in range(n_a, n):
-        hits = draw(st.sets(st.integers(min_value=0, max_value=n_a - 1), min_size=1))
+        hits = draw(st.sets(st.integers(min_value=0, max_value=n_a - 1))) if n_a else set()
         edges.extend((a, b) for a in sorted(hits))
     g = WeightedGraph.from_edges(weights, edges)
     return validate_split(g, frozenset(range(n_a)), frozenset(range(n_a, n)))

@@ -148,6 +148,19 @@ def test_split_instances_solve_to_the_split_block(tmp_path, capsys):
     assert "value " in out
 
 
+def test_split_with_an_isolated_b_vertex_is_solved(tmp_path, capsys):
+    path = tmp_path / "iso.domw"
+    path.write_text(
+        "domw 1\nkind split\n4\n0 A 3\n1 A 2\n2 B 4\n3 B 5\n1\n0 2\n"
+    )
+    code, out, err = invoke(capsys, "solve", str(path))
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "value 9"
+    code, out, _ = invoke(capsys, "check", str(path))
+    assert code == 0
+    assert out and all(line.startswith("PASS ") for line in out.splitlines())
+
+
 def test_oversized_instance_exits_three(tmp_path, capsys):
     _, text, _ = invoke(capsys, "gen", "interval", "--seed", "1", "--n", "12")
     path = tmp_path / "big.domw"

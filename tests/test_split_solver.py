@@ -3,7 +3,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from domw import (
     SplitInstance,
@@ -82,11 +82,34 @@ def test_empty_clique_side():
     assert dict(res.dominating.items()) == {0: 3, 1: 5}
 
 
+def test_isolated_b_vertex_pays_its_own_weight():
+    # vertex 3 has no neighbor: it pays its own 5 on top of the 4 that
+    # vertex 0 places to dominate vertex 2
+    inst = tiny_split((3, 2, 4, 5), [(0, 2)])
+    res = solve_split(inst)
+    assert res.value == 9
+    assert res.witness_independent == frozenset({2, 3})
+    assert res.witness_cost == 9
+    assert res.dominating.size == 9
+    assert is_w_dominating(inst.graph, res.dominating)
+    assert brute_gamma(inst.graph)[0] == brute_gamma_i(inst.graph)[0] == 9
+
+
+def test_isolated_b_vertex_joins_the_heavy_clique_witness():
+    inst = tiny_split((9, 1, 2, 5), [(0, 2)])
+    res = solve_split(inst)
+    assert res.value == 14
+    assert res.witness_independent == frozenset({0, 3})
+    assert res.dominating.size == 14
+    assert is_w_dominating(inst.graph, res.dominating)
+
+
 def test_isolated_b_vertex_is_rejected():
-    g = WeightedGraph.from_edges((1, 1, 2), [(0, 1)])
-    inst = validate_split(g, frozenset({0, 1}), frozenset({2}))
+    """The clique alone cannot dominate an isolated B vertex, so the bare
+    cover search refuses it; solve_split handles it before the search."""
+    inst = tiny_split((3, 2, 4, 5), [(0, 2)])
     with pytest.raises(IsolatedBVertex):
-        solve_split(inst)
+        min_cover_B(inst)
 
 
 def test_min_cover_b_against_exhaustive_search():
@@ -100,8 +123,9 @@ def test_min_cover_b_against_exhaustive_search():
 def test_min_cover_b_is_exact(inst: SplitInstance):
     """Cross-check the cover search against brute enumeration of all
     integer assignments on the clique."""
-    cover = min_cover_B(inst)
     g = inst.graph
+    assume(all(g.adjacency[b] for b in inst.independent))
+    cover = min_cover_B(inst)
     clique = sorted(inst.clique)
     demands = sorted(inst.independent)
     assert all(v in inst.clique for v in cover.support)
@@ -141,3 +165,27 @@ def test_witness_costs_exactly_the_value(inst: SplitInstance):
     g = inst.graph
     for u in res.witness_independent:
         assert not (g.adjacency[u] & res.witness_independent)
+
+
+def _exhaustive_minimum(g: WeightedGraph, demands) -> int:
+    """Smallest |f| over every f in {0..max w}^V meeting the given demands;
+    larger values never help, so the range loses nothing."""
+    nbhds = [(v, *sorted(g.adjacency[v])) for v in g.vertices]
+    best = None
+    for f in product(range(max(g.weights) + 1), repeat=g.n):
+        if all(sum(f[u] for u in nbhds[v]) >= g.weights[v] for v in demands):
+            if best is None or sum(f) < best:
+                best = sum(f)
+    return best
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_instances(max_a=3, max_b=2, max_w=3))
+def test_solver_matches_exhaustive_search(inst: SplitInstance):
+    """A reference that shares no code with the branch and bound: the value
+    is the cheapest function on all of V, and also the cheapest function
+    dominating just the witness."""
+    res = solve_split(inst)
+    g = inst.graph
+    assert res.value == _exhaustive_minimum(g, g.vertices)
+    assert res.value == _exhaustive_minimum(g, sorted(res.witness_independent))
