@@ -3,7 +3,7 @@
 Machine-readable payloads go to standard output, diagnostics to standard
 error.  Exit codes: 0 success, 1 invalid input or failed verification,
 2 internal assertion failure (a disproved theorem or an LP duality gap),
-3 instance too large for the requested oracle.
+3 instance too large for the requested oracle or over a search's node budget.
 """
 
 from __future__ import annotations
@@ -288,3 +288,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -28,7 +28,8 @@ class TheoremViolation(RuntimeError):
 
 
 class InstanceTooLarge(ValueError):
-    """The instance exceeds the size cap of a brute-force oracle."""
+    """The instance exceeds the size cap of a brute-force oracle, or a search
+    exceeds its node budget."""
 
 
 class LPInternalError(RuntimeError):

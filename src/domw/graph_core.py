@@ -5,6 +5,11 @@ neighborhood N(u) reaches the weight w(u).  A set is dispersed when all
 pairwise distances are at least 3 (vertices in different components count).
 A certificate couples a w-dominating function with a dispersed set of equal
 total value; by weak duality it proves both are optimal.
+
+Two distinct vertices are at distance at most 2 exactly when their closed
+neighborhoods meet, so a set is dispersed exactly when no vertex lies in the
+closed neighborhoods of two members.  Both certificate predicates therefore
+run in O(n + m) by marking neighborhoods, with no shortest-path search.
 """
 
 from __future__ import annotations
@@ -207,13 +212,15 @@ def is_dispersed(g: WeightedGraph, s: Iterable[Vertex]) -> bool:
 
     Vertices in different components are infinitely far apart and qualify.
     """
-    members = sorted(set(s))
+    members = set(s)
     for v in members:
         _check_vertex(g, v)
-    for i, u in enumerate(members):
-        for v in members[i + 1:]:
-            if distance(g, u, v) < 3:
+    claimed: set[Vertex] = set()
+    for v in members:
+        for x in (v, *g.adjacency[v]):
+            if x in claimed:
                 return False
+            claimed.add(x)
     return True
 
 
@@ -223,19 +230,24 @@ def set_sum(f: DominationFunction, a: Iterable[Vertex]) -> int:
 
 
 def is_w_dominating(g: WeightedGraph, f: DominationFunction, u: Iterable[Vertex] | None = None) -> bool:
-    """Does f satisfy f[N(v)] >= w(v) for every v in u (default: all of V)?"""
-    targets = g.vertices if u is None else sorted(set(u))
+    """Does f satisfy f[N(v)] >= w(v) for every v in u (default: all of V)?
+
+    Every vertex of u and of the support of f must belong to g.
+    """
+    targets = g.vertices if u is None else set(u)
     for v in targets:
         _check_vertex(g, v)
-        if set_sum(f, closed_neighborhood(g, v)) < g.weights[v]:
-            return False
-    return True
+    load = [0] * g.n  # load[t] = f[N(t)]
+    for v, x in f.values.items():
+        _check_vertex(g, v)
+        load[v] += x
+        for y in g.adjacency[v]:
+            load[y] += x
+    return all(load[t] >= g.weights[t] for t in targets)
 
 
 def verify_certificate(g: WeightedGraph, cert: Certificate) -> CertificateCheck:
     """Re-check a certificate from scratch; never trusts the producer."""
-    for v in cert.dominating.support:
-        _check_vertex(g, v)
     if not is_w_dominating(g, cert.dominating):
         return CertificateCheck(False, NOT_DOMINATING)
     if not is_dispersed(g, cert.dispersed):
@@ -254,7 +266,10 @@ def build_intersection_graph(
     """Intersection graph of connected vertex sets of the host tree.
 
     One graph vertex per subtree, in input order; two are adjacent when the
-    subtrees share a host vertex.
+    subtrees share a host vertex.  With the host rooted at 0, each subtree has
+    one highest vertex, and two subtrees meet exactly when one of them holds
+    the other's highest vertex; so the edges are read off the host-vertex to
+    subtree incidence lists at the highest vertices, in O(n + sizes + edges).
     """
     if len(subtrees) != len(weights):
         raise ValueError("one weight per subtree is required")
@@ -267,22 +282,28 @@ def build_intersection_graph(
         for v in s:
             if not 0 <= v < host.n:
                 raise UnknownVertex(f"subtree {i} uses vertex {v} outside the host tree")
-        start = next(iter(s))
-        reached = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y in s and y not in reached:
-                    reached.add(y)
-                    queue.append(y)
-        if reached != s:
+        # s induces a forest, which is connected exactly when it has |s| - 1 edges
+        if sum(len(adj[v] & s) for v in s) != 2 * (len(s) - 1):
             raise DisconnectedSubtree(f"subtree {i} is not connected in the host tree")
         sets.append(s)
+    depth = [0] * host.n
+    stack = [0]
+    seen = {0}
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                depth[y] = depth[x] + 1
+                stack.append(y)
+    holders: list[list[int]] = [[] for _ in range(host.n)]
+    for i, s in enumerate(sets):
+        for v in s:
+            holders[v].append(i)
     edges = [
         (i, j)
-        for i in range(len(sets))
-        for j in range(i + 1, len(sets))
-        if sets[i] & sets[j]
+        for i, s in enumerate(sets)
+        for j in holders[min(s, key=depth.__getitem__)]
+        if j != i
     ]
     return WeightedGraph.from_edges(list(weights), edges)

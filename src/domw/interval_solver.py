@@ -85,13 +85,21 @@ class DispersedDecomposition:
 
 
 def intersection_graph(fam: IntervalFamily) -> WeightedGraph:
-    """The interval graph induced by the family, ids preserved."""
-    edges = [
-        (i, j)
-        for i in range(fam.n)
-        for j in range(i + 1, fam.n)
-        if fam.intersects(i, j)
-    ]
+    """The interval graph induced by the family, ids preserved.
+
+    A sweep by left endpoint: an interval meets each later-starting one up to
+    the first that starts after its right end, so the cost is O(n log n + m).
+    """
+    ivs = fam.intervals
+    by_left = sorted(range(fam.n), key=lambda i: ivs[i].left)
+    edges = []
+    for k, i in enumerate(by_left):
+        right = ivs[i].right
+        for later in range(k + 1, fam.n):
+            j = by_left[later]
+            if ivs[j].left > right:
+                break
+            edges.append((i, j))
     return WeightedGraph.from_edges([iv.weight for iv in fam.intervals], edges)
 
 

@@ -24,6 +24,11 @@ from .graph_core import (
 )
 
 DEFAULT_CAP = 10
+# Nodes one min_dominating search may visit before it raises InstanceTooLarge
+# (exit code 3) instead of running on.  The most any search has needed: 7,262
+# on the 18,000 split-search benchmark instances of workload seeds 0-9, 1,548
+# in the test suite, 127,372 (about 2 s) on gen_split(3, 18, 40, 50, 5).
+NODE_BUDGET = 1_000_000
 
 
 def _check_cap(g: WeightedGraph, cap: int) -> None:
@@ -46,7 +51,8 @@ def min_dominating(
     remaining deficit in its neighborhood (anything above is reducible), the
     lower bound packs demands with disjoint neighborhoods, and the incumbent
     starts from w itself improved by a greedy cover.  When suppliers is
-    given, only those vertices may carry mass and w is no incumbent.
+    given, only those vertices may carry mass and w is no incumbent.  A search
+    that visits more than NODE_BUDGET nodes raises InstanceTooLarge.
     """
     w = g.weights
     nmask = _closed_masks(g)
@@ -99,6 +105,7 @@ def min_dominating(
         best_values = trivial
     best_size = sum(best_values.values())
     assign: dict[int, int] = {}
+    nodes = 0
 
     def remaining(u: int, idx: int) -> int:
         return len(supplier_indices[u]) - bisect_left(supplier_indices[u], idx)
@@ -114,7 +121,10 @@ def min_dominating(
         return bound
 
     def dfs(idx: int, size: int) -> None:
-        nonlocal best_size, best_values
+        nonlocal best_size, best_values, nodes
+        nodes += 1
+        if nodes > NODE_BUDGET:
+            raise InstanceTooLarge(f"the cover search exceeded its budget of {NODE_BUDGET} nodes")
         if size >= best_size:
             return
         unmet = [u for u in demand_list if placed[u] < w[u]]

@@ -133,10 +133,12 @@ def reduce_to_full_tree(host: HostTree, subset: Sequence[FEdge]) -> tuple[Rooted
     for eid, (u, v, w) in enumerate(subset):
         adj.setdefault(u, []).append((eid, v, w))
         adj.setdefault(v, []).append((eid, u, w))
-    unvisited = set(adj)
+    visited: set[int] = set()
     components: list[RootedEdgeTree] = []
-    while unvisited:
-        start = min(unvisited)
+    # each component starts at its smallest vertex, its canonical root
+    for start in sorted(adj):
+        if start in visited:
+            continue
         comp = {start}
         stack = [start]
         while stack:
@@ -145,7 +147,7 @@ def reduce_to_full_tree(host: HostTree, subset: Sequence[FEdge]) -> tuple[Rooted
                 if y not in comp:
                     comp.add(y)
                     stack.append(y)
-        unvisited -= comp
+        visited |= comp
         edge_rows = []
         seen_eids = set()
         for u in sorted(comp):
@@ -154,7 +156,7 @@ def reduce_to_full_tree(host: HostTree, subset: Sequence[FEdge]) -> tuple[Rooted
                     seen_eids.add(eid)
                     edge_rows.append((eid, u, v, w))
         edge_rows.sort()
-        components.append(_build_rooted(min(comp), frozenset(comp), edge_rows))
+        components.append(_build_rooted(start, frozenset(comp), edge_rows))
     return tuple(components)
 
 
@@ -301,6 +303,10 @@ def solve_rooted(t: RootedEdgeTree) -> tuple[DominationFunction, frozenset[int],
 def edge_line_graph(host: HostTree, subset: Sequence[FEdge]) -> WeightedGraph:
     """The intersection graph of the selected edges, ids in subset order."""
     _validate_edge_subset(host, subset)
+    return _line_graph(host, subset)
+
+
+def _line_graph(host: HostTree, subset: Sequence[FEdge]) -> WeightedGraph:
     return build_intersection_graph(
         host, [{u, v} for u, v, _ in subset], [w for _, _, w in subset]
     )
@@ -317,7 +323,8 @@ def solve_tree(host: HostTree, subset: Sequence[FEdge]) -> Certificate:
         dispersed |= chosen
     total = DominationFunction(values)
     cert = Certificate(total, frozenset(dispersed), total.size)
-    check = verify_certificate(edge_line_graph(host, subset), cert)
+    # reduce_to_full_tree has validated the subset already
+    check = verify_certificate(_line_graph(host, subset), cert)
     if not check:
         raise TheoremViolation(f"certificate failed re-verification: {check.reason}")
     return cert

@@ -1,7 +1,14 @@
 """End-to-end tests for the command line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import domw
+from domw import oracles
 from domw.cli import run
 
 
@@ -38,6 +45,23 @@ def test_solve_emits_a_certificate(interval_file, capsys):
     code, out, err = invoke(capsys, "solve", interval_file)
     assert code == 0 and err == ""
     assert out == "domw-cert 1\nf 3 1\nI 2\nvalue 1\n"
+
+
+@pytest.mark.parametrize("module", ["domw", "domw.cli"])
+def test_python_dash_m_runs_the_command_line(module, interval_file):
+    env = dict(os.environ, PYTHONPATH=str(Path(domw.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "solve", interval_file],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "domw-cert 1\nf 3 1\nI 2\nvalue 1\n", ""
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "solve", interval_file + ".missing"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == "" and proc.stderr != ""
 
 
 def test_verify_accepts_the_solver_output(interval_file, tmp_path, capsys):
@@ -169,6 +193,22 @@ def test_oversized_instance_exits_three(tmp_path, capsys):
     assert code == 3
     code, _, _ = invoke(capsys, "oracle", "gamma", str(path), "--cap", "12")
     assert code == 0
+
+
+def test_cover_search_over_its_node_budget_exits_three(tmp_path, capsys, monkeypatch):
+    # the cover search of this instance visits 53 nodes
+    _, text, _ = invoke(capsys, "gen", "split", "--seed", "3", "--n-a", "5", "--n-b", "8")
+    path = tmp_path / "sp.domw"
+    path.write_text(text)
+    monkeypatch.setattr(oracles, "NODE_BUDGET", 10)
+    code, out, err = invoke(capsys, "solve", str(path))
+    assert (code, out) == (3, "")
+    assert "budget" in err
+    code, _, err = invoke(capsys, "oracle", "gamma", str(path), "--cap", "13")
+    assert code == 3 and "budget" in err
+    monkeypatch.undo()
+    code, out, _ = invoke(capsys, "solve", str(path))
+    assert code == 0 and out.startswith("domw-split 1\n")
 
 
 def test_malformed_file_exits_one(tmp_path, capsys):

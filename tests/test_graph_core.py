@@ -4,6 +4,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domw import (
     Certificate,
@@ -14,6 +15,7 @@ from domw import (
     build_intersection_graph,
     closed_neighborhood,
     distance,
+    intersection_graph,
     is_dispersed,
     is_w_dominating,
     set_sum,
@@ -22,7 +24,7 @@ from domw import (
 from domw.errors import DisconnectedSubtree, EmptySubtree
 from domw.graph_core import NOT_DISPERSED, NOT_DOMINATING, VALUE_MISMATCH
 
-from .strategies import host_trees, weighted_graphs
+from .strategies import host_trees, interval_families, subtree_instances, weighted_graphs
 
 
 def path(n: int, weights=None) -> WeightedGraph:
@@ -154,14 +156,61 @@ def test_full_weight_function_always_dominates(g: WeightedGraph):
     assert is_w_dominating(g, f)
 
 
+def test_predicates_reject_unknown_vertices():
+    g = path(3)
+    for bad in (3, -1):
+        with pytest.raises(UnknownVertex):
+            is_dispersed(g, {0, bad})
+        with pytest.raises(UnknownVertex):
+            is_w_dominating(g, DominationFunction({0: 1}), u={bad})
+        # a support vertex outside the graph is an error even when no
+        # target's neighborhood would reach it
+        with pytest.raises(UnknownVertex):
+            is_w_dominating(g, DominationFunction({1: 1, bad: 1}), u={0})
+        with pytest.raises(UnknownVertex):
+            verify_certificate(g, Certificate(DominationFunction({bad: 1}), frozenset(), 1))
+
+
 @settings(max_examples=100, deadline=None)
-@given(weighted_graphs())
-def test_dispersed_definition_matches_pairwise_distances(g: WeightedGraph):
-    members = [v for v in g.vertices if v % 2 == 0]
+@given(weighted_graphs(max_n=9), st.data())
+def test_dispersed_definition_matches_pairwise_distances(g: WeightedGraph, data):
+    members = data.draw(st.sets(st.sampled_from(range(g.n))))
     expect = all(
         distance(g, u, v) >= 3 for u in members for v in members if u < v
     )
     assert is_dispersed(g, members) == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_graphs(max_n=9), st.data())
+def test_w_dominating_definition_matches_neighborhood_sums(g: WeightedGraph, data):
+    vertex = st.sampled_from(range(g.n))
+    f = DominationFunction(data.draw(st.dictionaries(vertex, st.integers(0, 6))))
+    targets = data.draw(st.none() | st.sets(vertex))
+    expect = all(
+        set_sum(f, closed_neighborhood(g, v)) >= g.weights[v]
+        for v in (g.vertices if targets is None else targets)
+    )
+    assert is_w_dominating(g, f, targets) == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_families(max_n=12, max_coord=30))
+def test_interval_graph_matches_pairwise_intersection(fam):
+    g = intersection_graph(fam)
+    assert g.weights == tuple(iv.weight for iv in fam.intervals)
+    for i in range(fam.n):
+        assert g.adjacency[i] == {j for j in range(fam.n) if j != i and fam.intersects(i, j)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(subtree_instances(max_n=9, max_subtrees=8))
+def test_subtree_graph_matches_pairwise_intersection(instance):
+    host, subtrees, weights = instance
+    g = build_intersection_graph(host, subtrees, weights)
+    assert g.weights == weights
+    for i, s in enumerate(subtrees):
+        assert g.adjacency[i] == {j for j, t in enumerate(subtrees) if j != i and s & t}
 
 
 @settings(max_examples=100, deadline=None)

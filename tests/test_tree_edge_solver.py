@@ -12,7 +12,7 @@ from domw import (
     verify_certificate,
 )
 from domw.errors import EmptyEdgeSet
-from domw.instances_io import example_nontu_star
+from domw.instances_io import example_nontu_star, gen_tree
 from domw.tree_edge_solver import (
     bottom_up_f,
     edge_line_graph,
@@ -146,3 +146,12 @@ def test_deletion_layers_cover_every_edge_once(case):
             seen |= removed
         assert seen == set(t.edge_ids)
         assert chosen == frozenset().union(*layers.chosen)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_ten_thousand_host_edges_solve_to_a_verified_certificate(seed):
+    """By weak duality a verified certificate proves both values optimal at
+    any size, far above the oracles' 10-vertex cap."""
+    host, subset = gen_tree(seed, 10_000, 5)
+    cert = solve_tree(host, subset)
+    assert verify_certificate(edge_line_graph(host, subset), cert).ok
