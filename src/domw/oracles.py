@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BadPermutation, InstanceTooLarge, LPInternalError, TheoremViolation
 from .graph_core import (
@@ -47,12 +47,13 @@ def min_dominating(
 ) -> tuple[int, DominationFunction]:
     """Exact minimum size of a function with f[N(u)] >= w(u) for u in demands.
 
-    Depth-first branch and bound.  Values on a vertex are capped by the worst
-    remaining deficit in its neighborhood (anything above is reducible), the
-    lower bound packs demands with disjoint neighborhoods, and the incumbent
-    starts from w itself improved by a greedy cover.  When suppliers is
-    given, only those vertices may carry mass and w is no incumbent.  A search
-    that visits more than NODE_BUDGET nodes raises InstanceTooLarge.
+    Depth-first branch and bound on an explicit stack.  Values on a vertex
+    are capped by the worst remaining deficit in its neighborhood (anything
+    above is reducible), the lower bound packs demands with disjoint
+    neighborhoods, and the incumbent starts from w itself improved by a
+    greedy cover.  When suppliers is given, only those vertices may carry
+    mass and w is no incumbent.  A search that visits more than NODE_BUDGET
+    nodes raises InstanceTooLarge.
     """
     w = g.weights
     nmask = _closed_masks(g)
@@ -120,7 +121,9 @@ def min_dominating(
                 taken |= nmask[u]
         return bound
 
-    def dfs(idx: int, size: int) -> None:
+    def dfs(idx: int, size: int) -> Iterator[tuple[int, int]]:
+        # yields each child call instead of recursing, so the search depth
+        # (one level per supplier) is bounded by memory, not the call stack
         nonlocal best_size, best_values, nodes
         nodes += 1
         if nodes > NODE_BUDGET:
@@ -150,12 +153,18 @@ def min_dominating(
             assign[v] = val
             for u in covers[v]:
                 placed[u] += val
-            dfs(idx + 1, size + val)
+            yield idx + 1, size + val
             for u in covers[v]:
                 placed[u] -= val
         assign.pop(v, None)
 
-    dfs(0, 0)
+    stack = [dfs(0, 0)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(dfs(*child))
     result = DominationFunction(best_values)
     if not is_w_dominating(g, result, demand_list):
         raise TheoremViolation("branch and bound returned a function that misses a demand")

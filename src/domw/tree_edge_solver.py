@@ -241,13 +241,10 @@ def extract_dispersed_tree(
     chosen_layers: list[frozenset[int]] = []
     deleted_layers: list[frozenset[int]] = []
     first = True
+    # A layer deletes every remaining out-edge of its roots, so the next
+    # layer's roots are the child ends of the edges this layer deleted.
+    roots = [t.root]
     while remaining:
-        roots = sorted(
-            v
-            for v in t.vertices
-            if (t.in_edge[v] is None or t.in_edge[v] not in remaining)
-            and any(e in remaining for e in t.out_edges[v])
-        )
         chosen: list[int] = []
         if first and d > 0:
             if e0 is None:
@@ -279,9 +276,11 @@ def extract_dispersed_tree(
             for eid in t.out_edges[v_s]:
                 if eid in remaining and g(eid) == 0:
                     deleted.add(eid)
-        if sum(g(e) for e in deleted) != sum(t.weight[e] for e in chosen):
-            raise TheoremViolation("layer accounting failed: deleted mass != chosen weight")
+        # an empty layer would never end the peeling
+        if not deleted or sum(g(e) for e in deleted) != sum(t.weight[e] for e in chosen):
+            raise TheoremViolation("layer accounting failed: empty layer or deleted mass != chosen weight")
         remaining -= deleted
+        roots = sorted({t.ends[e][1] for e in deleted})
         chosen_layers.append(frozenset(chosen))
         deleted_layers.append(frozenset(deleted))
         first = False

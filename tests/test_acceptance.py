@@ -42,7 +42,6 @@ from domw.instances_io import (
     example_nontu_star,
     example_split_triangle,
 )
-from domw.interval_solver import _backward_enum_key
 from domw.tree_edge_solver import edge_line_graph, reduce_to_full_tree, rooted_at, solve_rooted
 
 from .conftest import record
@@ -316,7 +315,11 @@ def test_criterion_09_prefix_minimality():
         f, _ = forward_greedy(fam)
         b, _ = backward_greedy(fam)
         fwd = order_by_right_endpoint(fam)
-        bwd = sorted(range(fam.n), key=_backward_enum_key(fam))
+        bwd = sorted(
+            range(fam.n),
+            key=lambda i: (fam.intervals[i].left, fam.intervals[i].right, i),
+            reverse=True,
+        )
         top = max(g.weights)
         for values in product(range(top + 1), repeat=fam.n):
             everyone = all(

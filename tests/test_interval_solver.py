@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from domw import (
+    LCG,
     Interval,
     IntervalFamily,
     backward_greedy,
@@ -21,7 +22,6 @@ from domw import (
     verify_certificate,
 )
 from domw.instances_io import example_nontu_intervals, example_three_intervals
-from domw.interval_solver import _backward_enum_key
 
 from .strategies import interval_families
 
@@ -130,6 +130,40 @@ def test_forward_trace_sources_strictly_increase(fam: IntervalFamily):
     assert all(step.amount > 0 for step in trace.steps)
 
 
+@settings(max_examples=150, deadline=None)
+@given(interval_families())
+def test_greedy_traces_replay_from_the_definition(fam: IntervalFamily):
+    """Each pass settles, in its own order, every interval still short of its
+    weight: it pushes exactly the residual onto the closed neighbor reaching
+    furthest in the pass direction, and leaves no residual behind."""
+    ivs = fam.intervals
+    nbhd = [[j for j in range(fam.n) if fam.intersects(i, j)] for i in range(fam.n)]
+    passes = (
+        # forward: ascending right end; furthest right, ties to the later
+        (forward_greedy, lambda i: (ivs[i].right, ivs[i].left, i), False, max),
+        # backward: descending left end; furthest left, ties to the earlier
+        (backward_greedy, lambda i: (ivs[i].left, ivs[i].right, i), True, min),
+    )
+    for greedy, key, reverse, furthest in passes:
+        f, trace = greedy(fam)
+        residual = [iv.weight for iv in ivs]
+        mass: dict[int, int] = {}
+        steps = iter(trace.steps)
+        for v in sorted(range(fam.n), key=key, reverse=reverse):
+            if residual[v] == 0:
+                continue
+            step = next(steps)
+            assert step.source == v
+            assert step.amount == residual[v]
+            assert step.target == furthest(nbhd[v], key=key)
+            mass[step.target] = mass.get(step.target, 0) + step.amount
+            for z in nbhd[step.target]:
+                residual[z] = max(0, residual[z] - step.amount)
+        assert next(steps, None) is None
+        assert residual == [0] * fam.n
+        assert dict(f.items()) == mass
+
+
 @settings(max_examples=100, deadline=None)
 @given(interval_families(max_n=6))
 def test_solver_matches_oracles_and_verifies(fam: IntervalFamily):
@@ -184,7 +218,11 @@ def test_prefix_minimality_against_all_dominating_functions(fam: IntervalFamily)
     f, _ = forward_greedy(fam)
     b, _ = backward_greedy(fam)
     fwd = order_by_right_endpoint(fam)
-    bwd = sorted(range(fam.n), key=_backward_enum_key(fam))
+    bwd = sorted(
+        range(fam.n),
+        key=lambda i: (fam.intervals[i].left, fam.intervals[i].right, i),
+        reverse=True,
+    )
     top = max(g.weights)
     for values in product(range(top + 1), repeat=fam.n):
         h = DominationCandidate(values)
@@ -198,3 +236,16 @@ def test_prefix_minimality_against_all_dominating_functions(fam: IntervalFamily)
             run_b += b(vb)
             run_h_b += h(vb)
             assert run_b <= run_h_b
+
+
+def test_ten_thousand_short_intervals_solve_to_a_verified_certificate():
+    """By weak duality a verified certificate proves both values optimal at
+    any size, far above the oracles' 10-vertex cap."""
+    rng = LCG(1)
+    triples = []
+    for _ in range(10_000):
+        left = rng.randint(1, 20_000)
+        triples.append((left, left + rng.randint(0, 6), rng.randint(1, 5)))
+    fam = IntervalFamily.of(triples)
+    cert = solve_interval(fam)
+    assert verify_certificate(intersection_graph(fam), cert).ok

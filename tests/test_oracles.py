@@ -1,5 +1,6 @@
 """Tests for the brute-force oracles, the exact LP, and the matrix checks."""
 
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domw import (
+    LCG,
     WeightedGraph,
     brute_gamma,
     brute_gamma_i,
@@ -19,6 +21,7 @@ from domw import (
     neighborhood_matrix,
     solve_fractional,
 )
+from domw import oracles
 from domw.errors import BadPermutation, InstanceTooLarge
 from domw.instances_io import example_nontu_intervals, example_split_triangle
 from domw.interval_solver import intersection_graph, order_by_right_endpoint
@@ -79,6 +82,21 @@ def test_cap_guards_the_exponential_search():
     with pytest.raises(InstanceTooLarge):
         brute_gamma_i(g)
     assert brute_gamma(g, cap=11)[0] == 4
+
+
+def test_cover_search_deeper_than_the_call_stack_stops_at_its_budget(monkeypatch):
+    """The search goes one level deeper per supplier.  With 1500 suppliers
+    a recursive search overflowed the call stack (RecursionError, exit 1)
+    long before its node budget; it must raise InstanceTooLarge instead."""
+    rng = LCG(1)
+    n_a, n_b = 1500, 30
+    assert n_a > sys.getrecursionlimit()
+    weights = [rng.randint(1, 5) for _ in range(n_a + n_b)]
+    edges = [(a, n_a + b) for b in range(n_b) for a in range(n_a) if rng.chance(5)]
+    g = WeightedGraph.from_edges(weights, edges)
+    monkeypatch.setattr(oracles, "NODE_BUDGET", 5_000)
+    with pytest.raises(InstanceTooLarge, match="budget"):
+        oracles.min_dominating(g, range(n_a, n_a + n_b), range(n_a))
 
 
 @settings(max_examples=120, deadline=None)

@@ -155,3 +155,13 @@ def test_ten_thousand_host_edges_solve_to_a_verified_certificate(seed):
     host, subset = gen_tree(seed, 10_000, 5)
     cert = solve_tree(host, subset)
     assert verify_certificate(edge_line_graph(host, subset), cert).ok
+
+
+def test_a_path_of_four_thousand_selected_edges_solves_to_a_verified_certificate():
+    """A path host rooted at an end peels about m / 3 layers, the deepest
+    shape a component can take."""
+    m = 4000
+    host = HostTree(m + 1, tuple((i, i + 1) for i in range(m)))
+    subset = [(i, i + 1, 1 + 7 * i % 5) for i in range(m)]
+    cert = solve_tree(host, subset)
+    assert verify_certificate(edge_line_graph(host, subset), cert).ok
