@@ -145,19 +145,24 @@ class HostTree:
             raise ValueError("host tree needs at least one vertex")
         if len(self.edges) != self.n - 1:
             raise ValueError("a tree on n vertices has exactly n-1 edges")
-        seen: set[frozenset[Vertex]] = set()
+        seen: set[tuple[Vertex, Vertex]] = set()
+        adj: list[set[Vertex]] = [set() for _ in range(self.n)]
         for u, v in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise UnknownVertex(f"edge ({u}, {v}) out of range")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = frozenset((u, v))
+            key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add(key)
+            adj[u].add(v)
+            adj[v].add(u)
+        # built once and kept out of the fields, so equality is unchanged;
+        # never mutated, adjacency() hands out copies
+        object.__setattr__(self, "_adj", adj)
         # edge count plus connectivity makes it a tree
         if self.n > 1:
-            adj = self.adjacency()
             reached = {0}
             queue = deque([0])
             while queue:
@@ -170,11 +175,8 @@ class HostTree:
                 raise ValueError("host tree is not connected")
 
     def adjacency(self) -> list[set[Vertex]]:
-        adj: list[set[Vertex]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        """A fresh, mutable copy of the neighbor sets, indexed by vertex."""
+        return [set(a) for a in self._adj]
 
 
 def _check_vertex(g: WeightedGraph, v: Vertex) -> None:
@@ -273,7 +275,7 @@ def build_intersection_graph(
     """
     if len(subtrees) != len(weights):
         raise ValueError("one weight per subtree is required")
-    adj = host.adjacency()
+    adj = host._adj
     sets: list[frozenset[Vertex]] = []
     for i, raw in enumerate(subtrees):
         s = frozenset(raw)

@@ -11,7 +11,7 @@ optimality of both sides at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import TheoremViolation
 from .graph_core import (
@@ -119,15 +119,20 @@ def order_by_right_endpoint(fam: IntervalFamily) -> tuple[int, ...]:
     return tuple(sorted(range(fam.n), key=_by_right(fam).__getitem__))
 
 
-def _greedy(fam: IntervalFamily, forward: bool) -> tuple[DominationFunction, GreedyTrace]:
+def _neighborhoods(graph: WeightedGraph) -> list[frozenset[int]]:
+    """N[v] of every vertex, indexed by id."""
+    return [closed_neighborhood(graph, v) for v in graph.vertices]
+
+
+def _greedy(
+    fam: IntervalFamily, nbhd: Sequence[frozenset[int]], forward: bool
+) -> tuple[DominationFunction, GreedyTrace]:
     # The forward pass settles intervals by ascending K_r and pushes each
     # residual onto the closed neighbor largest by K_r: furthest right, and
     # on a tie the later interval, never the source itself while it still
     # has other neighbors.  The backward pass mirrors it: descending K_l,
     # onto the smallest by K_l.  Both keys end in the id, so neither has ties.
     key = _by_right(fam) if forward else _by_left(fam)
-    graph = intersection_graph(fam)
-    nbhd = [closed_neighborhood(graph, v) for v in graph.vertices]
     order = sorted(range(fam.n), key=key.__getitem__, reverse=not forward)
     furthest = max if forward else min
     residual = [iv.weight for iv in fam.intervals]
@@ -149,8 +154,14 @@ def _greedy(fam: IntervalFamily, forward: bool) -> tuple[DominationFunction, Gre
         # f[N(z)] only where target is in N[z], which by symmetry is again
         # N[target].  Elsewhere both sides are unchanged, so by induction
         # from residual = w, placed = 0 the identity holds everywhere.
+        # f[N(z)] is summed from the smaller side: f's support (a handful of
+        # intervals on dense families) or N[z] (short on sparse ones).
         for z in nbhd[target]:
-            placed = sum(values.get(u, 0) for u in nbhd[z])
+            nz = nbhd[z]
+            if len(values) < len(nz):
+                placed = sum(x for u, x in values.items() if u in nz)
+            else:
+                placed = sum(values.get(u, 0) for u in nz)
             if residual[z] != max(0, fam.intervals[z].weight - placed):
                 raise TheoremViolation(f"residual of interval {z} drifted from the placed mass")
     f = DominationFunction(values)
@@ -159,12 +170,12 @@ def _greedy(fam: IntervalFamily, forward: bool) -> tuple[DominationFunction, Gre
 
 def forward_greedy(fam: IntervalFamily) -> tuple[DominationFunction, GreedyTrace]:
     """Minimum w-dominating function built left to right."""
-    return _greedy(fam, forward=True)
+    return _greedy(fam, _neighborhoods(intersection_graph(fam)), forward=True)
 
 
 def backward_greedy(fam: IntervalFamily) -> tuple[DominationFunction, GreedyTrace]:
     """The mirrored greedy: enumerate right to left, push mass leftward."""
-    return _greedy(fam, forward=False)
+    return _greedy(fam, _neighborhoods(intersection_graph(fam)), forward=False)
 
 
 def extract_dispersed(
@@ -179,8 +190,16 @@ def extract_dispersed(
     failure of the structural guarantees raises TheoremViolation: it means a
     bug, not an unlucky instance.
     """
-    graph = intersection_graph(fam)
-    nbhd = [closed_neighborhood(graph, v) for v in graph.vertices]
+    return _extract(fam, _neighborhoods(intersection_graph(fam)), f, g, gtrace)
+
+
+def _extract(
+    fam: IntervalFamily,
+    nbhd: Sequence[frozenset[int]],
+    f: DominationFunction,
+    g: DominationFunction,
+    gtrace: GreedyTrace,
+) -> tuple[frozenset[int], DispersedDecomposition]:
     order = order_by_right_endpoint(fam)
     position = {v: i for i, v in enumerate(order)}
     by_left = _by_left(fam)
@@ -251,14 +270,20 @@ def extract_dispersed(
 
 
 def solve_interval(fam: IntervalFamily) -> Certificate:
-    """Certificate with gamma_w = rho_w on the interval graph of the family."""
-    f, _ = forward_greedy(fam)
-    g, gtrace = backward_greedy(fam)
+    """Certificate with gamma_w = rho_w on the interval graph of the family.
+
+    One interval graph is built per solve; both sweeps, the extraction and
+    the self-check share it and its closed neighborhoods.
+    """
+    graph = intersection_graph(fam)
+    nbhd = _neighborhoods(graph)
+    f, _ = _greedy(fam, nbhd, forward=True)
+    g, gtrace = _greedy(fam, nbhd, forward=False)
     if f.size != g.size:
         raise TheoremViolation("forward and backward greedy disagree on the value")
-    dispersed, _ = extract_dispersed(fam, f, g, gtrace)
+    dispersed, _ = _extract(fam, nbhd, f, g, gtrace)
     cert = Certificate(f, dispersed, f.size)
-    check = verify_certificate(intersection_graph(fam), cert)
+    check = verify_certificate(graph, cert)
     if not check:
         raise TheoremViolation(f"certificate failed re-verification: {check.reason}")
     return cert

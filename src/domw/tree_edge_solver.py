@@ -113,10 +113,10 @@ def rooted_at(t: RootedEdgeTree, root: int) -> RootedEdgeTree:
 def _validate_edge_subset(host: HostTree, subset: Sequence[FEdge]) -> None:
     if not subset:
         raise EmptyEdgeSet("the selected edge set is empty")
-    tree_edges = {frozenset(e) for e in host.edges}
-    seen: set[frozenset[int]] = set()
+    tree_edges = {(u, v) if u < v else (v, u) for u, v in host.edges}
+    seen: set[tuple[int, int]] = set()
     for u, v, w in subset:
-        key = frozenset((u, v))
+        key = (u, v) if u < v else (v, u)
         if key not in tree_edges:
             raise ValueError(f"({u}, {v}) is not an edge of the host tree")
         if key in seen:

@@ -5,15 +5,18 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
+import domw.interval_solver
 from domw import (
     LCG,
     Interval,
     IntervalFamily,
+    TheoremViolation,
     backward_greedy,
     brute_gamma,
     brute_rho,
     extract_dispersed,
     forward_greedy,
+    gen_interval,
     intersection_graph,
     is_w_dominating,
     order_by_right_endpoint,
@@ -22,6 +25,8 @@ from domw import (
     verify_certificate,
 )
 from domw.instances_io import example_nontu_intervals, example_three_intervals
+
+from domw.interval_solver import _greedy
 
 from .strategies import interval_families
 
@@ -247,5 +252,57 @@ def test_ten_thousand_short_intervals_solve_to_a_verified_certificate():
         left = rng.randint(1, 20_000)
         triples.append((left, left + rng.randint(0, 6), rng.randint(1, 5)))
     fam = IntervalFamily.of(triples)
+    cert = solve_interval(fam)
+    assert verify_certificate(intersection_graph(fam), cert).ok
+
+
+def test_one_interval_graph_is_built_per_solve(monkeypatch):
+    built = []
+
+    def counting(fam):
+        built.append(fam)
+        return intersection_graph(fam)
+
+    monkeypatch.setattr(domw.interval_solver, "intersection_graph", counting)
+    fam = gen_interval(3, 40, 80, 5)
+    cert = solve_interval(fam)
+    assert len(built) == 1
+    assert verify_certificate(intersection_graph(fam), cert).ok
+
+
+@pytest.mark.parametrize(
+    "far_side",
+    [
+        frozenset({2}),  # |N[2]| = 1 is not above the one-interval support: sum over N[2]
+        frozenset({2, 3}),  # |N[2]| = 2 exceeds the support: sum over the support
+    ],
+)
+def test_residual_check_rejects_an_asymmetric_neighborhood(far_side):
+    """Interval 1 lists 2 as a neighbor, but 2 does not list 1: the first
+    step lowers the residual of 2 without any mass on N[2], which the check
+    must catch on either side of its smaller-side choice."""
+    fam = family((0, 0, 1), (0, 0, 1), (0, 0, 1), (0, 0, 1))
+    nbhd = [frozenset({0, 1}), frozenset({0, 1, 2}), far_side, frozenset({3})]
+    with pytest.raises(TheoremViolation, match="interval 2"):
+        _greedy(fam, nbhd, forward=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_families())
+def test_solve_matches_the_public_phases(fam: IntervalFamily):
+    """The solve on one shared graph gives what the public phases, each on
+    its own graph, give when composed."""
+    cert = solve_interval(fam)
+    f, _ = forward_greedy(fam)
+    g, gtrace = backward_greedy(fam)
+    dispersed, _ = extract_dispersed(fam, f, g, gtrace)
+    assert cert.dominating == f
+    assert cert.dispersed == dispersed
+    assert cert.value == f.size
+
+
+def test_a_thousand_dense_intervals_solve_to_a_verified_certificate():
+    """About 241k edges but only a handful of greedy steps."""
+    fam = gen_interval(1, 1000, 4000, 5)
     cert = solve_interval(fam)
     assert verify_certificate(intersection_graph(fam), cert).ok
