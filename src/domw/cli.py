@@ -13,7 +13,7 @@ import sys
 from typing import Sequence
 
 from .errors import InstanceTooLarge, LPInternalError, TheoremViolation
-from .graph_core import verify_certificate
+from .graph_core import is_w_dominating, verify_certificate
 from .instances_io import (
     InstanceFile,
     SubtreeInstance,
@@ -174,7 +174,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
         solver_value = cert.value
         report("solver certificate verifies", bool(verify_certificate(g, cert)))
     elif inst.kind == "split":
-        solver_value = solve_split(inst.payload).value
+        res = solve_split(inst.payload)
+        solver_value = res.value
+        report(
+            "solver function dominates at its value",
+            is_w_dominating(g, res.dominating) and res.dominating.size == res.value,
+        )
+        witness = res.witness_independent
+        report(
+            "solver witness is independent",
+            all(v in g.vertices and not g.adjacency[v] & witness for v in witness),
+        )
 
     if g.n > args.cap:
         print(f"SKIP oracle comparisons ({g.n} vertices exceed the cap of {args.cap})")

@@ -298,9 +298,6 @@ class InstanceFile:
     payload: object
 
 
-KINDS = ("interval", "tree-edges", "split", "subtree-intersection", "explicit")
-
-
 def instance_graph(inst: InstanceFile) -> WeightedGraph:
     """The weighted graph an instance denotes, for oracles and matrices."""
     if inst.kind == "interval":
@@ -360,17 +357,15 @@ def _count(lines: _Lines, what: str, minimum: int = 0) -> int:
     return value
 
 
-def _parse_host_tree(lines: _Lines, expect_flag_weight: tuple[int, int] | None = None) -> HostTree:
+def _parse_host_tree(lines: _Lines) -> HostTree:
+    """A host tree section; every edge line ends with the flag 1 and weight 0."""
     nv = _count(lines, "vertex count", minimum=1)
     edges = []
     for _ in range(nv - 1):
         line, text = lines.next("host edge line")
-        fields = _int_fields(line, text, 4, "host edge")
-        u, v, flag, w = fields
-        if expect_flag_weight is not None and (flag, w) != expect_flag_weight:
-            raise InstanceSyntaxError(
-                line, f"host edge must end with {expect_flag_weight[0]} {expect_flag_weight[1]}"
-            )
+        u, v, flag, w = _int_fields(line, text, 4, "host edge")
+        if (flag, w) != (1, 0):
+            raise InstanceSyntaxError(line, "host edge must end with 1 0")
         edges.append((u, v))
     return HostTree(nv, tuple(edges))
 
@@ -460,7 +455,7 @@ def _parse_split(lines: _Lines) -> SplitInstance:
 
 
 def _parse_subtrees(lines: _Lines) -> SubtreeInstance:
-    host = _parse_host_tree(lines, expect_flag_weight=(1, 0))
+    host = _parse_host_tree(lines)
     k = _count(lines, "subtree count", minimum=1)
     subtrees = []
     weights = []

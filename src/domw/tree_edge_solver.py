@@ -38,9 +38,7 @@ class RootedEdgeTree:
     ends: Mapping[int, tuple[int, int]]  # edge id -> (parent side, child side)
     weight: Mapping[int, int]
     out_edges: Mapping[int, tuple[int, ...]]  # A(v), sorted by edge id
-    in_edge: Mapping[int, int | None]  # edge ending at v, None at the root
     height: Mapping[int, int]  # longest edge path below the child end
-    depth: Mapping[int, int]  # edges between the root and the parent end
 
 
 @dataclass(frozen=True)
@@ -51,21 +49,20 @@ class DeletionLayers:
     deleted: tuple[frozenset[int], ...]
 
 
-def _build_rooted(
-    root: int,
-    vertices: frozenset[int],
-    edges: Sequence[tuple[int, int, int, int]],  # (eid, u, v, w)
-) -> RootedEdgeTree:
-    touching: dict[int, list[tuple[int, int, int]]] = {v: [] for v in vertices}
-    for eid, u, v, w in edges:
-        touching[u].append((eid, v, w))
-        touching[v].append((eid, u, w))
+def _incidence(edges: Iterable[tuple[int, FEdge]]) -> dict[int, list[tuple[int, int, int]]]:
+    """touching[v]: an (edge id, other end, weight) entry per edge (eid, (u, v, w)) at v."""
+    touching: dict[int, list[tuple[int, int, int]]] = {}
+    for eid, (u, v, w) in edges:
+        touching.setdefault(u, []).append((eid, v, w))
+        touching.setdefault(v, []).append((eid, u, w))
+    return touching
+
+
+def _build_rooted(root: int, touching: Mapping[int, Sequence[tuple[int, int, int]]]) -> RootedEdgeTree:
+    """The component of root, found and oriented by one DFS from root."""
     ends: dict[int, tuple[int, int]] = {}
     weight: dict[int, int] = {}
-    out_edges: dict[int, list[int]] = {v: [] for v in vertices}
-    in_edge: dict[int, int | None] = {v: None for v in vertices}
-    depth: dict[int, int] = {}
-    vertex_depth = {root: 0}
+    out_edges: dict[int, list[int]] = {root: []}
     stack = [root]
     while stack:
         u = stack.pop()
@@ -75,25 +72,22 @@ def _build_rooted(
             ends[eid] = (u, v)
             weight[eid] = w
             out_edges[u].append(eid)
-            in_edge[v] = eid
-            depth[eid] = vertex_depth[u]
-            vertex_depth[v] = vertex_depth[u] + 1
+            out_edges[v] = []
             stack.append(v)
+    # every edge is discovered after its parent edge, so the reverse of the
+    # discovery order meets each edge after all the edges below it
     height: dict[int, int] = {}
-    for eid in sorted(ends, key=lambda e: -vertex_depth[ends[e][1]]):
-        child = ends[eid][1]
-        below = [height[e2] for e2 in out_edges[child]]
+    for eid in reversed(ends):
+        below = [height[e2] for e2 in out_edges[ends[eid][1]]]
         height[eid] = 1 + max(below) if below else 0
     return RootedEdgeTree(
         root=root,
-        vertices=vertices,
+        vertices=frozenset(out_edges),
         edge_ids=tuple(sorted(ends)),
         ends=ends,
         weight=weight,
         out_edges={v: tuple(sorted(es)) for v, es in out_edges.items()},
-        in_edge=in_edge,
         height=height,
-        depth=depth,
     )
 
 
@@ -106,8 +100,8 @@ def rooted_at(t: RootedEdgeTree, root: int) -> RootedEdgeTree:
     """The same component re-oriented away from another root."""
     if root not in t.vertices:
         raise UnknownVertex(f"vertex {root} is not in this component")
-    edges = [(eid, *t.ends[eid], t.weight[eid]) for eid in t.edge_ids]
-    return _build_rooted(root, t.vertices, edges)
+    edges = ((eid, (*t.ends[eid], t.weight[eid])) for eid in t.edge_ids)
+    return _build_rooted(root, _incidence(edges))
 
 
 def _validate_edge_subset(host: HostTree, subset: Sequence[FEdge]) -> None:
@@ -129,34 +123,15 @@ def _validate_edge_subset(host: HostTree, subset: Sequence[FEdge]) -> None:
 def reduce_to_full_tree(host: HostTree, subset: Sequence[FEdge]) -> tuple[RootedEdgeTree, ...]:
     """Drop unselected host edges and return each component, canonically rooted."""
     _validate_edge_subset(host, subset)
-    adj: dict[int, list[tuple[int, int, int]]] = {}
-    for eid, (u, v, w) in enumerate(subset):
-        adj.setdefault(u, []).append((eid, v, w))
-        adj.setdefault(v, []).append((eid, u, w))
+    adj = _incidence(enumerate(subset))
     visited: set[int] = set()
     components: list[RootedEdgeTree] = []
     # each component starts at its smallest vertex, its canonical root
     for start in sorted(adj):
-        if start in visited:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for _, y, _ in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        visited |= comp
-        edge_rows = []
-        seen_eids = set()
-        for u in sorted(comp):
-            for eid, v, w in adj[u]:
-                if eid not in seen_eids:
-                    seen_eids.add(eid)
-                    edge_rows.append((eid, u, v, w))
-        edge_rows.sort()
-        components.append(_build_rooted(start, frozenset(comp), edge_rows))
+        if start not in visited:
+            t = _build_rooted(start, adj)
+            visited |= t.vertices
+            components.append(t)
     return tuple(components)
 
 

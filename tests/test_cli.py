@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import domw
-from domw import oracles
+from domw import DominationFunction, SplitResult, oracles
 from domw.cli import run
 
 
@@ -128,6 +128,26 @@ def test_check_reports_every_property(interval_file, capsys):
         "PASS gamma* at most gamma_w",
         "PASS rho* at least rho_w",
     ]
+
+
+@pytest.mark.parametrize(
+    "values, witness, failing",
+    [
+        ({3: 6}, {3, 4, 5}, "FAIL solver function dominates at its value"),
+        ({0: 2, 1: 2, 2: 2}, {0, 3}, "FAIL solver witness is independent"),
+    ],
+    ids=["function", "witness"],
+)
+def test_check_rejects_a_faulty_split_result(values, witness, failing, tmp_path, capsys, monkeypatch):
+    """Each fault keeps the right value of 6, so only its own line can catch it."""
+    _, text, _ = invoke(capsys, "example", "split-triangle")
+    path = tmp_path / "tri.domw"
+    path.write_text(text)
+    fake = SplitResult(6, DominationFunction(values), frozenset(witness), 6)
+    monkeypatch.setattr("domw.cli.solve_split", lambda inst: fake)
+    code, out, _ = invoke(capsys, "check", str(path))
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [failing]
 
 
 def test_gen_is_deterministic(capsys):

@@ -105,6 +105,62 @@ def test_value_is_root_independent_on_the_two_edge_path():
     assert values == {5}
 
 
+def _assert_rooted_by_definition(t, subset, vertices, root):
+    """Every field of t, recomputed from the edge list, the vertex set and the root."""
+    ids = sorted(eid for eid, (u, _, _) in enumerate(subset) if u in vertices)
+    dist = {root: 0}
+    queue = [root]
+    for x in queue:
+        for eid in ids:
+            u, v, _ = subset[eid]
+            if x in (u, v):
+                y = v if x == u else u
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+    parent_end = {}
+    for eid in ids:
+        u, v, _ = subset[eid]
+        parent_end[eid] = u if dist[u] < dist[v] else v
+
+    def height(eid):
+        u, v, _ = subset[eid]
+        child = v if parent_end[eid] == u else u
+        below = [height(e) for e in ids if parent_end[e] == child]
+        return 1 + max(below) if below else 0
+
+    assert t.root == root and t.vertices == vertices
+    assert t.edge_ids == tuple(ids)
+    for eid in ids:
+        u, v, w = subset[eid]
+        p = parent_end[eid]
+        assert t.ends[eid] == (p, v if p == u else u)
+        assert t.weight[eid] == w
+        assert t.height[eid] == height(eid)
+    assert set(t.ends) == set(t.weight) == set(t.height) == set(ids)
+    assert t.out_edges == {
+        x: tuple(e for e in ids if parent_end[e] == x) for x in vertices
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_edge_subsets(max_n=12))
+def test_rooted_components_match_their_definitions(case):
+    host, subset = case
+    components: list[set[int]] = []
+    for u, v, _ in subset:
+        touched = [c for c in components if u in c or v in c]
+        merged = {u, v}.union(*touched)
+        components = [c for c in components if c not in touched] + [merged]
+    expected = sorted(components, key=min)
+    comps = reduce_to_full_tree(host, subset)
+    assert len(comps) == len(expected)
+    for t, vertices in zip(comps, expected):
+        _assert_rooted_by_definition(t, subset, vertices, min(vertices))
+        for r in sorted(vertices):
+            _assert_rooted_by_definition(rooted_at(t, r), subset, vertices, r)
+
+
 @settings(max_examples=120, deadline=None)
 @given(tree_edge_subsets(max_n=7))
 def test_solver_matches_oracles_and_verifies(case):
