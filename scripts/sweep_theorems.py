@@ -1,144 +1,75 @@
 #!/usr/bin/env python3
-"""Seeded sweeps cross-checking the exact solvers against the oracles.
+"""Seeded sweeps running `domw check`'s invariants over each graph class.
 
-For each graph class this solves a run of seeded random instances, compares
-the solver value with the brute-force oracles, verifies certificates, and
-solves the fractional relaxation to report duality gap statistics.
+For each class this checks a run of seeded random instances with
+`domw.cli.check_instance`: the solver result against its own checks and the
+brute-force oracles, the sandwich rho_w <= gamma_i_w <= gamma_w, and LP
+duality.  It counts the instances that fail any invariant and reports
+statistics of the gap gamma_w - gamma*.
 
     python3 scripts/sweep_theorems.py --seeds 200
-    python3 scripts/sweep_theorems.py --classes interval split --no-lp
+    python3 scripts/sweep_theorems.py --classes interval split
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from domw import (
-    brute_gamma,
-    brute_gamma_i,
-    brute_rho,
-    build_intersection_graph,
+    InstanceFile,
+    SubtreeInstance,
+    TreeEdgesInstance,
     gen_interval,
     gen_split,
     gen_subtrees,
     gen_tree,
-    intersection_graph,
-    is_w_dominating,
-    solve_fractional,
-    solve_interval,
-    solve_split,
-    solve_tree,
-    verify_certificate,
 )
-from domw.tree_edge_solver import edge_line_graph
+from domw.cli import check_instance
 
-ALL_CLASSES = ("interval", "tree", "split", "subtree")
-
-
-@dataclass
-class SweepConfig:
-    seeds: int = 200  # instances per class
-    max_w: int = 5  # weight bound for generated instances
-    max_coord: int = 12  # interval coordinate bound
-    edge_prob: int = 60  # split cross-edge probability, in percent
-    classes: tuple[str, ...] = ALL_CLASSES
-    lp: bool = True  # also solve the fractional relaxation per instance
-
-
-@dataclass
-class SweepStats:
-    name: str
-    instances: int = 0
-    mismatches: int = 0
-    gaps: list[Fraction] = field(default_factory=list)
-
-    def note_gap(self, gamma: int, gamma_star: Fraction) -> None:
-        self.gaps.append(Fraction(gamma) - gamma_star)
-
-    def summary(self) -> str:
-        line = f"{self.name:<9} {self.instances:>5} instances, {self.mismatches} mismatches"
-        if self.gaps:
-            integral = sum(1 for g in self.gaps if g == 0)
-            worst = max(self.gaps)
-            mean = sum(self.gaps, Fraction(0)) / len(self.gaps)
-            line += (
-                f"; gamma - gamma*: max {worst} ({float(worst):.3f}),"
-                f" mean {float(mean):.3f}, integral on {integral}/{len(self.gaps)}"
-            )
-        return line
+# Seed -> instance per class.  Every instance has at most 9 vertices, inside
+# the oracles' default cap of 10, so every check runs the oracles.
+CLASSES = {
+    "interval": lambda s: InstanceFile("interval", gen_interval(s, 1 + s % 8, 12, 5)),
+    "tree": lambda s: InstanceFile("tree-edges", TreeEdgesInstance(*gen_tree(s, 1 + s % 9, 5))),
+    "split": lambda s: InstanceFile("split", gen_split(s, 1 + s % 4, 1 + (s // 4) % 5, 60, 5)),
+    "subtree": lambda s: InstanceFile(
+        "subtree-intersection", SubtreeInstance(*gen_subtrees(s, 3 + s % 6, 1 + s % 9, 5))
+    ),
+}
 
 
-def instance_for(kind: str, seed: int, cfg: SweepConfig):
-    """Returns (graph, solver value or None, certificate ok or None)."""
-    if kind == "interval":
-        fam = gen_interval(seed, 1 + seed % 8, cfg.max_coord, cfg.max_w)
-        g = intersection_graph(fam)
-        cert = solve_interval(fam)
-        return g, cert.value, verify_certificate(g, cert).ok
-    if kind == "tree":
-        host, subset = gen_tree(seed, 1 + seed % 9, cfg.max_w)
-        g = edge_line_graph(host, subset)
-        cert = solve_tree(host, subset)
-        return g, cert.value, verify_certificate(g, cert).ok
-    if kind == "split":
-        inst = gen_split(seed, 1 + seed % 4, 1 + (seed // 4) % 5, cfg.edge_prob, cfg.max_w)
-        res = solve_split(inst)
-        ok = is_w_dominating(inst.graph, res.dominating) and res.dominating.size == res.value
-        return inst.graph, res.value, ok
-    host, subs, ws = gen_subtrees(seed, 3 + seed % 6, 1 + seed % 9, cfg.max_w)
-    return build_intersection_graph(host, subs, ws), None, None
-
-
-def run_sweep(kind: str, cfg: SweepConfig) -> SweepStats:
-    stats = SweepStats(kind)
-    for seed in range(cfg.seeds):
-        g, value, cert_ok = instance_for(kind, seed, cfg)
-        stats.instances += 1
-        gamma = brute_gamma(g)[0]
-        gamma_i = brute_gamma_i(g)[0]
-        rho = brute_rho(g)[0]
-        bad = not (rho <= gamma_i <= gamma)
-        if value is not None:
-            bad = bad or cert_ok is False or value != gamma
-            if kind == "split":
-                bad = bad or value != gamma_i or rho > value
-            else:
-                bad = bad or value != rho
-        if cfg.lp:
-            sol = solve_fractional(g)
-            bad = bad or sol.gamma_star != sol.rho_star or sol.gamma_star > gamma
-            stats.note_gap(gamma, sol.gamma_star)
-        if bad:
-            stats.mismatches += 1
-            print(f"MISMATCH {kind} seed {seed}", file=sys.stderr)
-    return stats
+def run_sweep(name: str, seeds: int) -> tuple[int, str]:
+    """Check `seeds` instances of one class; return the mismatch count and a summary line."""
+    mismatches, gaps = 0, []
+    for seed in range(seeds):
+        report = check_instance(CLASSES[name](seed))
+        gaps.append(report.gamma - report.gamma_star)
+        if not report.ok:
+            mismatches += 1
+            print(f"MISMATCH {name} seed {seed}", file=sys.stderr)
+    line = f"{name:<9} {seeds:>5} instances, {mismatches} mismatches"
+    if gaps:
+        worst = max(gaps)
+        mean = sum(gaps, Fraction(0)) / len(gaps)
+        line += (
+            f"; gamma - gamma*: max {worst} ({float(worst):.3f}),"
+            f" mean {float(mean):.3f}, integral on {gaps.count(0)}/{len(gaps)}"
+        )
+    return mismatches, line
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=200, help="instances per class")
-    parser.add_argument("--max-w", type=int, default=5)
-    parser.add_argument("--max-coord", type=int, default=12)
-    parser.add_argument("--edge-prob", type=int, default=60)
-    parser.add_argument("--classes", nargs="+", choices=ALL_CLASSES, default=list(ALL_CLASSES))
-    parser.add_argument("--no-lp", action="store_true", help="skip the fractional relaxation")
+    parser.add_argument("--classes", nargs="+", choices=tuple(CLASSES), default=list(CLASSES))
     args = parser.parse_args(argv)
-    cfg = SweepConfig(
-        seeds=args.seeds,
-        max_w=args.max_w,
-        max_coord=args.max_coord,
-        edge_prob=args.edge_prob,
-        classes=tuple(args.classes),
-        lp=not args.no_lp,
-    )
     failed = 0
-    for kind in cfg.classes:
-        stats = run_sweep(kind, cfg)
-        print(stats.summary())
-        failed += stats.mismatches
+    for name in args.classes:
+        mismatches, line = run_sweep(name, args.seeds)
+        print(line)
+        failed += mismatches
     return 1 if failed else 0
 
 

@@ -9,12 +9,17 @@ error.  Exit codes: 0 success, 1 invalid input or failed verification,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from typing import Sequence
+from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 from .errors import InstanceTooLarge, LPInternalError, TheoremViolation
-from .graph_core import is_w_dominating, verify_certificate
+from .graph_core import verify_certificate
 from .instances_io import (
+    CERT_HEADER,
+    KINDS,
+    Checks,
     InstanceFile,
     SubtreeInstance,
     TreeEdgesInstance,
@@ -27,14 +32,13 @@ from .instances_io import (
     gen_subtrees,
     gen_tree,
     instance_graph,
-    parse_certificate,
     parse_instance,
-    write_certificate,
+    parse_result,
     write_instance,
-    write_split_result,
 )
-from .interval_solver import order_by_right_endpoint, solve_interval
+from .interval_solver import order_by_right_endpoint
 from .oracles import (
+    DEFAULT_CAP,
     brute_gamma,
     brute_gamma_i,
     brute_rho,
@@ -43,10 +47,9 @@ from .oracles import (
     neighborhood_matrix,
     solve_fractional,
 )
-from .split_solver import solve_split
-from .tree_edge_solver import solve_tree
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="domw",
@@ -88,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n-tree", type=int, default=6, help="host vertices (subtree kind)")
     gen.add_argument("--n-subtrees", type=int, default=5)
 
-    verify = sub.add_parser("verify", help="re-check a certificate against an instance")
+    verify = sub.add_parser("verify", help="re-check a solver result against an instance")
     verify.add_argument("instance")
     verify.add_argument("certificate")
 
@@ -106,22 +109,16 @@ def _read(path: str) -> str:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.file))
-    if inst.kind == "interval":
-        print(write_certificate(solve_interval(inst.payload)), end="")
-        return 0
-    if inst.kind == "tree-edges":
-        cert = solve_tree(inst.payload.host, inst.payload.f_edges)
-        print(write_certificate(cert), end="")
-        return 0
-    if inst.kind == "split":
-        print(write_split_result(solve_split(inst.payload)), end="")
-        return 0
-    print(
-        f"no exact solver covers kind {inst.kind!r}; "
-        "use `domw oracle <gamma|rho|gammai|frac>`",
-        file=sys.stderr,
-    )
-    return 1
+    kind = KINDS[inst.kind]
+    if kind.solve is None:
+        print(
+            f"no exact solver covers kind {inst.kind!r}; "
+            "use `domw oracle <gamma|rho|gammai|frac>`",
+            file=sys.stderr,
+        )
+        return 1
+    print(kind.write_result(kind.solve(inst.payload)), end="")
+    return 0
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -154,59 +151,63 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+class CheckReport(NamedTuple):
+    """What `domw check` found on one instance.
+
+    `lines` pairs each invariant with whether it holds, in print order.
+    `skip` says why the oracle comparisons did not run; when they did,
+    `gamma` is the brute-force gamma_w and `gamma_star` the LP optimum.
+    """
+
+    lines: Checks
+    skip: str | None = None
+    gamma: int | None = None
+    gamma_star: Fraction | None = None
+
+    @property
+    def ok(self) -> bool:
+        return all(ok for _, ok in self.lines)
+
+
+def check_instance(inst: InstanceFile, cap: int = DEFAULT_CAP) -> CheckReport:
+    """Every invariant `domw check` tests: the solver result against its kind's
+    checks and, up to `cap` vertices, against the brute-force oracles and the LP."""
+    kind = KINDS[inst.kind]
+    g = kind.graph(inst.payload)
+    lines: Checks = []
+    value = None
+    if kind.solve is not None:
+        # check the text `domw solve` prints, read back as `domw verify` reads it
+        text = kind.write_result(kind.solve(inst.payload))
+        _, block = parse_result(text, (kind.result_header,))
+        value = block.value
+        lines += [(f"solver {name}", ok) for name, ok in kind.check_result(g, block)]
+    if g.n > cap:
+        return CheckReport(lines, skip=f"{g.n} vertices exceed the cap of {cap}")
+
+    gamma, _ = brute_gamma(g, cap)
+    rho, _ = brute_rho(g, cap)
+    gamma_i, _, _ = brute_gamma_i(g, cap)
+    oracle = {"gamma_w": gamma, "rho_w": rho, "gamma_i_w": gamma_i}
+    lines.append(("sandwich rho <= gamma_i <= gamma", rho <= gamma_i <= gamma))
+    lines += [(f"solver value equals {name}", value == oracle[name]) for name in kind.equals]
+    lines += [(f"{name} at most solver value", oracle[name] <= value) for name in kind.at_most]
+    sol = solve_fractional(g, cap)
+    lines += [
+        ("fractional duality gamma* = rho*", sol.gamma_star == sol.rho_star),
+        ("gamma* at most gamma_w", sol.gamma_star <= gamma),
+        ("rho* at least rho_w", sol.rho_star >= rho),
+    ]
+    return CheckReport(lines, gamma=gamma, gamma_star=sol.gamma_star)
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
-    inst = parse_instance(_read(args.file))
-    g = instance_graph(inst)
-    failures = 0
-
-    def report(name: str, ok: bool) -> None:
-        nonlocal failures
-        failures += 0 if ok else 1
+    report = check_instance(parse_instance(_read(args.file)), args.cap)
+    for name, ok in report.lines:
         print(f"{'PASS' if ok else 'FAIL'} {name}")
-
-    solver_value = None
-    if inst.kind == "interval":
-        cert = solve_interval(inst.payload)
-        solver_value = cert.value
-        report("solver certificate verifies", bool(verify_certificate(g, cert)))
-    elif inst.kind == "tree-edges":
-        cert = solve_tree(inst.payload.host, inst.payload.f_edges)
-        solver_value = cert.value
-        report("solver certificate verifies", bool(verify_certificate(g, cert)))
-    elif inst.kind == "split":
-        res = solve_split(inst.payload)
-        solver_value = res.value
-        report(
-            "solver function dominates at its value",
-            is_w_dominating(g, res.dominating) and res.dominating.size == res.value,
-        )
-        witness = res.witness_independent
-        report(
-            "solver witness is independent",
-            all(v in g.vertices and not g.adjacency[v] & witness for v in witness),
-        )
-
-    if g.n > args.cap:
-        print(f"SKIP oracle comparisons ({g.n} vertices exceed the cap of {args.cap})")
-        return 0 if failures == 0 else 1
-
-    gamma, _ = brute_gamma(g, args.cap)
-    rho, _ = brute_rho(g, args.cap)
-    gamma_i, _, _ = brute_gamma_i(g, args.cap)
-    report("sandwich rho <= gamma_i <= gamma", rho <= gamma_i <= gamma)
-    if inst.kind in ("interval", "tree-edges"):
-        report("solver value equals gamma_w", solver_value == gamma)
-        report("solver value equals rho_w", solver_value == rho)
-    elif inst.kind == "split":
-        report("solver value equals gamma_w", solver_value == gamma)
-        report("solver value equals gamma_i_w", solver_value == gamma_i)
-        report("rho_w at most solver value", rho <= solver_value)
-
-    sol = solve_fractional(g, args.cap)
-    report("fractional duality gamma* = rho*", sol.gamma_star == sol.rho_star)
-    report("gamma* at most gamma_w", sol.gamma_star <= gamma)
-    report("rho* at least rho_w", sol.rho_star >= rho)
-    return 0 if failures == 0 else 1
+    if report.skip:
+        print(f"SKIP oracle comparisons ({report.skip})")
+    return 0 if report.ok else 1
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
@@ -242,14 +243,21 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    g = instance_graph(parse_instance(_read(args.instance)))
-    cert = parse_certificate(_read(args.certificate))
-    result = verify_certificate(g, cert)
-    if result:
-        print(f"PASS value {cert.value}")
-        return 0
-    print(f"FAIL {result.reason}")
-    return 1
+    inst = parse_instance(_read(args.instance))
+    kind = KINDS[inst.kind]
+    g = kind.graph(inst.payload)
+    headers = sorted({CERT_HEADER, kind.result_header})
+    header, block = parse_result(_read(args.certificate), headers)
+    if header == CERT_HEADER:
+        check = verify_certificate(g, block)
+        failed = [] if check else [check.reason]
+    else:
+        failed = [name for name, ok in kind.check_result(g, block) if not ok]
+    if failed:
+        print(f"FAIL {failed[0]}")
+        return 1
+    print(f"PASS value {block.value}")
+    return 0
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:

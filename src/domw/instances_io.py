@@ -13,7 +13,7 @@ comments, an explicit version header.  parse(write(x)) == x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import (
     InstanceSemanticError,
@@ -26,10 +26,12 @@ from .graph_core import (
     HostTree,
     WeightedGraph,
     build_intersection_graph,
+    is_w_dominating,
+    verify_certificate,
 )
-from .interval_solver import IntervalFamily, intersection_graph
-from .split_solver import SplitInstance, SplitResult, validate_split
-from .tree_edge_solver import FEdge, edge_line_graph
+from .interval_solver import IntervalFamily, intersection_graph, solve_interval
+from .split_solver import SplitInstance, SplitResult, solve_split, validate_split
+from .tree_edge_solver import FEdge, edge_line_graph, solve_tree
 
 _MULTIPLIER = 6364136223846793005
 _INCREMENT = 1442695040888963407
@@ -297,21 +299,9 @@ class InstanceFile:
     kind: str
     payload: object
 
-
-def instance_graph(inst: InstanceFile) -> WeightedGraph:
-    """The weighted graph an instance denotes, for oracles and matrices."""
-    if inst.kind == "interval":
-        return intersection_graph(inst.payload)
-    if inst.kind == "tree-edges":
-        return edge_line_graph(inst.payload.host, inst.payload.f_edges)
-    if inst.kind == "split":
-        return inst.payload.graph
-    if inst.kind == "subtree-intersection":
-        p = inst.payload
-        return build_intersection_graph(p.host, p.subtrees, p.weights)
-    if inst.kind == "explicit":
-        return inst.payload
-    raise InstanceSemanticError(f"unknown kind {inst.kind!r}")
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise InstanceSemanticError(f"unknown kind {self.kind!r}")
 
 
 class _Lines:
@@ -502,15 +492,6 @@ def _parse_explicit(lines: _Lines) -> WeightedGraph:
     return WeightedGraph.from_edges(weights, edges)
 
 
-_PARSERS = {
-    "interval": _parse_interval,
-    "tree-edges": _parse_tree_edges,
-    "split": _parse_split,
-    "subtree-intersection": _parse_subtrees,
-    "explicit": _parse_explicit,
-}
-
-
 def parse_instance(text: str) -> InstanceFile:
     lines = _Lines(text)
     line, header = lines.next("header")
@@ -521,10 +502,10 @@ def parse_instance(text: str) -> InstanceFile:
     if len(parts) != 2 or parts[0] != "kind":
         raise InstanceSyntaxError(line, "expected `kind <name>`")
     kind = parts[1]
-    if kind not in _PARSERS:
+    if kind not in KINDS:
         raise InstanceSyntaxError(line, f"unknown kind {kind!r}")
     try:
-        payload = _PARSERS[kind](lines)
+        payload = KINDS[kind].parse(lines)
     except ValueError as exc:
         if isinstance(exc, (InstanceSyntaxError, InstanceSemanticError)):
             raise
@@ -585,36 +566,48 @@ def _write_explicit(g: WeightedGraph) -> list[str]:
     return out
 
 
-_WRITERS = {
-    "interval": _write_interval,
-    "tree-edges": _write_tree_edges,
-    "split": _write_split,
-    "subtree-intersection": _write_subtrees,
-    "explicit": _write_explicit,
-}
-
-
 def write_instance(inst: InstanceFile) -> str:
-    if inst.kind not in _WRITERS:
-        raise InstanceSemanticError(f"unknown kind {inst.kind!r}")
-    body = _WRITERS[inst.kind](inst.payload)
+    body = KINDS[inst.kind].write(inst.payload)
     return "\n".join(["domw 1", f"kind {inst.kind}"] + body) + "\n"
 
 
-def write_certificate(cert: Certificate) -> str:
-    out = ["domw-cert 1"]
-    for v, x in cert.dominating.items():
-        out.append(f"f {v} {x}")
-    out.append("I " + " ".join(str(v) for v in sorted(cert.dispersed)) if cert.dispersed else "I")
-    out.append(f"value {cert.value}")
+CERT_HEADER = "domw-cert 1"
+SPLIT_HEADER = "domw-split 1"
+
+
+def _write_block(header: str, f: DominationFunction, chosen: frozenset[int], value: int) -> str:
+    out = [header]
+    out.extend(f"f {v} {x}" for v, x in f.items())
+    out.append("I " + " ".join(str(v) for v in sorted(chosen)) if chosen else "I")
+    out.append(f"value {value}")
     return "\n".join(out) + "\n"
 
 
-def parse_certificate(text: str) -> Certificate:
+def write_certificate(cert: Certificate) -> str:
+    return _write_block(CERT_HEADER, cert.dominating, cert.dispersed, cert.value)
+
+
+def write_split_result(result: SplitResult) -> str:
+    """Report block for split solves, where no matched certificate may exist.
+
+    The witness line lists an independent set whose cheapest domination cost
+    equals the value; it is generally not a dispersed set.
+    """
+    return _write_block(SPLIT_HEADER, result.dominating, result.witness_independent, result.value)
+
+
+def parse_result(text: str, headers: Sequence[str]) -> tuple[str, Certificate]:
+    """A result block under one of `headers`, and the header it carries.
+
+    Certificates and split reports share one layout: `f v x` lines, an `I`
+    line and `value n`.  A split report's `I` line is its independent witness,
+    which lands in the `dispersed` field.
+    """
     lines = _Lines(text)
     line, header = lines.next("header")
-    if header != "domw-cert 1":
-        raise InstanceSyntaxError(line, f"expected header `domw-cert 1`, got {header!r}")
+    if header not in headers:
+        expected = " or ".join(f"`{h}`" for h in headers)
+        raise InstanceSyntaxError(line, f"expected header {expected}, got {header!r}")
     values: dict[int, int] = {}
     while True:
         line, row = lines.next("certificate line")
@@ -633,7 +626,7 @@ def parse_certificate(text: str) -> Certificate:
     if parts[0] != "I":
         raise InstanceSyntaxError(line, f"expected an `I` line, got {row!r}")
     try:
-        dispersed = frozenset(int(p) for p in parts[1:])
+        chosen = frozenset(int(p) for p in parts[1:])
     except ValueError:
         raise InstanceSyntaxError(line, "I line fields must be integers") from None
     line, row = lines.next("value line")
@@ -645,19 +638,79 @@ def parse_certificate(text: str) -> Certificate:
     except ValueError:
         raise InstanceSyntaxError(line, "value must be an integer") from None
     lines.done()
-    return Certificate(DominationFunction(values), dispersed, value)
+    return header, Certificate(DominationFunction(values), chosen, value)
 
 
-def write_split_result(result: SplitResult) -> str:
-    """Report block for split solves, where no matched certificate may exist.
+def parse_certificate(text: str) -> Certificate:
+    return parse_result(text, (CERT_HEADER,))[1]
 
-    The witness line lists an independent set whose cheapest domination cost
-    equals the value; it is generally not a dispersed set.
+
+# ---------------------------------------------------------------------------
+# the kind table
+
+
+Checks = list[tuple[str, bool]]  # (property, holds) pairs
+
+
+def _certificate_checks(g: WeightedGraph, cert: Certificate) -> Checks:
+    return [("certificate verifies", bool(verify_certificate(g, cert)))]
+
+
+def _split_checks(g: WeightedGraph, block: Certificate) -> Checks:
+    """A split report proves a feasible function and an independent witness."""
+    f, witness = block.dominating, block.dispersed
+    dominates = all(v in g.vertices for v in f.support) and is_w_dominating(g, f)
+    independent = all(v in g.vertices and not g.adjacency[v] & witness for v in witness)
+    return [
+        ("function dominates at its value", dominates and f.size == block.value),
+        ("witness is independent", independent),
+    ]
+
+
+@dataclass
+class Kind:
+    """Everything the package does with one instance kind.
+
+    Every kind parses and writes its file section and denotes one weighted
+    graph.  A kind with an exact solver also writes the solver's result under
+    `result_header`, names the checks a block under that header must pass,
+    and names the oracle values (gamma_w, rho_w, gamma_i_w) the solver value
+    must equal and those it must bound from above.
     """
-    out = ["domw-split 1"]
-    for v, x in result.dominating.items():
-        out.append(f"f {v} {x}")
-    witness = " ".join(str(v) for v in sorted(result.witness_independent))
-    out.append(f"I {witness}" if witness else "I")
-    out.append(f"value {result.value}")
-    return "\n".join(out) + "\n"
+
+    parse: Callable[[_Lines], Any]
+    write: Callable[[Any], list[str]]
+    graph: Callable[[Any], WeightedGraph]
+    solve: Callable[[Any], Any] | None = None
+    write_result: Callable[[Any], str] = write_certificate
+    result_header: str = CERT_HEADER
+    check_result: Callable[[WeightedGraph, Certificate], Checks] = _certificate_checks
+    equals: tuple[str, ...] = ()
+    at_most: tuple[str, ...] = ()
+
+
+KINDS: dict[str, Kind] = {
+    "interval": Kind(
+        _parse_interval, _write_interval, intersection_graph,
+        solve=solve_interval, equals=("gamma_w", "rho_w"),
+    ),
+    "tree-edges": Kind(
+        _parse_tree_edges, _write_tree_edges, lambda p: edge_line_graph(p.host, p.f_edges),
+        solve=lambda p: solve_tree(p.host, p.f_edges), equals=("gamma_w", "rho_w"),
+    ),
+    "split": Kind(
+        _parse_split, _write_split, lambda p: p.graph,
+        solve=solve_split, write_result=write_split_result, result_header=SPLIT_HEADER,
+        check_result=_split_checks, equals=("gamma_w", "gamma_i_w"), at_most=("rho_w",),
+    ),
+    "subtree-intersection": Kind(
+        _parse_subtrees, _write_subtrees,
+        lambda p: build_intersection_graph(p.host, p.subtrees, p.weights),
+    ),
+    "explicit": Kind(_parse_explicit, _write_explicit, lambda g: g),
+}
+
+
+def instance_graph(inst: InstanceFile) -> WeightedGraph:
+    """The weighted graph an instance denotes, for oracles and matrices."""
+    return KINDS[inst.kind].graph(inst.payload)

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import domw
-from domw import DominationFunction, SplitResult, oracles
+from domw import DominationFunction, SplitResult, oracles, write_split_result
 from domw.cli import run
+from domw.instances_io import KINDS
 
 
 def invoke(capsys, *argv):
@@ -82,6 +84,45 @@ def test_verify_rejects_a_tampered_certificate(interval_file, tmp_path, capsys):
     assert out.startswith("FAIL")
 
 
+def test_verify_accepts_the_split_solver_output(tmp_path, capsys):
+    _, text, _ = invoke(capsys, "gen", "split", "--seed", "2")
+    path = tmp_path / "sp.domw"
+    path.write_text(text)
+    _, result, _ = invoke(capsys, "solve", str(path))
+    out_path = tmp_path / "sp.out"
+    out_path.write_text(result)
+    code, out, _ = invoke(capsys, "verify", str(path), str(out_path))
+    assert (code, out) == (0, "PASS value 9\n")
+
+
+@pytest.mark.parametrize(
+    "values, witness, failing",
+    [
+        ({3: 6}, {3, 4, 5}, "FAIL function dominates at its value"),
+        ({0: 2, 1: 2, 2: 2}, {0, 3}, "FAIL witness is independent"),
+        ({0: 2, 1: 2, 2: 2}, {3, 9}, "FAIL witness is independent"),
+    ],
+    ids=["function", "witness", "unknown-vertex"],
+)
+def test_verify_rejects_a_faulty_split_block(values, witness, failing, tmp_path, capsys):
+    _, text, _ = invoke(capsys, "example", "split-triangle")
+    path = tmp_path / "tri.domw"
+    path.write_text(text)
+    block = tmp_path / "tri.out"
+    fake = SplitResult(6, DominationFunction(values), frozenset(witness), 6)
+    block.write_text(write_split_result(fake))
+    code, out, _ = invoke(capsys, "verify", str(path), str(block))
+    assert (code, out) == (1, failing + "\n")
+
+
+def test_verify_refuses_a_split_block_for_an_interval_instance(interval_file, tmp_path, capsys):
+    block = tmp_path / "ntu4.out"
+    block.write_text("domw-split 1\nf 3 1\nI 2\nvalue 1\n")
+    code, out, err = invoke(capsys, "verify", interval_file, str(block))
+    assert (code, out) == (1, "")
+    assert "domw-cert 1" in err
+
+
 def test_oracle_gamma_output(interval_file, capsys):
     code, out, _ = invoke(capsys, "oracle", "gamma", interval_file)
     assert code == 0
@@ -115,19 +156,62 @@ def test_matrix_flags(interval_file, capsys):
     )
 
 
-def test_check_reports_every_property(interval_file, capsys):
-    code, out, _ = invoke(capsys, "check", interval_file)
+_CERTIFICATE_CHECK_LINES = [
+    "PASS solver certificate verifies",
+    "PASS sandwich rho <= gamma_i <= gamma",
+    "PASS solver value equals gamma_w",
+    "PASS solver value equals rho_w",
+    "PASS fractional duality gamma* = rho*",
+    "PASS gamma* at most gamma_w",
+    "PASS rho* at least rho_w",
+]
+_ORACLE_CHECK_LINES = [
+    "PASS sandwich rho <= gamma_i <= gamma",
+    "PASS fractional duality gamma* = rho*",
+    "PASS gamma* at most gamma_w",
+    "PASS rho* at least rho_w",
+]
+_WEIGHTED_C5 = "domw 1\nkind explicit\n5\n0 2\n1 1\n2 3\n3 1\n4 2\n5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        (("example", "non-tu-intervals"), _CERTIFICATE_CHECK_LINES),
+        (("gen", "tree-edges", "--seed", "3", "--n-edges", "5"), _CERTIFICATE_CHECK_LINES),
+        (
+            ("gen", "split", "--seed", "2"),
+            [
+                "PASS solver function dominates at its value",
+                "PASS solver witness is independent",
+                "PASS sandwich rho <= gamma_i <= gamma",
+                "PASS solver value equals gamma_w",
+                "PASS solver value equals gamma_i_w",
+                "PASS rho_w at most solver value",
+                "PASS fractional duality gamma* = rho*",
+                "PASS gamma* at most gamma_w",
+                "PASS rho* at least rho_w",
+            ],
+        ),
+        (("gen", "subtree-intersection", "--seed", "1"), _ORACLE_CHECK_LINES),
+        (_WEIGHTED_C5, _ORACLE_CHECK_LINES),
+        (
+            ("gen", "interval", "--seed", "1", "--n", "12"),
+            [
+                "PASS solver certificate verifies",
+                "SKIP oracle comparisons (12 vertices exceed the cap of 10)",
+            ],
+        ),
+    ],
+    ids=["interval", "tree-edges", "split", "subtree-intersection", "explicit", "over-cap"],
+)
+def test_check_reports_every_property(source, expected, tmp_path, capsys):
+    text = source if isinstance(source, str) else invoke(capsys, *source)[1]
+    path = tmp_path / "inst.domw"
+    path.write_text(text)
+    code, out, _ = invoke(capsys, "check", str(path))
     assert code == 0
-    lines = out.splitlines()
-    assert lines == [
-        "PASS solver certificate verifies",
-        "PASS sandwich rho <= gamma_i <= gamma",
-        "PASS solver value equals gamma_w",
-        "PASS solver value equals rho_w",
-        "PASS fractional duality gamma* = rho*",
-        "PASS gamma* at most gamma_w",
-        "PASS rho* at least rho_w",
-    ]
+    assert out.splitlines() == expected
 
 
 @pytest.mark.parametrize(
@@ -144,10 +228,31 @@ def test_check_rejects_a_faulty_split_result(values, witness, failing, tmp_path,
     path = tmp_path / "tri.domw"
     path.write_text(text)
     fake = SplitResult(6, DominationFunction(values), frozenset(witness), 6)
-    monkeypatch.setattr("domw.cli.solve_split", lambda inst: fake)
+    monkeypatch.setattr(KINDS["split"], "solve", lambda inst: fake)
     code, out, _ = invoke(capsys, "check", str(path))
     assert code == 1
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [failing]
+
+
+def test_run_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _, text, _ = invoke(capsys, "gen", "interval", "--seed", "1", "--n", "12")
+    path = tmp_path / "big.domw"
+    path.write_text(text)
+    code, _, _ = invoke(capsys, "oracle", "gamma", str(path), "--cap", "12")
+    assert code == 0
+    # a shared parser must not carry the oracle's --cap over to check
+    code, out, _ = invoke(capsys, "check", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "SKIP oracle comparisons (12 vertices exceed the cap of 10)"
+    assert built.count("domw") <= 1
 
 
 def test_gen_is_deterministic(capsys):
