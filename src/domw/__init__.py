@@ -49,7 +49,6 @@ from .interval_solver import (
 from .tree_edge_solver import (
     RootedEdgeTree,
     bottom_up_f,
-    choose_root,
     edge_line_graph,
     extract_dispersed_tree,
     reduce_to_full_tree,

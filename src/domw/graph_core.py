@@ -58,8 +58,6 @@ class WeightedGraph:
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise UnknownVertex(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
             nbrs[u].add(v)
             nbrs[v].add(u)
         return cls(tuple(weights), tuple(frozenset(s) for s in nbrs))

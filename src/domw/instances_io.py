@@ -235,11 +235,10 @@ def gen_subtrees(
         target = rng.randint(1, n_tree)
         chosen = {rng.randint(0, n_tree - 1)}
         while len(chosen) < target:
+            # never empty: the host is connected and chosen is not all of it
             frontier = sorted(
                 {u for v in chosen for u in adjacency[v]} - chosen
             )
-            if not frontier:
-                break
             chosen.add(frontier[rng.draw(len(frontier))])
         subtrees.append(frozenset(chosen))
         weights.append(rng.randint(1, max_w))
@@ -329,14 +328,18 @@ class _Lines:
             raise InstanceSyntaxError(line, f"unexpected trailing content {text!r}")
 
 
-def _int_fields(line: int, text: str, count: int, what: str) -> list[int]:
-    parts = text.split()
-    if len(parts) != count:
-        raise InstanceSyntaxError(line, f"{what}: expected {count} fields, got {len(parts)}")
+def _ints(line: int, parts: Sequence[str], what: str) -> list[int]:
     try:
         return [int(p) for p in parts]
     except ValueError:
         raise InstanceSyntaxError(line, f"{what}: fields must be integers") from None
+
+
+def _int_fields(line: int, text: str, count: int, what: str) -> list[int]:
+    parts = text.split()
+    if len(parts) != count:
+        raise InstanceSyntaxError(line, f"{what}: expected {count} fields, got {len(parts)}")
+    return _ints(line, parts, what)
 
 
 def _count(lines: _Lines, what: str, minimum: int = 0) -> int:
@@ -368,10 +371,6 @@ def _parse_interval(lines: _Lines) -> IntervalFamily:
         ident, x, y, w = _int_fields(line, text, 4, "interval")
         if ident != expect_id:
             raise InstanceSemanticError(f"interval id {ident} out of order, expected {expect_id}")
-        if y < x:
-            raise InstanceSemanticError(f"interval {ident} has x {x} > y {y}")
-        if w < 1:
-            raise InstanceSemanticError(f"interval {ident} has weight {w} < 1")
         triples.append((x, y, w))
     return IntervalFamily.of(triples)
 
@@ -385,10 +384,7 @@ def _parse_tree_edges(lines: _Lines) -> TreeEdgesInstance:
         parts = text.split()
         if len(parts) not in (3, 4):
             raise InstanceSyntaxError(line, "edge: expected `u v 0` or `u v 1 w`")
-        try:
-            fields = [int(p) for p in parts]
-        except ValueError:
-            raise InstanceSyntaxError(line, "edge: fields must be integers") from None
+        fields = _ints(line, parts, "edge")
         u, v, flag = fields[0], fields[1], fields[2]
         if flag not in (0, 1):
             raise InstanceSyntaxError(line, f"edge: membership flag must be 0 or 1, got {flag}")
@@ -414,10 +410,7 @@ def _parse_split(lines: _Lines) -> SplitInstance:
             raise InstanceSyntaxError(line, "vertex: expected `id side w`")
         if parts[1] not in ("A", "B"):
             raise InstanceSyntaxError(line, f"vertex: side must be A or B, got {parts[1]!r}")
-        try:
-            ident, w = int(parts[0]), int(parts[2])
-        except ValueError:
-            raise InstanceSyntaxError(line, "vertex: id and weight must be integers") from None
+        ident, w = _ints(line, (parts[0], parts[2]), "vertex")
         if ident != expect_id:
             raise InstanceSemanticError(f"vertex id {ident} out of order, expected {expect_id}")
         sides.append(parts[1])
@@ -430,9 +423,6 @@ def _parse_split(lines: _Lines) -> SplitInstance:
     for _ in range(m):
         line, text = lines.next("edge line")
         u, v = _int_fields(line, text, 2, "edge")
-        for x in (u, v):
-            if not 0 <= x < nv:
-                raise InstanceSemanticError(f"edge endpoint {x} is not a vertex")
         if (u in clique) == (v in clique):
             raise InstanceSemanticError(f"edge {u} {v} must join the A side to the B side")
         if frozenset((u, v)) in seen:
@@ -454,10 +444,7 @@ def _parse_subtrees(lines: _Lines) -> SubtreeInstance:
         parts = text.split()
         if len(parts) < 2:
             raise InstanceSyntaxError(line, "subtree: expected `w size v1..vsize`")
-        try:
-            fields = [int(p) for p in parts]
-        except ValueError:
-            raise InstanceSyntaxError(line, "subtree: fields must be integers") from None
+        fields = _ints(line, parts, "subtree")
         w, size, members = fields[0], fields[1], fields[2:]
         if len(members) != size:
             raise InstanceSyntaxError(line, f"subtree: announced {size} vertices, got {len(members)}")
@@ -616,27 +603,18 @@ def parse_result(text: str, headers: Sequence[str]) -> tuple[str, Certificate]:
             break
         if len(parts) != 3:
             raise InstanceSyntaxError(line, "expected `f id value`")
-        try:
-            v, x = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise InstanceSyntaxError(line, "f line fields must be integers") from None
+        v, x = _ints(line, parts[1:], "f line")
         if v in values:
             raise InstanceSemanticError(f"vertex {v} assigned twice")
         values[v] = x
     if parts[0] != "I":
         raise InstanceSyntaxError(line, f"expected an `I` line, got {row!r}")
-    try:
-        chosen = frozenset(int(p) for p in parts[1:])
-    except ValueError:
-        raise InstanceSyntaxError(line, "I line fields must be integers") from None
+    chosen = frozenset(_ints(line, parts[1:], "I line"))
     line, row = lines.next("value line")
     parts = row.split()
     if len(parts) != 2 or parts[0] != "value":
         raise InstanceSyntaxError(line, "expected `value n`")
-    try:
-        value = int(parts[1])
-    except ValueError:
-        raise InstanceSyntaxError(line, "value must be an integer") from None
+    (value,) = _ints(line, parts[1:], "value line")
     lines.done()
     return header, Certificate(DominationFunction(values), chosen, value)
 

@@ -10,7 +10,6 @@ fraction-free determinants.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -47,13 +46,14 @@ def min_dominating(
 ) -> tuple[int, DominationFunction]:
     """Exact minimum size of a function with f[N(u)] >= w(u) for u in demands.
 
-    Depth-first branch and bound on an explicit stack.  Values on a vertex
-    are capped by the worst remaining deficit in its neighborhood (anything
-    above is reducible), the lower bound packs demands with disjoint
-    neighborhoods, and the incumbent starts from w itself improved by a
-    greedy cover.  When suppliers is given, only those vertices may carry
-    mass and w is no incumbent.  A search that visits more than NODE_BUDGET
-    nodes raises InstanceTooLarge.
+    Depth-first branch and bound on an explicit stack, one level per
+    supplier.  Values on a vertex are capped by the worst remaining deficit
+    in its neighborhood (anything above is reducible), and each demand is met
+    at its last supplier at the latest, which takes at least what the demand
+    still lacks.  The lower bound packs demands with disjoint neighborhoods,
+    and the incumbent starts from a greedy cover.  When suppliers is given,
+    only those vertices may carry mass.  A search that visits more than
+    NODE_BUDGET nodes raises InstanceTooLarge.
     """
     w = g.weights
     nmask = _closed_masks(g)
@@ -68,21 +68,25 @@ def min_dominating(
     else:
         pool = [v for v in sorted(set(suppliers)) if useful >> v & 1]
     variables = sorted(pool, key=lambda v: (-g.degree(v), v))
-    var_index = {v: i for i, v in enumerate(variables)}
-    covers: dict[int, list[int]] = {v: [] for v in variables}
-    supplier_indices: dict[int, list[int]] = {}
+    covers: dict[int, list[int]] = {}
+    # last[u]: the position of u's last supplier in the branching order.  The
+    # node at that position forces at least u's deficit onto it, so every
+    # demand is met by the time the search passes its last supplier: no node
+    # meets an unmet demand with no supplier left, and none runs past the end.
+    last: dict[int, int] = {}
+    for i, v in enumerate(variables):
+        covers[v] = [u for u in demand_list if nmask[u] >> v & 1]
+        for u in covers[v]:
+            last[u] = i
     for u in demand_list:
-        idxs = sorted(var_index[v] for v in variables if nmask[u] >> v & 1)
-        if not idxs:
+        if u not in last:
             raise ValueError(f"demand at vertex {u} has no available supplier")
-        supplier_indices[u] = idxs
-        for i in idxs:
-            covers[variables[i]].append(u)
-    cap = max(w[u] for u in demand_list)
 
     placed = {u: 0 for u in demand_list}
 
     def greedy_seed() -> dict[int, int]:
+        # each round meets one unmet demand by adding at most its weight, so
+        # the seed is never worse than putting w(u) on every demand u
         values: dict[int, int] = {}
         got = {u: 0 for u in demand_list}
         while True:
@@ -90,7 +94,7 @@ def min_dominating(
             if not unmet:
                 return values
             u_star = max(unmet, key=lambda u: (w[u] - got[u], -u))
-            options = [variables[i] for i in supplier_indices[u_star]]
+            options = [v for v in variables if nmask[u_star] >> v & 1]
             v_star = max(
                 options, key=lambda v: (sum(1 for x in covers[v] if got[x] < w[x]), -v)
             )
@@ -99,17 +103,10 @@ def min_dominating(
             for x in covers[v_star]:
                 got[x] += add
 
-    seed = greedy_seed()
-    trivial = {u: w[u] for u in demand_list} if suppliers is None else None
-    best_values = seed
-    if trivial is not None and sum(trivial.values()) < sum(seed.values()):
-        best_values = trivial
+    best_values = greedy_seed()
     best_size = sum(best_values.values())
     assign: dict[int, int] = {}
     nodes = 0
-
-    def remaining(u: int, idx: int) -> int:
-        return len(supplier_indices[u]) - bisect_left(supplier_indices[u], idx)
 
     def packing_bound(unmet: list[int]) -> int:
         # demands with disjoint closed neighborhoods need disjoint mass
@@ -135,20 +132,12 @@ def min_dominating(
             best_size = size
             best_values = {v: x for v, x in assign.items() if x > 0}
             return
-        if idx == len(variables):
-            return
         if size + packing_bound(unmet) >= best_size:
             return
-        for u in unmet:
-            if remaining(u, idx) == 0:
-                return
         v = variables[idx]
         local = [u for u in covers[v] if placed[u] < w[u]]
-        top = min(cap, max((w[u] - placed[u] for u in local), default=0))
-        forced = max(
-            (w[u] - placed[u] for u in local if remaining(u, idx) == 1),
-            default=0,
-        )
+        top = max((w[u] - placed[u] for u in local), default=0)
+        forced = max((w[u] - placed[u] for u in local if last[u] == idx), default=0)
         for val in range(forced, top + 1):
             assign[v] = val
             for u in covers[v]:
@@ -316,36 +305,30 @@ def _run_simplex(
 def _solve_lp(
     objective: Sequence[Fraction],
     rows: Sequence[Sequence[Fraction]],
-    senses: Sequence[str],
     rhs: Sequence[Fraction],
     maximize: bool,
 ) -> tuple[Fraction, list[Fraction]]:
-    """Two-phase exact simplex for A x (<=|>=) b, x >= 0, b >= 0."""
+    """Two-phase exact simplex for max c x s.t. A x <= b, or min c x s.t.
+    A x >= b, with x >= 0 and b >= 0."""
     n = len(objective)
     m = len(rows)
     c = [Fraction(-x) if maximize else Fraction(x) for x in objective]
-    num_artificial = sum(1 for s in senses if s == ">=")
+    num_artificial = 0 if maximize else m
     width = n + m + num_artificial
     tableau: list[list[Fraction]] = []
     basis: list[int] = []
-    art_cols: list[int] = []
-    art_at = 0
+    art_cols = range(n + m, width)
     for i in range(m):
         if rhs[i] < 0:
             raise LPInternalError("negative right-hand side")
         row = [Fraction(x) for x in rows[i]] + [Fraction(0)] * (m + num_artificial) + [Fraction(rhs[i])]
-        if senses[i] == "<=":
+        if maximize:
             row[n + i] = Fraction(1)
             basis.append(n + i)
-        elif senses[i] == ">=":
-            row[n + i] = Fraction(-1)
-            col = n + m + art_at
-            art_at += 1
-            row[col] = Fraction(1)
-            art_cols.append(col)
-            basis.append(col)
         else:
-            raise LPInternalError(f"unsupported sense {senses[i]}")
+            row[n + i] = Fraction(-1)
+            row[n + m + i] = Fraction(1)
+            basis.append(n + m + i)
         tableau.append(row)
 
     if art_cols:
@@ -404,8 +387,8 @@ def solve_fractional(g: WeightedGraph, cap: int = DEFAULT_CAP) -> FractionalSolu
     ones = [Fraction(1)] * n
     weights = [Fraction(w) for w in g.weights]
 
-    rho_star, primal = _solve_lp(weights, matrix, ["<="] * n, ones, maximize=True)
-    gamma_star, dual = _solve_lp(ones, matrix, [">="] * n, weights, maximize=False)
+    rho_star, primal = _solve_lp(weights, matrix, ones, maximize=True)
+    gamma_star, dual = _solve_lp(ones, matrix, weights, maximize=False)
 
     for v in g.vertices:
         if primal[v] < 0 or sum(primal[u] for u in nbhds[v]) > 1:

@@ -91,11 +91,6 @@ def _build_rooted(root: int, touching: Mapping[int, Sequence[tuple[int, int, int
     )
 
 
-def choose_root(t: RootedEdgeTree) -> int:
-    """The canonical root: the smallest vertex id of the component."""
-    return min(t.vertices)
-
-
 def rooted_at(t: RootedEdgeTree, root: int) -> RootedEdgeTree:
     """The same component re-oriented away from another root."""
     if root not in t.vertices:

@@ -135,6 +135,22 @@ def test_oracle_rho_output(interval_file, capsys):
     assert out.splitlines()[0] == "value 1"
 
 
+def test_oracle_gammai_output(interval_file, capsys):
+    code, out, _ = invoke(capsys, "oracle", "gammai", interval_file)
+    assert code == 0
+    assert out == "value 1\nI 0 1 2\nf 3 1\n"
+
+
+def test_forked_star_separates_gamma_from_gammai(tmp_path, capsys):
+    _, text, _ = invoke(capsys, "example", "forked-star")
+    path = tmp_path / "fs.domw"
+    path.write_text(text)
+    _, out, _ = invoke(capsys, "oracle", "gamma", str(path), "--cap", "15")
+    assert out.splitlines()[0] == "value 5"
+    _, out, _ = invoke(capsys, "oracle", "gammai", str(path), "--cap", "15")
+    assert out.splitlines()[0] == "value 4"
+
+
 def test_oracle_frac_output(interval_file, capsys):
     code, out, _ = invoke(capsys, "oracle", "frac", interval_file)
     assert code == 0
@@ -277,6 +293,17 @@ def test_gen_then_solve_round_trip(tmp_path, capsys):
     assert code == 0
 
 
+def test_non_tu_star_certificate_verifies(tmp_path, capsys):
+    _, text, _ = invoke(capsys, "example", "non-tu-star")
+    path = tmp_path / "star.domw"
+    path.write_text(text)
+    code, out, _ = invoke(capsys, "solve", str(path))
+    assert code == 0
+    cert_path = tmp_path / "star.cert"
+    cert_path.write_text(out)
+    assert invoke(capsys, "verify", str(path), str(cert_path)) == (0, "PASS value 3\n", "")
+
+
 def test_solve_refuses_kinds_without_an_exact_solver(tmp_path, capsys):
     _, text, _ = invoke(capsys, "gen", "subtree-intersection", "--seed", "1")
     path = tmp_path / "s.domw"
@@ -334,6 +361,16 @@ def test_cover_search_over_its_node_budget_exits_three(tmp_path, capsys, monkeyp
     monkeypatch.undo()
     code, out, _ = invoke(capsys, "solve", str(path))
     assert code == 0 and out.startswith("domw-split 1\n")
+
+
+def test_internal_error_exits_two(interval_file, capsys, monkeypatch):
+    def broken(_payload):
+        raise domw.TheoremViolation("planted failure")
+
+    monkeypatch.setattr(KINDS["interval"], "solve", broken)
+    code, out, err = invoke(capsys, "solve", interval_file)
+    assert (code, out) == (2, "")
+    assert err.startswith("internal error:")
 
 
 def test_malformed_file_exits_one(tmp_path, capsys):

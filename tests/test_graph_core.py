@@ -44,6 +44,11 @@ def test_from_edges_rejects_out_of_range_edge():
         WeightedGraph.from_edges((1, 2), [(0, 2)])
 
 
+def test_from_edges_rejects_a_self_loop():
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        WeightedGraph.from_edges((1, 2), [(1, 1)])
+
+
 def test_from_edges_rejects_nonpositive_weight():
     with pytest.raises(ValueError):
         WeightedGraph.from_edges((1, 0), [])
@@ -126,6 +131,14 @@ def test_host_tree_validation():
         HostTree(3, ((0, 1), (1, 2), (2, 0)))
     with pytest.raises(ValueError):
         HostTree(3, ((0, 1), (0, 1)))
+    with pytest.raises(UnknownVertex):
+        HostTree(2, ((0, 5),))
+    with pytest.raises(ValueError, match="self-loop"):
+        HostTree(2, ((1, 1),))
+    with pytest.raises(ValueError, match="at least one vertex"):
+        HostTree(0, ())
+    with pytest.raises(ValueError, match="not connected"):
+        HostTree(4, ((0, 1), (1, 2), (2, 0)))
     t = HostTree(3, ((0, 1), (1, 2)))
     assert t.adjacency() == [{1}, {0, 2}, {1}]
 
@@ -147,6 +160,8 @@ def test_build_intersection_graph_rejects_bad_subtrees():
         build_intersection_graph(host, [frozenset({0, 2})], (1,))
     with pytest.raises(UnknownVertex):
         build_intersection_graph(host, [frozenset({0, 9})], (1,))
+    with pytest.raises(ValueError, match="one weight per subtree"):
+        build_intersection_graph(host, [frozenset({0})], (1, 2))
 
 
 @settings(max_examples=100, deadline=None)

@@ -176,6 +176,74 @@ def test_parser_semantic_failures():
         parse_instance("domw 1\nkind split\n3\n0 A 1\n1 A 1\n2 B 1\n2\n0 2\n0 2\n")
 
 
+TREE = "domw 1\nkind tree-edges\n2\n"
+SPLIT = "domw 1\nkind split\n2\n"
+SUBTREE = "domw 1\nkind subtree-intersection\n2\n0 1 1 0\n1\n"
+EXPLICIT = "domw 1\nkind explicit\n"
+CERT = "domw-cert 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, error, line",
+    [
+        # tree-edges
+        (TREE + "0 1\n", InstanceSyntaxError, 4),
+        (TREE + "0 x 0\n", InstanceSyntaxError, 4),
+        (TREE + "0 1 2\n", InstanceSyntaxError, 4),
+        (TREE + "0 1 1\n", InstanceSyntaxError, 4),
+        (TREE + "0 1 0 3\n", InstanceSyntaxError, 4),
+        # split
+        (SPLIT + "0 A\n", InstanceSyntaxError, 4),
+        (SPLIT + "0 C 1\n", InstanceSyntaxError, 4),
+        (SPLIT + "0 A x\n", InstanceSyntaxError, 4),
+        (SPLIT + "1 A 1\n", InstanceSemanticError, None),
+        (SPLIT + "0 A 1\n1 B 1\n1\n0 5\n", InstanceSemanticError, None),
+        # subtree-intersection
+        (SUBTREE + "3\n", InstanceSyntaxError, 6),
+        (SUBTREE + "1 2 0\n", InstanceSyntaxError, 6),
+        (SUBTREE + "1 2 0 0\n", InstanceSemanticError, None),
+        (SUBTREE + "0 1 0\n", InstanceSemanticError, None),
+        ("domw 1\nkind subtree-intersection\n2\n0 1 0 0\n1\n1 1 0\n", InstanceSyntaxError, 4),
+        # explicit
+        (EXPLICIT + "1\n3 1\n0\n", InstanceSemanticError, None),
+        (EXPLICIT + "2\n0 1\n1 1\n2\n0 1\n1 0\n", InstanceSemanticError, None),
+        (EXPLICIT + "1\n0 1\n1\n0 0\n", InstanceSemanticError, None),
+        # the kind line and the counts
+        ("domw 1\nkinds interval\n", InstanceSyntaxError, 2),
+        ("domw 1\nkind interval\n0\n", InstanceSemanticError, None),
+        # result blocks
+        (CERT + "f 0\nI\nvalue 0\n", InstanceSyntaxError, 2),
+        (CERT + "f 0 x\nI\nvalue 0\n", InstanceSyntaxError, 2),
+        (CERT + "I x\nvalue 0\n", InstanceSyntaxError, 2),
+        (CERT + "I\nvalue x\n", InstanceSyntaxError, 3),
+        (CERT + "f 0 1\nf 0 2\nI\nvalue 3\n", InstanceSemanticError, None),
+        (CERT + "f 0 1\nvalue 1\n", InstanceSyntaxError, 3),
+        (CERT + "I\nworth 0\n", InstanceSyntaxError, 3),
+    ],
+)
+def test_parsers_reject_malformed_input(text, error, line):
+    parse = parse_certificate if text.startswith(CERT) else parse_instance
+    with pytest.raises(error) as err:
+        parse(text)
+    if line is not None:
+        assert err.value.line == line
+
+
+def test_explicit_file_round_trip_is_byte_exact():
+    inst = InstanceFile("explicit", example_split_triangle().graph)
+    text = write_instance(inst)
+    assert text == (
+        "domw 1\n"
+        "kind explicit\n"
+        "6\n"
+        "0 5\n1 5\n2 5\n3 4\n4 4\n5 4\n"
+        "9\n"
+        "0 1\n0 2\n0 3\n0 5\n1 2\n1 3\n1 4\n2 4\n2 5\n"
+    )
+    assert parse_instance(text) == inst
+    assert write_instance(parse_instance(text)) == text
+
+
 def test_tree_edges_instance_normalizes_and_validates():
     host = HostTree(3, ((0, 1), (1, 2)))
     inst = TreeEdgesInstance(host, ((2, 1, 4), (1, 0, 7)))

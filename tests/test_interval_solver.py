@@ -40,6 +40,8 @@ def test_interval_validation():
         Interval(5, 3, 1)
     with pytest.raises(ValueError):
         Interval(1, 3, 0)
+    with pytest.raises(ValueError, match="integers"):
+        Interval(1.5, 2, 1)
 
 
 def test_empty_family_solves_to_zero():

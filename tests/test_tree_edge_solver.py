@@ -94,6 +94,10 @@ def test_empty_subset_is_rejected():
 def test_non_host_edge_is_rejected():
     with pytest.raises(ValueError):
         solve_tree(PATH3, ((0, 2, 1),))
+    with pytest.raises(ValueError, match="selected twice"):
+        solve_tree(PATH3, ((0, 1, 1), (1, 0, 1)))
+    with pytest.raises(ValueError, match="positive weight"):
+        solve_tree(PATH3, ((0, 1, 0),))
 
 
 def test_value_is_root_independent_on_the_two_edge_path():
