@@ -29,7 +29,7 @@ from .graph_core import (
     is_w_dominating,
     verify_certificate,
 )
-from .interval_solver import IntervalFamily, intersection_graph, solve_interval
+from .interval_solver import Interval, IntervalFamily, intersection_graph, solve_interval
 from .split_solver import SplitInstance, SplitResult, solve_split, validate_split
 from .tree_edge_solver import FEdge, edge_line_graph, solve_tree
 
@@ -365,14 +365,17 @@ def _parse_host_tree(lines: _Lines) -> HostTree:
 
 def _parse_interval(lines: _Lines) -> IntervalFamily:
     n = _count(lines, "interval count", minimum=1)
-    triples = []
+    intervals = []
     for expect_id in range(n):
         line, text = lines.next("interval line")
         ident, x, y, w = _int_fields(line, text, 4, "interval")
         if ident != expect_id:
             raise InstanceSemanticError(f"interval id {ident} out of order, expected {expect_id}")
-        triples.append((x, y, w))
-    return IntervalFamily.of(triples)
+        try:
+            intervals.append(Interval(x, y, w))
+        except ValueError as exc:
+            raise InstanceSemanticError(f"line {line}: interval {ident}: {exc}") from None
+    return IntervalFamily(tuple(intervals))
 
 
 def _parse_tree_edges(lines: _Lines) -> TreeEdgesInstance:

@@ -10,8 +10,10 @@ optimality of both sides at once.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Iterable, Mapping
 
 from .errors import TheoremViolation
 from .graph_core import (
@@ -104,78 +106,66 @@ def intersection_graph(fam: IntervalFamily) -> WeightedGraph:
     return WeightedGraph.from_edges([iv.weight for iv in fam.intervals], edges)
 
 
-def _by_right(fam: IntervalFamily) -> list[tuple[int, int, int]]:
-    """K_r = (right, left, id) of every interval, indexed by id."""
-    return [(iv.right, iv.left, i) for i, iv in enumerate(fam.intervals)]
-
-
-def _by_left(fam: IntervalFamily) -> list[tuple[int, int, int]]:
-    """K_l = (left, right, id) of every interval, indexed by id."""
-    return [(iv.left, iv.right, i) for i, iv in enumerate(fam.intervals)]
-
-
 def order_by_right_endpoint(fam: IntervalFamily) -> tuple[int, ...]:
-    """Enumeration by ascending right endpoint, then left endpoint, then id."""
-    return tuple(sorted(range(fam.n), key=_by_right(fam).__getitem__))
+    """Enumeration by ascending K_r = (right endpoint, left endpoint, id)."""
+    ivs = fam.intervals
+    return tuple(sorted(range(fam.n), key=lambda i: (ivs[i].right, ivs[i].left, i)))
 
 
-def _neighborhoods(graph: WeightedGraph) -> list[frozenset[int]]:
-    """N[v] of every vertex, indexed by id."""
-    return [closed_neighborhood(graph, v) for v in graph.vertices]
-
-
-def _greedy(
-    fam: IntervalFamily, nbhd: Sequence[frozenset[int]], forward: bool
-) -> tuple[DominationFunction, GreedyTrace]:
+def _greedy(fam: IntervalFamily, forward: bool) -> tuple[DominationFunction, GreedyTrace]:
     # The forward pass settles intervals by ascending K_r and pushes each
-    # residual onto the closed neighbor largest by K_r: furthest right, and
+    # shortfall onto the closed neighbor largest by K_r: furthest right, and
     # on a tie the later interval, never the source itself while it still
-    # has other neighbors.  The backward pass mirrors it: descending K_l,
-    # onto the smallest by K_l.  Both keys end in the id, so neither has ties.
-    key = _by_right(fam) if forward else _by_left(fam)
-    order = sorted(range(fam.n), key=key.__getitem__, reverse=not forward)
-    furthest = max if forward else min
-    residual = [iv.weight for iv in fam.intervals]
+    # has other neighbors.  The backward pass is the same pass on the mirror
+    # image (lo, hi, key) = (-right, -left, (-left, -right, -id)): descending
+    # K_l, onto the smallest by K_l.  Both keys end in the id: no ties.
+    if forward:
+        ends = [(iv.left, iv.right) for iv in fam.intervals]
+    else:
+        ends = [(-iv.right, -iv.left) for iv in fam.intervals]
+    key = [(hi, lo, i if forward else -i) for i, (lo, hi) in enumerate(ends)]
+    by_lo = sorted(range(fam.n), key=ends.__getitem__)
+    starts = [ends[i][0] for i in by_lo]
+    # the key-maximum among the intervals with lo <= hi[v] ends at or after
+    # v does, so it is v's closed neighbor with the largest key
+    best = list(accumulate(by_lo, lambda a, b: max(a, b, key=key.__getitem__)))
     values: dict[int, int] = {}
     steps: list[GreedyStep] = []
-    # residuals only decrease, so a single scan visits every positive source
-    for v in order:
-        if residual[v] == 0:
+    target_ends: list[int] = []
+    placed = [0]  # placed[k]: mass of the first k steps
+    # Each earlier target meets an earlier source, which ends no later than
+    # v, so it starts no later than v ends.  The prefix maximum only grows,
+    # so the targets' ends never decrease.  The mass that misses v is thus
+    # on the first steps, whose targets end before v starts.  Both facts
+    # are guarded at every step.
+    for v in sorted(range(fam.n), key=key.__getitem__):
+        lo, hi = ends[v]
+        missed = placed[bisect_left(target_ends, lo)]
+        amount = fam.intervals[v].weight - (placed[-1] - missed)
+        if amount <= 0:
             continue
-        target = furthest(nbhd[v], key=key.__getitem__)
-        amount = residual[v]
+        target = best[bisect_right(starts, hi) - 1]
+        target_lo, target_hi = ends[target]
+        if target_lo > hi or target_hi < lo:
+            raise TheoremViolation(f"target {target} misses its source {v}")
+        if target_ends and target_hi < target_ends[-1]:
+            raise TheoremViolation(f"target {target} ends before the previous target")
         values[target] = values.get(target, 0) + amount
         steps.append(GreedyStep(v, target, amount))
-        for z in nbhd[target]:
-            residual[z] = max(0, residual[z] - amount)
-        # Residuals stay recomputable from the mass placed so far.  Checking
-        # N[target] alone is as strong as checking every interval: the step
-        # writes residuals only on N[target], and it changes the placed mass
-        # f[N(z)] only where target is in N[z], which by symmetry is again
-        # N[target].  Elsewhere both sides are unchanged, so by induction
-        # from residual = w, placed = 0 the identity holds everywhere.
-        # f[N(z)] is summed from the smaller side: f's support (a handful of
-        # intervals on dense families) or N[z] (short on sparse ones).
-        for z in nbhd[target]:
-            nz = nbhd[z]
-            if len(values) < len(nz):
-                placed = sum(x for u, x in values.items() if u in nz)
-            else:
-                placed = sum(values.get(u, 0) for u in nz)
-            if residual[z] != max(0, fam.intervals[z].weight - placed):
-                raise TheoremViolation(f"residual of interval {z} drifted from the placed mass")
+        target_ends.append(target_hi)
+        placed.append(placed[-1] + amount)
     f = DominationFunction(values)
     return f, GreedyTrace(tuple(steps))
 
 
 def forward_greedy(fam: IntervalFamily) -> tuple[DominationFunction, GreedyTrace]:
     """Minimum w-dominating function built left to right."""
-    return _greedy(fam, _neighborhoods(intersection_graph(fam)), forward=True)
+    return _greedy(fam, forward=True)
 
 
 def backward_greedy(fam: IntervalFamily) -> tuple[DominationFunction, GreedyTrace]:
     """The mirrored greedy: enumerate right to left, push mass leftward."""
-    return _greedy(fam, _neighborhoods(intersection_graph(fam)), forward=False)
+    return _greedy(fam, forward=False)
 
 
 def extract_dispersed(
@@ -190,19 +180,19 @@ def extract_dispersed(
     failure of the structural guarantees raises TheoremViolation: it means a
     bug, not an unlucky instance.
     """
-    return _extract(fam, _neighborhoods(intersection_graph(fam)), f, g, gtrace)
+    return _extract(fam, intersection_graph(fam), f, g, gtrace)
 
 
 def _extract(
     fam: IntervalFamily,
-    nbhd: Sequence[frozenset[int]],
+    graph: WeightedGraph,
     f: DominationFunction,
     g: DominationFunction,
     gtrace: GreedyTrace,
 ) -> tuple[frozenset[int], DispersedDecomposition]:
     order = order_by_right_endpoint(fam)
     position = {v: i for i, v in enumerate(order)}
-    by_left = _by_left(fam)
+    by_left = [(iv.left, iv.right, i) for i, iv in enumerate(fam.intervals)]  # K_l
     sources: dict[int, list[int]] = {}
     for step in gtrace.steps:
         sources.setdefault(step.target, []).append(step.source)
@@ -210,9 +200,10 @@ def _extract(
     def is_witness(z: int, v: int) -> bool:
         # v must be the furthest-left-reaching closed neighbor of z, and the
         # mass g places on N(z) must pay for w(z) exactly
-        if v != min(nbhd[z], key=by_left.__getitem__):
+        nz = closed_neighborhood(graph, z)
+        if v != min(nz, key=by_left.__getitem__):
             return False
-        return set_sum(g, nbhd[z]) == fam.intervals[z].weight
+        return set_sum(g, nz) == fam.intervals[z].weight
 
     blocks: list[tuple[int, ...]] = []
     j_indices: set[int] = set()
@@ -241,7 +232,7 @@ def _extract(
         z = min((s for s in sources.get(v, ()) if is_witness(s, v)), default=None)
         if z is None:
             raise TheoremViolation(f"no witness interval for {v}")
-        members = nbhd[z]
+        members = closed_neighborhood(graph, z)
         # neighbors of z that sit in earlier blocks are properly contained in
         # v (z reaches no further left than v does), so they carry no mass
         for m in members:
@@ -272,16 +263,15 @@ def _extract(
 def solve_interval(fam: IntervalFamily) -> Certificate:
     """Certificate with gamma_w = rho_w on the interval graph of the family.
 
-    One interval graph is built per solve; both sweeps, the extraction and
-    the self-check share it and its closed neighborhoods.
+    Both sweeps read the sorted endpoints; one interval graph is built per
+    solve, for the extraction and the self-check.
     """
-    graph = intersection_graph(fam)
-    nbhd = _neighborhoods(graph)
-    f, _ = _greedy(fam, nbhd, forward=True)
-    g, gtrace = _greedy(fam, nbhd, forward=False)
+    f, _ = forward_greedy(fam)
+    g, gtrace = backward_greedy(fam)
     if f.size != g.size:
         raise TheoremViolation("forward and backward greedy disagree on the value")
-    dispersed, _ = _extract(fam, nbhd, f, g, gtrace)
+    graph = intersection_graph(fam)
+    dispersed, _ = _extract(fam, graph, f, g, gtrace)
     cert = Certificate(f, dispersed, f.size)
     check = verify_certificate(graph, cert)
     if not check:

@@ -165,9 +165,13 @@ def test_parser_reports_line_numbers():
 def test_parser_semantic_failures():
     with pytest.raises(InstanceSemanticError):
         parse_instance("domw 1\nkind interval\n1\n5 1 2 1\n")
-    with pytest.raises(InstanceSemanticError):
-        parse_instance("domw 1\nkind interval\n1\n0 9 2 1\n")
-    with pytest.raises(InstanceSemanticError):
+    with pytest.raises(
+        InstanceSemanticError, match=r"^line 5: interval 1: interval \[9, 2\] is reversed$"
+    ):
+        parse_instance("domw 1\nkind interval\n2\n0 1 2 1\n1 9 2 1\n")
+    with pytest.raises(
+        InstanceSemanticError, match="^line 4: interval 0: interval weight must be positive$"
+    ):
         parse_instance("domw 1\nkind interval\n1\n0 1 2 0\n")
     # cross edge joining two A vertices
     with pytest.raises(InstanceSemanticError):
