@@ -143,34 +143,32 @@ class HostTree:
             raise ValueError("host tree needs at least one vertex")
         if len(self.edges) != self.n - 1:
             raise ValueError("a tree on n vertices has exactly n-1 edges")
-        seen: set[tuple[Vertex, Vertex]] = set()
         adj: list[set[Vertex]] = [set() for _ in range(self.n)]
         for u, v in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise UnknownVertex(f"edge ({u}, {v}) out of range")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
+            if v in adj[u]:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
             adj[u].add(v)
             adj[v].add(u)
         # built once and kept out of the fields, so equality is unchanged;
         # never mutated, adjacency() hands out copies
         object.__setattr__(self, "_adj", adj)
-        # edge count plus connectivity makes it a tree
-        if self.n > 1:
-            reached = {0}
-            queue = deque([0])
-            while queue:
-                x = queue.popleft()
-                for y in adj[x]:
-                    if y not in reached:
-                        reached.add(y)
-                        queue.append(y)
-            if len(reached) != self.n:
-                raise ValueError("host tree is not connected")
+        # edge count plus connectivity makes it a tree; the search from 0 also
+        # records each vertex's depth, stored like _adj, for the subtree graphs
+        depth = {0: 0}
+        queue = deque([0])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if y not in depth:
+                    depth[y] = depth[x] + 1
+                    queue.append(y)
+        if len(depth) != self.n:
+            raise ValueError("host tree is not connected")
+        object.__setattr__(self, "_depth", depth)
 
     def adjacency(self) -> list[set[Vertex]]:
         """A fresh, mutable copy of the neighbor sets, indexed by vertex."""
@@ -286,16 +284,6 @@ def build_intersection_graph(
         if sum(len(adj[v] & s) for v in s) != 2 * (len(s) - 1):
             raise DisconnectedSubtree(f"subtree {i} is not connected in the host tree")
         sets.append(s)
-    depth = [0] * host.n
-    stack = [0]
-    seen = {0}
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                depth[y] = depth[x] + 1
-                stack.append(y)
     holders: list[list[int]] = [[] for _ in range(host.n)]
     for i, s in enumerate(sets):
         for v in s:
@@ -303,7 +291,7 @@ def build_intersection_graph(
     edges = [
         (i, j)
         for i, s in enumerate(sets)
-        for j in holders[min(s, key=depth.__getitem__)]
+        for j in holders[min(s, key=host._depth.__getitem__)]
         if j != i
     ]
     return WeightedGraph.from_edges(list(weights), edges)

@@ -31,7 +31,7 @@ from .graph_core import (
 )
 from .interval_solver import Interval, IntervalFamily, intersection_graph, solve_interval
 from .split_solver import SplitInstance, SplitResult, solve_split, validate_split
-from .tree_edge_solver import FEdge, edge_line_graph, solve_tree
+from .tree_edge_solver import FEdge, _validate_edge_subset, edge_line_graph, solve_tree
 
 _MULTIPLIER = 6364136223846793005
 _INCREMENT = 1442695040888963407
@@ -261,19 +261,12 @@ class TreeEdgesInstance:
     f_edges: tuple[FEdge, ...]
 
     def __post_init__(self) -> None:
-        by_pair: dict[frozenset[int], int] = {}
-        for u, v, w in self.f_edges:
-            key = frozenset((u, v))
-            if key in by_pair:
-                raise InstanceSemanticError(f"duplicate family edge {u} {v}")
-            if w < 1:
-                raise InstanceSemanticError(f"edge {u} {v} has weight {w} < 1")
-            by_pair[key] = w
-        host_pairs = {frozenset(e) for e in self.host.edges}
-        for key in by_pair:
-            if key not in host_pairs:
-                u, v = sorted(key)
-                raise InstanceSemanticError(f"{u} {v} is not a host tree edge")
+        if self.f_edges:  # a file may select no edge
+            try:
+                _validate_edge_subset(self.host, self.f_edges)
+            except ValueError as exc:
+                raise InstanceSemanticError(str(exc)) from exc
+        by_pair = {frozenset((u, v)): w for u, v, w in self.f_edges}
         normalized = tuple(
             (u, v, by_pair[frozenset((u, v))])
             for u, v in self.host.edges

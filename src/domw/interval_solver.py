@@ -13,17 +13,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from math import inf
 from typing import Iterable, Mapping
 
 from .errors import TheoremViolation
-from .graph_core import (
-    Certificate,
-    DominationFunction,
-    WeightedGraph,
-    closed_neighborhood,
-    set_sum,
-    verify_certificate,
-)
+from .graph_core import Certificate, DominationFunction, WeightedGraph
 
 
 @dataclass(frozen=True)
@@ -178,32 +172,36 @@ def extract_dispersed(
 
     The witnesses form a dispersed set whose weight equals |f| = |g|.  Any
     failure of the structural guarantees raises TheoremViolation: it means a
-    bug, not an unlucky instance.
+    bug, not an unlucky instance.  Neighborhoods are read off the sorted
+    endpoints; no graph is built.
     """
-    return _extract(fam, intersection_graph(fam), f, g, gtrace)
-
-
-def _extract(
-    fam: IntervalFamily,
-    graph: WeightedGraph,
-    f: DominationFunction,
-    g: DominationFunction,
-    gtrace: GreedyTrace,
-) -> tuple[frozenset[int], DispersedDecomposition]:
+    ivs = fam.intervals
     order = order_by_right_endpoint(fam)
     position = {v: i for i, v in enumerate(order)}
-    by_left = [(iv.left, iv.right, i) for i, iv in enumerate(fam.intervals)]  # K_l
+    k_l = [(iv.left, iv.right, i) for i, iv in enumerate(ivs)]
+    by_left = [k[2] for k in sorted(k_l)]
+    lefts, rights = [ivs[i].left for i in by_left], [ivs[v].right for v in order]
+    fv, gv = ([h.values.get(i, 0) for i in range(fam.n)] for h in (f, g))
+    # N[z] is the first hi intervals by left minus the first lo by right (those
+    # end before z starts), so prefix sums in both orders give h[N[z]].  From lo
+    # on, the enumeration holds z, so its K_l-least member starts by z.right;
+    # the latest in it of the first hi by left ends at or after z: both are in N[z].
+    f_l, g_l = ([0, *accumulate(map(h.__getitem__, by_left))] for h in (fv, gv))
+    f_r, g_r = ([0, *accumulate(map(h.__getitem__, order))] for h in (fv, gv))
+    first = [k[2] for k in accumulate((k_l[v] for v in reversed(order)), min)][::-1]
+    last = list(accumulate(map(position.__getitem__, by_left), max))
     sources: dict[int, list[int]] = {}
     for step in gtrace.steps:
         sources.setdefault(step.target, []).append(step.source)
 
+    def span(z: int) -> tuple[int, int]:
+        return bisect_left(rights, ivs[z].left), bisect_right(lefts, ivs[z].right)
+
     def is_witness(z: int, v: int) -> bool:
         # v must be the furthest-left-reaching closed neighbor of z, and the
         # mass g places on N(z) must pay for w(z) exactly
-        nz = closed_neighborhood(graph, z)
-        if v != min(nz, key=by_left.__getitem__):
-            return False
-        return set_sum(g, nz) == fam.intervals[z].weight
+        lo, hi = span(z)
+        return v == first[lo] and g_l[hi] - g_r[lo] == ivs[z].weight
 
     blocks: list[tuple[int, ...]] = []
     j_indices: set[int] = set()
@@ -214,8 +212,8 @@ def _extract(
     pos = 0
     while pos < fam.n:
         v = order[pos]
-        if g(v) == 0:
-            if f(v) != 0:
+        if gv[v] == 0:
+            if fv[v] != 0:
                 raise TheoremViolation(
                     f"interval {v} carries forward mass but no backward mass"
                 )
@@ -232,26 +230,25 @@ def _extract(
         z = min((s for s in sources.get(v, ()) if is_witness(s, v)), default=None)
         if z is None:
             raise TheoremViolation(f"no witness interval for {v}")
-        members = closed_neighborhood(graph, z)
-        # neighbors of z that sit in earlier blocks are properly contained in
-        # v (z reaches no further left than v does), so they carry no mass
-        for m in members:
-            if position[m] < pos and (f(m) != 0 or g(m) != 0):
-                raise TheoremViolation(
-                    f"witness {z} has a neighbor {m} with mass in an earlier block"
-                )
-        end = max(position[m] for m in members)
-        block = tuple(order[pos:end + 1])
-        wz = fam.intervals[z].weight
-        if set_sum(f, block) != wz or set_sum(g, block) != wz:
+        lo, hi = span(z)
+        block = order[pos:last[hi - 1] + 1]
+        wz = ivs[z].weight
+        # Block members end no earlier than v, so they meet z when they start
+        # by z.right.  The other neighbors of z sit in earlier blocks and are
+        # properly contained in v (z reaches no further left than v does), so
+        # they carry no mass.
+        near = [u for u in block if ivs[u].left <= ivs[z].right]
+        if sum(fv[u] for u in near) != f_l[hi] - f_r[lo] or sum(gv[u] for u in near) != wz:
+            raise TheoremViolation(f"witness {z} has a neighbor with mass in an earlier block")
+        if sum(fv[u] for u in block) != wz or sum(gv[u] for u in block) != wz:
             raise TheoremViolation(f"block of witness {z} does not pay for it exactly")
         blocks.append(block)
         j_indices.add(len(blocks) - 1)
         representatives[len(blocks) - 1] = z
         chosen.append(z)
-        pos = end + 1
+        pos += len(block)
 
-    total = sum(fam.intervals[z].weight for z in chosen)
+    total = sum(ivs[z].weight for z in chosen)
     if total != f.size or total != g.size:
         raise TheoremViolation("witness weight does not match the greedy value")
     decomposition = DispersedDecomposition(
@@ -260,20 +257,42 @@ def _extract(
     return frozenset(chosen), decomposition
 
 
+def _certificate_holds(fam: IntervalFamily, cert: Certificate) -> bool:
+    """The certificate check on the interval graph, from the endpoints alone.
+
+    f[N(z)] = f(left <= z.right) - f(right < z.left); if some interval meets
+    two members, one meets two members that are consecutive by right endpoint.
+    """
+    f, ivs = cert.dominating, fam.intervals
+    if not all(0 <= v < fam.n for v in (*f.support, *cert.dispersed)):
+        return False
+    starts = sorted((iv.left, iv.right, f.values.get(i, 0)) for i, iv in enumerate(ivs))
+    ends = sorted((iv.right, f.values.get(i, 0)) for i, iv in enumerate(ivs))
+    lefts, by_start = [s[0] for s in starts], [0, *accumulate(s[2] for s in starts)]
+    rights, by_end = [e[0] for e in ends], [0, *accumulate(e[1] for e in ends)]
+    reach = [-inf, *accumulate((s[1] for s in starts), max)]  # furthest right end so far
+    members = sorted(cert.dispersed, key=lambda m: ivs[m].right)
+    return (
+        all(
+            by_start[bisect_right(lefts, iv.right)] - by_end[bisect_left(rights, iv.left)] >= iv.weight
+            for iv in ivs
+        )
+        and all(reach[bisect_right(lefts, ivs[a].right)] < ivs[b].left for a, b in zip(members, members[1:]))
+        and f.size == cert.value == sum(ivs[m].weight for m in cert.dispersed)
+    )
+
+
 def solve_interval(fam: IntervalFamily) -> Certificate:
     """Certificate with gamma_w = rho_w on the interval graph of the family.
 
-    Both sweeps read the sorted endpoints; one interval graph is built per
-    solve, for the extraction and the self-check.
+    Every phase and the self-check read the sorted endpoints; no graph is built.
     """
     f, _ = forward_greedy(fam)
     g, gtrace = backward_greedy(fam)
     if f.size != g.size:
         raise TheoremViolation("forward and backward greedy disagree on the value")
-    graph = intersection_graph(fam)
-    dispersed, _ = _extract(fam, graph, f, g, gtrace)
+    dispersed, _ = extract_dispersed(fam, f, g, gtrace)
     cert = Certificate(f, dispersed, f.size)
-    check = verify_certificate(graph, cert)
-    if not check:
-        raise TheoremViolation(f"certificate failed re-verification: {check.reason}")
+    if not _certificate_holds(fam, cert):
+        raise TheoremViolation("certificate failed re-verification")
     return cert

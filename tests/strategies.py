@@ -4,9 +4,19 @@ Instances are kept deliberately small so the brute-force oracles stay
 instant; the acceptance module covers the larger seeded sweeps.
 """
 
+from typing import Sequence
+
 from hypothesis import strategies as st
 
-from domw import HostTree, IntervalFamily, SplitInstance, WeightedGraph, validate_split
+from domw import (
+    Certificate,
+    DominationFunction,
+    HostTree,
+    IntervalFamily,
+    SplitInstance,
+    WeightedGraph,
+    validate_split,
+)
 
 
 @st.composite
@@ -91,3 +101,39 @@ def subtree_instances(draw, max_n: int = 7, max_subtrees: int = 6, max_w: int = 
         subtrees.append(frozenset(members))
         weights.append(draw(st.integers(min_value=1, max_value=max_w)))
     return host, tuple(subtrees), tuple(weights)
+
+
+@st.composite
+def corrupted(draw, cert: Certificate, weights: Sequence[int]) -> Certificate:
+    """The certificate, kept or broken in one way: one unit of f moved, one
+    member swapped or added, one member added and the value set to the
+    members' weight, or f and the set replaced by random ones or by a random
+    set with f = w on it."""
+    n = len(weights)
+    f = dict(cert.dominating.values)
+    members = set(cert.dispersed)
+    value = cert.value
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    how = draw(st.sampled_from(["keep", "move", "swap", "add", "value", "random", "cover"]))
+    if how == "move" and f:
+        source = draw(st.sampled_from(sorted(f)))
+        f[source] -= 1
+        target = draw(vertex)
+        f[target] = f.get(target, 0) + 1
+    elif how == "swap" and members:
+        members.remove(draw(st.sampled_from(sorted(members))))
+        members.add(draw(vertex))
+    elif how == "add":
+        members.add(draw(vertex))
+    elif how == "value":
+        members.add(draw(vertex))
+        value = sum(weights[m] for m in members)
+    elif how == "random":
+        f = {v: draw(st.integers(min_value=0, max_value=3)) for v in range(n)}
+        members = draw(st.sets(vertex))
+        value = sum(f.values())
+    elif how == "cover":
+        members = draw(st.sets(vertex))
+        f = {m: weights[m] for m in members}
+        value = sum(f.values())
+    return Certificate(DominationFunction(f), frozenset(members), value)

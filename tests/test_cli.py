@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import domw
+import domw.interval_solver
+import domw.tree_edge_solver
 from domw import DominationFunction, SplitResult, oracles, write_split_result
 from domw.cli import run
 from domw.instances_io import KINDS
@@ -371,6 +373,32 @@ def test_internal_error_exits_two(interval_file, capsys, monkeypatch):
     code, out, err = invoke(capsys, "solve", interval_file)
     assert (code, out) == (2, "")
     assert err.startswith("internal error:")
+
+
+def test_interval_self_check_failure_exits_two(interval_file, capsys, monkeypatch):
+    # every interval as the witness set: they all meet the long one
+    monkeypatch.setattr(
+        domw.interval_solver, "extract_dispersed",
+        lambda fam, f, g, gtrace: (frozenset(range(fam.n)), None),
+    )
+    code, out, err = invoke(capsys, "solve", interval_file)
+    assert (code, out) == (2, "")
+    assert "re-verification" in err
+
+
+def test_tree_self_check_failure_exits_two(tmp_path, capsys, monkeypatch):
+    # every edge of the star as the witness set: they all share the center
+    _, text, _ = invoke(capsys, "example", "non-tu-star")
+    path = tmp_path / "star.domw"
+    path.write_text(text)
+    solve_rooted = domw.tree_edge_solver.solve_rooted
+    monkeypatch.setattr(
+        domw.tree_edge_solver, "solve_rooted",
+        lambda t: (solve_rooted(t)[0], frozenset(t.edge_ids), None),
+    )
+    code, out, err = invoke(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
+    assert "re-verification" in err
 
 
 def test_malformed_file_exits_one(tmp_path, capsys):

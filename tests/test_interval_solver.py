@@ -1,13 +1,18 @@
 """Tests for the two-pass interval greedy and its dispersed-set extraction."""
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import domw.graph_core
 import domw.interval_solver
+import domw.tree_edge_solver
 from domw import (
     LCG,
+    Certificate,
+    DominationFunction,
     Interval,
     IntervalFamily,
     WeightedGraph,
@@ -17,16 +22,18 @@ from domw import (
     extract_dispersed,
     forward_greedy,
     gen_interval,
+    gen_tree,
     intersection_graph,
     is_w_dominating,
     order_by_right_endpoint,
     set_sum,
     solve_interval,
+    solve_tree,
     verify_certificate,
 )
 from domw.instances_io import example_nontu_intervals, example_three_intervals
 
-from .strategies import interval_families
+from .strategies import corrupted, interval_families
 
 
 def family(*triples) -> IntervalFamily:
@@ -256,18 +263,67 @@ def test_ten_thousand_short_intervals_solve_to_a_verified_certificate():
     assert verify_certificate(intersection_graph(fam), cert).ok
 
 
-def test_one_interval_graph_is_built_per_solve(monkeypatch):
-    built = []
+def test_no_graph_is_built_per_solve(monkeypatch):
+    """Both paper solvers and the public extraction read every neighborhood
+    off sorted endpoints or host vertices, so none builds a graph."""
 
-    def counting(fam):
-        built.append(fam)
-        return intersection_graph(fam)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver built a graph")
 
-    monkeypatch.setattr(domw.interval_solver, "intersection_graph", counting)
-    fam = gen_interval(3, 40, 80, 5)
+    monkeypatch.setattr(domw.interval_solver, "intersection_graph", refuse)
+    monkeypatch.setattr(domw.tree_edge_solver, "build_intersection_graph", refuse)
+    monkeypatch.setattr(domw.graph_core, "build_intersection_graph", refuse)
+    monkeypatch.setattr(WeightedGraph, "from_edges", refuse)
+    monkeypatch.setattr(WeightedGraph, "__post_init__", refuse)
+    fam = gen_interval(3, 300, 600, 5)
     cert = solve_interval(fam)
-    assert len(built) == 1
+    f, _ = forward_greedy(fam)
+    g, gtrace = backward_greedy(fam)
+    assert extract_dispersed(fam, f, g, gtrace)[0] == cert.dispersed
+    host, subset = gen_tree(3, 300, 5)
+    assert solve_tree(host, subset).value > 0
+    monkeypatch.undo()
     assert verify_certificate(intersection_graph(fam), cert).ok
+
+
+@settings(max_examples=400, deadline=None)
+@given(interval_families(), st.data())
+def test_interval_checker_agrees_with_verify_certificate(fam: IntervalFamily, data):
+    cert = data.draw(corrupted(solve_interval(fam), [iv.weight for iv in fam.intervals]))
+    expected = bool(verify_certificate(intersection_graph(fam), cert))
+    assert domw.interval_solver._certificate_holds(fam, cert) == expected
+
+
+def test_interval_checker_agrees_with_verify_certificate_on_every_small_case():
+    """All families of up to three intervals on 1..3 with weights 1..2, and
+    for each every set with f = w on it, and every set with the solver's f
+    at value |f| and at the set's weight: touching endpoints included."""
+    shapes = [(x, y, w) for x in range(1, 4) for y in range(x, 4) for w in (1, 2)]
+    for n in (1, 2, 3):
+        for triples in combinations_with_replacement(shapes, n):
+            fam = IntervalFamily.of(triples)
+            graph = intersection_graph(fam)
+            solver_f = solve_interval(fam).dominating
+            for k in range(1 << n):
+                members = frozenset(v for v in range(n) if k >> v & 1)
+                weight = sum(graph.weights[m] for m in members)
+                cover = DominationFunction({m: graph.weights[m] for m in members})
+                for cert in (
+                    Certificate(cover, members, weight),
+                    Certificate(solver_f, members, solver_f.size),
+                    Certificate(solver_f, members, weight),
+                ):
+                    expected = bool(verify_certificate(graph, cert))
+                    assert domw.interval_solver._certificate_holds(fam, cert) == expected
+
+
+def test_interval_checker_rejects_ids_outside_the_family():
+    fam = family((1, 2, 1), (4, 5, 1))
+    holds = domw.interval_solver._certificate_holds
+    assert holds(fam, Certificate(DominationFunction({0: 1, 1: 1}), frozenset({0, 1}), 2))
+    assert not holds(fam, Certificate(DominationFunction({0: 1, 1: 1}), frozenset({0, 2}), 2))
+    assert not holds(fam, Certificate(DominationFunction({0: 1, 1: 1}), frozenset({0, -1}), 2))
+    assert not holds(fam, Certificate(DominationFunction({0: 1, 1: 1, 2: 1}), frozenset({0, 1}), 3))
 
 
 def test_public_passes_build_no_graph(monkeypatch):
@@ -288,8 +344,7 @@ def test_public_passes_build_no_graph(monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(interval_families())
 def test_solve_matches_the_public_phases(fam: IntervalFamily):
-    """The solve on one shared graph gives what the public phases, each on
-    its own graph, give when composed."""
+    """The solve gives what the public phases give when composed."""
     cert = solve_interval(fam)
     f, _ = forward_greedy(fam)
     g, gtrace = backward_greedy(fam)
@@ -297,6 +352,14 @@ def test_solve_matches_the_public_phases(fam: IntervalFamily):
     assert cert.dominating == f
     assert cert.dispersed == dispersed
     assert cert.value == f.size
+
+
+def test_a_hundred_thousand_dense_intervals_solve():
+    """Its interval graph would have billions of edges; the solve reads the
+    endpoints only and checks its own certificate."""
+    fam = gen_interval(1, 10**5, 4 * 10**5, 5)
+    cert = solve_interval(fam)
+    assert cert.value == sum(fam.intervals[z].weight for z in cert.dispersed)
 
 
 def test_a_thousand_dense_intervals_solve_to_a_verified_certificate():

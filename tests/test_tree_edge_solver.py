@@ -1,9 +1,14 @@
 """Tests for the bottom-up solver on line graphs of tree edge subsets."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domw import (
+    Certificate,
+    DominationFunction,
     HostTree,
     brute_gamma,
     brute_rho,
@@ -14,6 +19,7 @@ from domw import (
 from domw.errors import EmptyEdgeSet
 from domw.instances_io import example_nontu_star, gen_tree
 from domw.tree_edge_solver import (
+    _certificate_holds,
     bottom_up_f,
     edge_line_graph,
     reduce_to_full_tree,
@@ -22,7 +28,7 @@ from domw.tree_edge_solver import (
     solve_rooted,
 )
 
-from .strategies import tree_edge_subsets
+from .strategies import corrupted, tree_edge_subsets
 
 PATH3 = HostTree(3, ((0, 1), (1, 2)))
 
@@ -225,3 +231,61 @@ def test_a_path_of_four_thousand_selected_edges_solves_to_a_verified_certificate
     subset = [(i, i + 1, 1 + 7 * i % 5) for i in range(m)]
     cert = solve_tree(host, subset)
     assert verify_certificate(edge_line_graph(host, subset), cert).ok
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree_edge_subsets(max_n=9), st.data())
+def test_tree_checker_agrees_with_verify_certificate(case, data):
+    host, subset = case
+    cert = data.draw(corrupted(solve_tree(host, subset), [w for _, _, w in subset]))
+    expected = bool(verify_certificate(edge_line_graph(host, subset), cert))
+    assert _certificate_holds(subset, cert) == expected
+
+
+def test_tree_checker_agrees_with_verify_certificate_on_every_small_case():
+    """Every recursive host tree on up to five vertices, every selection with
+    weights 1..2, and for each every set with f = w on it, and every set with
+    the solver's f at value |f| and at the set's weight."""
+    for n in range(2, 6):
+        for parents in product(*(range(v) for v in range(1, n))):
+            host = HostTree(n, tuple((p, v) for v, p in enumerate(parents, start=1)))
+            for pick in range(1, 1 << (n - 1)):
+                edges = [e for i, e in enumerate(host.edges) if pick >> i & 1]
+                for ws in product((1, 2), repeat=len(edges)):
+                    subset = tuple((u, v, w) for (u, v), w in zip(edges, ws))
+                    _assert_checker_agrees(host, subset)
+
+
+def _assert_checker_agrees(host, subset):
+    graph = edge_line_graph(host, subset)
+    solver_f = solve_tree(host, subset).dominating
+    m = len(subset)
+    for k in range(1 << m):
+        members = frozenset(e for e in range(m) if k >> e & 1)
+        weight = sum(subset[e][2] for e in members)
+        cover = DominationFunction({e: subset[e][2] for e in members})
+        for cert in (
+            Certificate(cover, members, weight),
+            Certificate(solver_f, members, solver_f.size),
+            Certificate(solver_f, members, weight),
+        ):
+            assert _certificate_holds(subset, cert) == bool(verify_certificate(graph, cert))
+
+
+def test_tree_checker_rejects_ids_outside_the_selection():
+    subset = ((0, 1, 2), (1, 2, 3))
+    f = DominationFunction({1: 3})
+    assert _certificate_holds(subset, Certificate(f, frozenset({1}), 3))
+    assert not _certificate_holds(subset, Certificate(f, frozenset({2}), 3))
+    assert not _certificate_holds(subset, Certificate(f, frozenset({-1}), 3))
+    assert not _certificate_holds(subset, Certificate(DominationFunction({1: 3, 2: 1}), frozenset({1}), 4))
+
+
+def test_a_star_of_ten_thousand_selected_edges_solves():
+    """Its line graph is a clique of 10^4 vertices with about 5 * 10^7 edges;
+    the solve reads sums at host vertices only.  On a clique both values are
+    the largest weight."""
+    m = 10_000
+    host = HostTree(m + 1, tuple((0, i) for i in range(1, m + 1)))
+    subset = [(0, i, 1 + 7 * i % 5) for i in range(1, m + 1)]
+    assert solve_tree(host, subset).value == 5
