@@ -31,7 +31,7 @@ from .graph_core import (
 )
 from .interval_solver import Interval, IntervalFamily, intersection_graph, solve_interval
 from .split_solver import SplitInstance, SplitResult, solve_split, validate_split
-from .tree_edge_solver import FEdge, _validate_edge_subset, edge_line_graph, solve_tree
+from .tree_edge_solver import FEdge, _normalized, _solve_forest, edge_line_graph
 
 _MULTIPLIER = 6364136223846793005
 _INCREMENT = 1442695040888963407
@@ -261,17 +261,10 @@ class TreeEdgesInstance:
     f_edges: tuple[FEdge, ...]
 
     def __post_init__(self) -> None:
-        if self.f_edges:  # a file may select no edge
-            try:
-                _validate_edge_subset(self.host, self.f_edges)
-            except ValueError as exc:
-                raise InstanceSemanticError(str(exc)) from exc
-        by_pair = {frozenset((u, v)): w for u, v, w in self.f_edges}
-        normalized = tuple(
-            (u, v, by_pair[frozenset((u, v))])
-            for u, v in self.host.edges
-            if frozenset((u, v)) in by_pair
-        )
+        try:  # a file may select no edge
+            normalized = _normalized(self.host, self.f_edges) if self.f_edges else ()
+        except ValueError as exc:
+            raise InstanceSemanticError(str(exc)) from exc
         object.__setattr__(self, "f_edges", normalized)
 
 
@@ -505,10 +498,11 @@ def _write_interval(fam: IntervalFamily) -> list[str]:
 
 
 def _write_tree_edges(inst: TreeEdgesInstance) -> list[str]:
-    by_pair = {frozenset((u, v)): w for u, v, w in inst.f_edges}
+    # f_edges share the host's orientation, so a pair is its own key
+    weight = {(u, v): w for u, v, w in inst.f_edges}
     out = [str(inst.host.n)]
     for u, v in inst.host.edges:
-        w = by_pair.get(frozenset((u, v)))
+        w = weight.get((u, v))
         out.append(f"{u} {v} 0" if w is None else f"{u} {v} 1 {w}")
     return out
 
@@ -670,7 +664,7 @@ KINDS: dict[str, Kind] = {
     ),
     "tree-edges": Kind(
         _parse_tree_edges, _write_tree_edges, lambda p: edge_line_graph(p.host, p.f_edges),
-        solve=lambda p: solve_tree(p.host, p.f_edges), equals=("gamma_w", "rho_w"),
+        solve=lambda p: _solve_forest(p.host.n, p.f_edges), equals=("gamma_w", "rho_w"),
     ),
     "split": Kind(
         _parse_split, _write_split, lambda p: p.graph,

@@ -7,13 +7,20 @@ which F is the full edge set, so each component is processed as a rooted tree:
 a bottom-up pass charges every edge with the worst deficit among its sons, a
 root adjustment closes the remaining gap, and a top-down peeling collects a
 dispersed set of edges whose weight matches the function size exactly.
+
+`solve_tree` runs the phases on lists over the whole host, filled by one
+search per component: each vertex's edges and each edge's two ends.  Bottom-up
+and root adjustment keep A[v], f summed over v's out-edges; the peeling keeps
+each vertex's remaining mass, so a son (x, y) is paid exactly on its remaining
+neighborhood when mass[x] + mass[y] - g(son) == w(son), an O(1) test.  The
+public phase functions run the same code on dicts over one `RootedEdgeTree`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyEdgeSet, TheoremViolation, UnknownVertex
 from .graph_core import (
@@ -49,85 +56,114 @@ class DeletionLayers:
     deleted: tuple[frozenset[int], ...]
 
 
-def _incidence(edges: Iterable[tuple[int, FEdge]]) -> dict[int, list[tuple[int, int, int]]]:
-    """touching[v]: an (edge id, other end, weight) entry per edge (eid, (u, v, w)) at v."""
-    touching: dict[int, list[tuple[int, int, int]]] = {}
-    for eid, (u, v, w) in edges:
-        touching.setdefault(u, []).append((eid, v, w))
-        touching.setdefault(v, []).append((eid, u, w))
-    return touching
+class _Tables(NamedTuple):
+    """An oriented forest, as lists over the host or dicts over one component."""
+
+    parent: Any  # edge -> parent end, -1 before orientation
+    child: Any  # edge -> child end, -1 before orientation
+    weight: Any
+    touching: Any  # vertex -> its edges by id: its parent edge, if any, and its out-edges
 
 
-def _build_rooted(root: int, touching: Mapping[int, Sequence[tuple[int, int, int]]]) -> RootedEdgeTree:
-    """The component of root, found and oriented by one DFS from root."""
-    ends: dict[int, tuple[int, int]] = {}
-    weight: dict[int, int] = {}
-    out_edges: dict[int, list[int]] = {root: []}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for eid, v, w in touching[u]:
-            if eid in ends:
-                continue
-            ends[eid] = (u, v)
-            weight[eid] = w
-            out_edges[u].append(eid)
-            out_edges[v] = []
-            stack.append(v)
-    # every edge is discovered after its parent edge, so the reverse of the
-    # discovery order meets each edge after all the edges below it
+def _orient(tb: _Tables, other: Any, root: int) -> list[int]:
+    """Orient root's component away from root, other[e] being the XOR of e's
+    ends; returns its edges, each after the edge above it."""
+    parent, child, _, touching = tb
+    order: list[int] = []
+    reached = [root]
+    for u in reached:
+        for e in touching[u]:
+            if child[e] < 0:
+                parent[e] = u
+                child[e] = v = other[e] ^ u
+                order.append(e)
+                reached.append(v)
+    return order
+
+
+def _forest(n: int, subset: Sequence[FEdge]) -> tuple[_Tables, list[tuple[int, list[int]]]]:
+    """The selected forest on vertices 0..n-1, and (root, `_orient` order) per component,
+    each rooted at its smallest vertex, in the order of their roots."""
+    touching: list[list[int]] = [[] for _ in range(n)]
+    for e, (u, v, _) in enumerate(subset):
+        touching[u].append(e)
+        touching[v].append(e)
+    tb = _Tables([-1] * len(subset), [-1] * len(subset), [w for _, _, w in subset], touching)
+    other = [u ^ v for u, v, _ in subset]
+    # a vertex reached from a smaller root already has an oriented edge
+    return tb, [(r, _orient(tb, other, r)) for r in range(n) if touching[r] and tb.child[touching[r][0]] < 0]
+
+
+def _view(tb: _Tables, root: int, order: Sequence[int]) -> RootedEdgeTree:
+    """The RootedEdgeTree of one oriented component, given its edges in `_orient` order."""
+    parent, child, weight, touching = tb
+    vertices = frozenset((root, *(child[e] for e in order)))
+    out = {v: tuple(e for e in touching[v] if parent[e] == v) for v in vertices}
+    # the reverse of the `_orient` order meets each edge after all the edges below it
     height: dict[int, int] = {}
-    for eid in reversed(ends):
-        below = [height[e2] for e2 in out_edges[ends[eid][1]]]
-        height[eid] = 1 + max(below) if below else 0
-    return RootedEdgeTree(
-        root=root,
-        vertices=frozenset(out_edges),
-        edge_ids=tuple(sorted(ends)),
-        ends=ends,
-        weight=weight,
-        out_edges={v: tuple(sorted(es)) for v, es in out_edges.items()},
-        height=height,
-    )
+    for e in reversed(order):
+        height[e] = 1 + max((height[s] for s in out[child[e]]), default=-1)
+    ends, weights = {e: (parent[e], child[e]) for e in order}, {e: weight[e] for e in order}
+    return RootedEdgeTree(root, vertices, tuple(sorted(order)), ends, weights, out, height)
+
+
+def _tables(t: RootedEdgeTree) -> _Tables:
+    """The tables of an oriented component, as dicts over its edges and vertices."""
+    touching: dict[int, list[int]] = {v: [] for v in t.vertices}
+    for e in t.edge_ids:
+        for x in t.ends[e]:
+            touching[x].append(e)
+    return _Tables({e: p for e, (p, _) in t.ends.items()}, {e: c for e, (_, c) in t.ends.items()}, t.weight, touching)
 
 
 def rooted_at(t: RootedEdgeTree, root: int) -> RootedEdgeTree:
     """The same component re-oriented away from another root."""
     if root not in t.vertices:
         raise UnknownVertex(f"vertex {root} is not in this component")
-    edges = ((eid, (*t.ends[eid], t.weight[eid])) for eid in t.edge_ids)
-    return _build_rooted(root, _incidence(edges))
+    tb = _tables(t)._replace(parent=dict.fromkeys(t.edge_ids, -1), child=dict.fromkeys(t.edge_ids, -1))
+    return _view(tb, root, _orient(tb, {e: p ^ c for e, (p, c) in t.ends.items()}, root))
 
 
-def _validate_edge_subset(host: HostTree, subset: Sequence[FEdge]) -> None:
+def _normalized(host: HostTree, subset: Sequence[FEdge]) -> tuple[FEdge, ...]:
+    """The selection in host edge order and orientation; rejects an empty
+    selection, an edge outside the host, an edge selected twice and a weight below 1."""
     if not subset:
         raise EmptyEdgeSet("the selected edge set is empty")
-    tree_edges = {(u, v) if u < v else (v, u) for u, v in host.edges}
-    seen: set[tuple[int, int]] = set()
+    position = {(u, v) if u < v else (v, u): i for i, (u, v) in enumerate(host.edges)}
+    weight = [0] * len(host.edges)
     for u, v, w in subset:
-        key = (u, v) if u < v else (v, u)
-        if key not in tree_edges:
+        i = position.get((u, v) if u < v else (v, u))
+        if i is None:
             raise ValueError(f"({u}, {v}) is not an edge of the host tree")
-        if key in seen:
+        if weight[i]:
             raise ValueError(f"edge ({u}, {v}) selected twice")
-        seen.add(key)
         if w < 1:
             raise ValueError(f"edge ({u}, {v}) must have positive weight")
+        weight[i] = w
+    return tuple((u, v, w) for (u, v), w in zip(host.edges, weight) if w)
 
 
 def reduce_to_full_tree(host: HostTree, subset: Sequence[FEdge]) -> tuple[RootedEdgeTree, ...]:
     """Drop unselected host edges and return each component, canonically rooted."""
-    _validate_edge_subset(host, subset)
-    adj = _incidence(enumerate(subset))
-    visited: set[int] = set()
-    components: list[RootedEdgeTree] = []
-    # each component starts at its smallest vertex, its canonical root
-    for start in sorted(adj):
-        if start not in visited:
-            t = _build_rooted(start, adj)
-            visited |= t.vertices
-            components.append(t)
-    return tuple(components)
+    _normalized(host, subset)
+    tb, components = _forest(host.n, subset)
+    return tuple(_view(tb, root, order) for root, order in components)
+
+
+def _bottom_up(tb: _Tables, upward: Iterable[int], f: Any, at: Any) -> None:
+    """Charge f on the edges of upward, each listed after all the edges below it.
+    f and at start at 0; at[v] stays f summed over v's out-edges."""
+    parent, child, weight, touching = tb
+    for e in upward:
+        c = child[e]
+        # the deficit of son s is weight[s] - at[child[s]] - at[c]
+        top = at[c]
+        for s in touching[c]:
+            if s != e and weight[s] - at[child[s]] > top:
+                top = weight[s] - at[child[s]]
+        if top > at[c]:
+            f[e] = top - at[c]
+            at[parent[e]] += top - at[c]
 
 
 def bottom_up_f(t: RootedEdgeTree) -> DominationFunction:
@@ -137,25 +173,17 @@ def bottom_up_f(t: RootedEdgeTree) -> DominationFunction:
     max over sons e' = (v, x) of (w(e') - f[A(v)] - f[A(x)])^+, which makes
     f cover every edge except possibly those at the root.
     """
-    values: dict[int, int] = {}
+    f = dict.fromkeys(t.edge_ids, 0)
+    _bottom_up(_tables(t), sorted(t.edge_ids, key=t.height.__getitem__), f, dict.fromkeys(t.vertices, 0))
+    return DominationFunction(f)
 
-    def over(eids: Iterable[int]) -> int:
-        return sum(values.get(e, 0) for e in eids)
 
-    for eid in sorted(t.edge_ids, key=lambda e: (t.height[e], e)):
-        child = t.ends[eid][1]
-        sons = t.out_edges[child]
-        if not sons:
-            continue
-        covered = over(sons)
-        worst = 0
-        for son in sons:
-            grandchild = t.ends[son][1]
-            deficit = t.weight[son] - covered - over(t.out_edges[grandchild])
-            worst = max(worst, deficit)
-        if worst > 0:
-            values[eid] = worst
-    return DominationFunction(values)
+def _root_gap(tb: _Tables, root: int, at: Any) -> tuple[int, int]:
+    """The largest w(e) - f[A(root)] - f[A(child end)] over the root's edges, and its first edge by id."""
+    if not tb.touching[root]:  # a component always has at least one root edge
+        raise TheoremViolation("the root has no out-edge")
+    d, e0 = max((tb.weight[e] - at[root] - at[tb.child[e]], -e) for e in tb.touching[root])
+    return d, -e0
 
 
 def root_adjust(t: RootedEdgeTree, f: DominationFunction) -> tuple[DominationFunction, int, int | None]:
@@ -164,23 +192,62 @@ def root_adjust(t: RootedEdgeTree, f: DominationFunction) -> tuple[DominationFun
     When d <= 0 the bottom-up function already dominates everything and is
     returned unchanged with no chosen edge.
     """
-    root_edges = t.out_edges[t.root]
-    at_root = sum(f(e) for e in root_edges)
-    d = None
-    e0 = None
-    for eid in root_edges:
-        child = t.ends[eid][1]
-        gap = t.weight[eid] - at_root - sum(f(e) for e in t.out_edges[child])
-        if d is None or gap > d:
-            d = gap
-            e0 = eid
-    if d is None:  # a component always has at least one root edge
-        raise TheoremViolation("the root has no out-edge")
+    at = {v: sum(map(f, t.out_edges[v])) for v in t.vertices}
+    d, e0 = _root_gap(_tables(t), t.root, at)
     if d <= 0:
         return f, d, None
-    bumped = dict(f.values)
-    bumped[e0] = bumped.get(e0, 0) + d
-    return DominationFunction(bumped), d, e0
+    return DominationFunction({**f.values, e0: f(e0) + d}), d, e0
+
+
+def _peel(
+    tb: _Tables, root: int, d: int, e0: int | None, edges: Sequence[int], g: Any, mass: Any, alive: Any
+) -> list[tuple[list[int], list[int]]]:
+    """The (chosen, deleted) edges of each peeling layer of one component, on which
+    mass starts at 0 and alive at true; mass[v] stays g summed over v's alive edges."""
+    parent, child, weight, touching = tb
+    for e in edges:
+        mass[parent[e]] += g[e]
+        mass[child[e]] += g[e]
+    if d > 0 and e0 is None:
+        raise TheoremViolation("a positive root adjustment names no root edge")
+    layers: list[tuple[list[int], list[int]]] = []
+    left = len(edges)
+    # A positive adjustment elects e0 alone in the first layer.  A layer
+    # deletes every remaining out-edge of its roots, so the next layer's roots
+    # are the child ends of the edges it deleted, and their parent edges are gone.
+    chosen, roots = ([e0], []) if d > 0 else ([], [root])
+    while left:
+        deleted: list[int] = []
+        for e in [e for v in roots for e in touching[v] if alive[e]]:
+            if not g[e]:  # a zero root edge is no son in this layer and holds no mass
+                alive[e] = False
+                deleted.append(e)
+                continue
+            c = child[e]
+            best = -1  # the son paid exactly with the largest g, then the smallest id
+            for s in touching[c]:
+                if s != e and alive[s] and mass[c] + mass[child[s]] - g[s] == weight[s]:
+                    if best < 0 or g[s] > g[best]:
+                        best = s
+            if best < 0:
+                raise TheoremViolation(f"no candidate son pays for root edge {e} exactly")
+            chosen.append(best)
+        for e in [e for s in chosen for e in touching[parent[s]] + touching[child[s]]]:
+            if alive[e]:
+                alive[e] = False
+                deleted.append(e)
+        # an empty layer would never end the peeling
+        if not deleted or sum(g[e] for e in deleted) != sum(weight[s] for s in chosen):
+            raise TheoremViolation("layer accounting failed: empty layer or deleted mass != chosen weight")
+        for e in deleted:
+            mass[parent[e]] -= g[e]
+            mass[child[e]] -= g[e]
+        left -= len(deleted)
+        layers.append((chosen, deleted))
+        chosen, roots = [], [child[e] for e in deleted]
+    if sum(weight[s] for picked, _ in layers for s in picked) != sum(g[e] for e in edges):
+        raise TheoremViolation("dispersed weight does not match the function size")
+    return layers
 
 
 def extract_dispersed_tree(
@@ -197,68 +264,10 @@ def extract_dispersed_tree(
     Per layer the deleted mass equals the weight of the elected edges, so the
     final set pays for all of g.
     """
-    incident: dict[int, set[int]] = {v: set() for v in t.vertices}
-    for eid in t.edge_ids:
-        u, v = t.ends[eid]
-        incident[u].add(eid)
-        incident[v].add(eid)
-
-    def restricted_neighborhood(eid: int, remaining: set[int]) -> set[int]:
-        u, v = t.ends[eid]
-        return (incident[u] | incident[v]) & remaining
-
-    remaining = set(t.edge_ids)
-    chosen_layers: list[frozenset[int]] = []
-    deleted_layers: list[frozenset[int]] = []
-    first = True
-    # A layer deletes every remaining out-edge of its roots, so the next
-    # layer's roots are the child ends of the edges this layer deleted.
-    roots = [t.root]
-    while remaining:
-        chosen: list[int] = []
-        if first and d > 0:
-            if e0 is None:
-                raise TheoremViolation("a positive root adjustment names no root edge")
-            chosen.append(e0)
-        else:
-            for v_s in roots:
-                for eid in t.out_edges[v_s]:
-                    if eid not in remaining or g(eid) == 0:
-                        continue
-                    child = t.ends[eid][1]
-                    candidates = [
-                        son
-                        for son in t.out_edges[child]
-                        if son in remaining
-                        and sum(g(e) for e in restricted_neighborhood(son, remaining))
-                        == t.weight[son]
-                    ]
-                    if not candidates:
-                        raise TheoremViolation(
-                            f"no candidate son pays for root edge {eid} exactly"
-                        )
-                    candidates.sort(key=lambda e: (-g(e), e))
-                    chosen.append(candidates[0])
-        deleted: set[int] = set()
-        for eid in chosen:
-            deleted |= restricted_neighborhood(eid, remaining)
-        for v_s in roots:
-            for eid in t.out_edges[v_s]:
-                if eid in remaining and g(eid) == 0:
-                    deleted.add(eid)
-        # an empty layer would never end the peeling
-        if not deleted or sum(g(e) for e in deleted) != sum(t.weight[e] for e in chosen):
-            raise TheoremViolation("layer accounting failed: empty layer or deleted mass != chosen weight")
-        remaining -= deleted
-        roots = sorted({t.ends[e][1] for e in deleted})
-        chosen_layers.append(frozenset(chosen))
-        deleted_layers.append(frozenset(deleted))
-        first = False
-
-    dispersed = frozenset().union(*chosen_layers) if chosen_layers else frozenset()
-    if sum(t.weight[e] for e in dispersed) != sum(g(e) for e in t.edge_ids):
-        raise TheoremViolation("dispersed weight does not match the function size")
-    return dispersed, DeletionLayers(tuple(chosen_layers), tuple(deleted_layers))
+    g_at = {e: g(e) for e in t.edge_ids}
+    layers = _peel(_tables(t), t.root, d, e0, t.edge_ids, g_at, dict.fromkeys(t.vertices, 0), dict.fromkeys(g_at, True))
+    chosen = tuple(frozenset(c) for c, _ in layers)
+    return frozenset().union(*chosen), DeletionLayers(chosen, tuple(frozenset(x) for _, x in layers))
 
 
 def solve_rooted(t: RootedEdgeTree) -> tuple[DominationFunction, frozenset[int], DeletionLayers]:
@@ -271,7 +280,7 @@ def solve_rooted(t: RootedEdgeTree) -> tuple[DominationFunction, frozenset[int],
 
 def edge_line_graph(host: HostTree, subset: Sequence[FEdge]) -> WeightedGraph:
     """The intersection graph of the selected edges, ids in subset order."""
-    _validate_edge_subset(host, subset)
+    _normalized(host, subset)
     return build_intersection_graph(host, [{u, v} for u, v, _ in subset], [w for _, _, w in subset])
 
 
@@ -298,17 +307,27 @@ def _certificate_holds(subset: Sequence[FEdge], cert: Certificate) -> bool:
     )
 
 
-def solve_tree(host: HostTree, subset: Sequence[FEdge]) -> Certificate:
-    """Certificate with gamma_w = rho_w on the line graph of the edge subset; no graph is built."""
-    components = reduce_to_full_tree(host, subset)
-    values: dict[int, int] = {}
-    dispersed: set[int] = set()
-    for comp in components:
-        g, chosen, _ = solve_rooted(comp)
-        values.update(g.values)
-        dispersed |= chosen
-    total = DominationFunction(values)
+def _solve_forest(n: int, subset: Sequence[FEdge]) -> Certificate:
+    """solve_tree on a selection already checked against a host on vertices 0..n-1."""
+    if not subset:
+        raise EmptyEdgeSet("the selected edge set is empty")
+    tb, components = _forest(n, subset)
+    f, at, mass, alive = [0] * len(subset), [0] * n, [0] * n, [True] * len(subset)
+    dispersed: list[int] = []
+    for root, order in components:
+        _bottom_up(tb, reversed(order), f, at)
+        d, e0 = _root_gap(tb, root, at)
+        if d > 0:
+            f[e0] += d
+        dispersed += [s for chosen, _ in _peel(tb, root, d, e0, order, f, mass, alive) for s in chosen]
+    total = DominationFunction(dict(enumerate(f)))
     cert = Certificate(total, frozenset(dispersed), total.size)
     if not _certificate_holds(subset, cert):
         raise TheoremViolation("certificate failed re-verification")
     return cert
+
+
+def solve_tree(host: HostTree, subset: Sequence[FEdge]) -> Certificate:
+    """Certificate with gamma_w = rho_w on the line graph of the edge subset; no graph is built."""
+    _normalized(host, subset)
+    return _solve_forest(host.n, subset)

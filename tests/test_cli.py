@@ -391,10 +391,9 @@ def test_tree_self_check_failure_exits_two(tmp_path, capsys, monkeypatch):
     _, text, _ = invoke(capsys, "example", "non-tu-star")
     path = tmp_path / "star.domw"
     path.write_text(text)
-    solve_rooted = domw.tree_edge_solver.solve_rooted
     monkeypatch.setattr(
-        domw.tree_edge_solver, "solve_rooted",
-        lambda t: (solve_rooted(t)[0], frozenset(t.edge_ids), None),
+        domw.tree_edge_solver, "_peel",
+        lambda tb, root, d, e0, edges, *scratch: [(list(edges), list(edges))],
     )
     code, out, err = invoke(capsys, "solve", str(path))
     assert (code, out) == (2, "")
@@ -407,6 +406,15 @@ def test_malformed_file_exits_one(tmp_path, capsys):
     code, _, err = invoke(capsys, "solve", str(path))
     assert code == 1
     assert err != ""
+
+
+def test_a_tree_edges_file_selecting_no_edge_exits_one(tmp_path, capsys):
+    # the file parses; the solve, which skips the parse's checks, refuses it
+    path = tmp_path / "none.domw"
+    path.write_text("domw 1\nkind tree-edges\n3\n0 1 0\n1 2 0\n")
+    code, out, err = invoke(capsys, "solve", str(path))
+    assert (code, out) == (1, "")
+    assert "empty" in err
 
 
 def test_missing_file_exits_one(capsys):

@@ -1,10 +1,12 @@
 """`domw solve` output pinned byte for byte on seeded instances.
 
 Each family's digest is the SHA-256 of the concatenated standard output of
-`domw solve` on its 50 instances, seeds 0..49.  A change that keeps every
-certificate and report unchanged keeps these digests; a change that alters
-any output byte, even to another valid certificate, must say why and pin
-the new digest.
+`domw solve` on its 50 instances, seeds 0..49.  The star and the path select
+all 1,000 of their host edges with LCG weights 1..5: the two extreme shapes
+of a tree-edge component, one vertex of degree 1,000 and about 333 peeling
+layers.  A change that keeps every certificate and report unchanged keeps
+these digests; a change that alters any output byte, even to another valid
+certificate, must say why and pin the new digest.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import pytest
 
 from domw import (
     LCG,
+    HostTree,
     InstanceFile,
     IntervalFamily,
     TreeEdgesInstance,
@@ -43,6 +46,20 @@ def tree_edges(seed: int) -> InstanceFile:
     return InstanceFile("tree-edges", TreeEdgesInstance(*gen_tree(seed, 250, 5)))
 
 
+def _all_selected(edges: list[tuple[int, int]], seed: int) -> InstanceFile:
+    rng = LCG(seed)
+    subset = tuple((u, v, rng.randint(1, 5)) for u, v in edges)
+    return InstanceFile("tree-edges", TreeEdgesInstance(HostTree(len(edges) + 1, tuple(edges)), subset))
+
+
+def star(seed: int) -> InstanceFile:
+    return _all_selected([(0, i) for i in range(1, 1001)], seed)
+
+
+def path(seed: int) -> InstanceFile:
+    return _all_selected([(i, i + 1) for i in range(1000)], seed)
+
+
 def split(seed: int) -> InstanceFile:
     return InstanceFile("split", gen_split(seed, 9, 40, 30, 5))
 
@@ -53,9 +70,11 @@ def split(seed: int) -> InstanceFile:
         (short_intervals, "ce55c00f90c90835ed985ef77792b4f4c903cdd542a87ae2b772a96c2bb7ac0f"),
         (dense_intervals, "a02e5ea31f9f4510bd5fa5e38993cb607dc55b10ef052af37e98e82eb4f71385"),
         (tree_edges, "c1c646349787cb1d16964997bdabd6c02fa266ed2eba26ebd8662434ccddcbb7"),
+        (star, "ce870a944af37d817f7873d5f7eeeda72a375a9ec832adea701313fc49064998"),
+        (path, "8ab6ead563c8a9cfb059f5c26ad50889c21b0b3d143f5ae73df9cc713c45f316"),
         (split, "93011a26248bb841292d4a6f7d6b7c2b8f2a2f8bc8ea91d383833a3c6b54ba79"),
     ],
-    ids=["short-intervals", "dense-intervals", "tree-edges", "split"],
+    ids=["short-intervals", "dense-intervals", "tree-edges", "star", "path", "split"],
 )
 def test_solve_output_is_unchanged(make, expected, tmp_path, capsys):
     digest = hashlib.sha256()

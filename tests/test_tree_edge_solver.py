@@ -197,6 +197,16 @@ def test_value_is_independent_of_the_root(case):
     assert by_roots == total
 
 
+def _assert_layers_cover_once(t, chosen, layers):
+    seen: set[int] = set()
+    for picked, removed in zip(layers.chosen, layers.deleted):
+        assert picked <= removed
+        assert not (removed & seen)
+        seen |= removed
+    assert seen == set(t.edge_ids)
+    assert chosen == frozenset().union(*layers.chosen)
+
+
 @settings(max_examples=120, deadline=None)
 @given(tree_edge_subsets(max_n=7))
 def test_deletion_layers_cover_every_edge_once(case):
@@ -205,13 +215,28 @@ def test_deletion_layers_cover_every_edge_once(case):
     for t in reduce_to_full_tree(host, subset):
         g, chosen, layers = solve_rooted(t)
         assert is_w_dominating(lg, g, u=t.edge_ids)
-        seen: set[int] = set()
-        for picked, removed in zip(layers.chosen, layers.deleted):
-            assert picked <= removed
-            assert not (removed & seen)
-            seen |= removed
-        assert seen == set(t.edge_ids)
-        assert chosen == frozenset().union(*layers.chosen)
+        _assert_layers_cover_once(t, chosen, layers)
+
+
+def test_solve_tree_matches_the_public_phases():
+    """solve_tree runs the phases on lists over the whole host, the public
+    phase functions on one component's dicts; both must give the same
+    function and dispersed set on 200 seeded hosts, a star and a path."""
+    m = 300
+    cases = [gen_tree(seed, 60, 5) for seed in range(200)]
+    cases.append((HostTree(m + 1, tuple((0, i) for i in range(1, m + 1))), [(0, i, 1 + 7 * i % 5) for i in range(1, m + 1)]))
+    cases.append((HostTree(m + 1, tuple((i, i + 1) for i in range(m))), [(i, i + 1, 1 + 7 * i % 5) for i in range(m)]))
+    for host, subset in cases:
+        values: dict[int, int] = {}
+        dispersed: set[int] = set()
+        for t in reduce_to_full_tree(host, subset):
+            g, chosen, layers = solve_rooted(t)
+            _assert_layers_cover_once(t, chosen, layers)
+            values.update(g.values)
+            dispersed |= chosen
+        cert = solve_tree(host, subset)
+        assert cert.dominating == DominationFunction(values)
+        assert cert.dispersed == dispersed
 
 
 @pytest.mark.parametrize("seed", [1, 2])
