@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .errors import (
     DisconnectedSubtree,
@@ -133,46 +134,86 @@ class CertificateCheck:
 
 @dataclass(frozen=True)
 class HostTree:
-    """A tree on vertices 0..n-1, the host for subtree intersection graphs."""
+    """A tree on vertices 0..n-1, the host for subtree intersection graphs.
+
+    Construction checks each edge's range and self-loop, then runs one search
+    from 0 over list adjacency: n - 1 edges that reach every vertex form a
+    tree.  A repeated edge always leaves a vertex unreached, so repeats are
+    looked for only when the search fails, and reported ahead of `not
+    connected`.  The neighbor sets and depths that the subtree graphs read
+    are built on first use.
+    """
 
     n: int
     edges: tuple[tuple[Vertex, Vertex], ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ValueError("host tree needs at least one vertex")
-        if len(self.edges) != self.n - 1:
+        if len(self.edges) != n - 1:
             raise ValueError("a tree on n vertices has exactly n-1 edges")
+        nbrs: list[list[Vertex]] = [[] for _ in range(n)]
+        for u, v in self.edges:
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                break
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        else:
+            seen = [False] * n
+            seen[0] = True
+            reached = [0]
+            for x in reached:
+                for y in nbrs[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        reached.append(y)
+            if len(reached) == n:
+                return
+        _raise_host_fault(n, self.edges)
+
+    @cached_property
+    def _adj(self) -> list[set[Vertex]]:
+        # kept out of the fields, so equality is unchanged; never mutated,
+        # adjacency() hands out copies
         adj: list[set[Vertex]] = [set() for _ in range(self.n)]
         for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise UnknownVertex(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if v in adj[u]:
-                raise ValueError(f"duplicate edge ({u}, {v})")
             adj[u].add(v)
             adj[v].add(u)
-        # built once and kept out of the fields, so equality is unchanged;
-        # never mutated, adjacency() hands out copies
-        object.__setattr__(self, "_adj", adj)
-        # edge count plus connectivity makes it a tree; the search from 0 also
-        # records each vertex's depth, stored like _adj, for the subtree graphs
+        return adj
+
+    @cached_property
+    def _depth(self) -> dict[Vertex, int]:
         depth = {0: 0}
         queue = deque([0])
         while queue:
             x = queue.popleft()
-            for y in adj[x]:
+            for y in self._adj[x]:
                 if y not in depth:
                     depth[y] = depth[x] + 1
                     queue.append(y)
-        if len(depth) != self.n:
-            raise ValueError("host tree is not connected")
-        object.__setattr__(self, "_depth", depth)
+        return depth
 
     def adjacency(self) -> list[set[Vertex]]:
         """A fresh, mutable copy of the neighbor sets, indexed by vertex."""
         return [set(a) for a in self._adj]
+
+
+def _raise_host_fault(n: int, edges: Sequence[tuple[Vertex, Vertex]]) -> NoReturn:
+    """Raise for the first faulty edge of n - 1 edges that do not form a tree
+    on 0..n-1, checking range, self-loop and repeat in turn; with no faulty
+    edge the edges leave a vertex unreached."""
+    seen: set[tuple[Vertex, Vertex]] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise UnknownVertex(f"edge ({u}, {v}) out of range")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        seen.add(key)
+    raise ValueError("host tree is not connected")
 
 
 def _check_vertex(g: WeightedGraph, v: Vertex) -> None:

@@ -13,7 +13,7 @@ comments, an explicit version header.  parse(write(x)) == x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .errors import (
     InstanceSemanticError,
@@ -254,7 +254,8 @@ class TreeEdgesInstance:
     """Host tree plus the weighted edge subset whose line graph we solve.
 
     f_edges are normalized to the host's edge order and orientation so that
-    writing and reparsing reproduces the instance exactly.
+    writing and reparsing reproduces the instance exactly; a selection already
+    in that order, as a parsed one always is, is kept as it is.
     """
 
     host: HostTree
@@ -293,11 +294,10 @@ class _Lines:
     """Line cursor over the meaningful lines of a file, tracking numbers."""
 
     def __init__(self, text: str):
-        self.rows: list[tuple[int, str]] = []
-        for i, raw in enumerate(text.splitlines(), start=1):
-            stripped = raw.strip()
-            if stripped and not stripped.startswith("#"):
-                self.rows.append((i, stripped))
+        self.rows: list[tuple[int, str]] = [
+            (i, row) for i, row in enumerate(map(str.strip, text.splitlines()), start=1)
+            if row and row[0] != "#"
+        ]
         self.at = 0
         self.last_line = self.rows[-1][0] if self.rows else 0
 
@@ -307,6 +307,16 @@ class _Lines:
         row = self.rows[self.at]
         self.at += 1
         return row
+
+    def take(self, count: int, what: str) -> Iterator[tuple[int, str]]:
+        """The next count rows, one slice; a file that ends first raises the
+        `missing` error of `next` once the rows it has are read, so a fault
+        in one of them is still reported first."""
+        block = self.rows[self.at : self.at + count]
+        self.at += len(block)
+        yield from block
+        if len(block) < count:
+            raise InstanceSyntaxError(self.last_line + 1, f"missing {what}")
 
     def done(self) -> None:
         if self.at < len(self.rows):
@@ -340,8 +350,7 @@ def _parse_host_tree(lines: _Lines) -> HostTree:
     """A host tree section; every edge line ends with the flag 1 and weight 0."""
     nv = _count(lines, "vertex count", minimum=1)
     edges = []
-    for _ in range(nv - 1):
-        line, text = lines.next("host edge line")
+    for line, text in lines.take(nv - 1, "host edge line"):
         u, v, flag, w = _int_fields(line, text, 4, "host edge")
         if (flag, w) != (1, 0):
             raise InstanceSyntaxError(line, "host edge must end with 1 0")
@@ -352,8 +361,7 @@ def _parse_host_tree(lines: _Lines) -> HostTree:
 def _parse_interval(lines: _Lines) -> IntervalFamily:
     n = _count(lines, "interval count", minimum=1)
     intervals = []
-    for expect_id in range(n):
-        line, text = lines.next("interval line")
+    for expect_id, (line, text) in enumerate(lines.take(n, "interval line")):
         ident, x, y, w = _int_fields(line, text, 4, "interval")
         if ident != expect_id:
             raise InstanceSemanticError(f"interval id {ident} out of order, expected {expect_id}")
@@ -364,26 +372,46 @@ def _parse_interval(lines: _Lines) -> IntervalFamily:
     return IntervalFamily(tuple(intervals))
 
 
+def _tree_edge(line: int, text: str) -> tuple[int, int, int | None]:
+    """An edge line's ends and member weight (None for a non-member), checked
+    field by field."""
+    parts = text.split()
+    if len(parts) not in (3, 4):
+        raise InstanceSyntaxError(line, "edge: expected `u v 0` or `u v 1 w`")
+    fields = _ints(line, parts, "edge")
+    u, v, flag = fields[0], fields[1], fields[2]
+    if flag not in (0, 1):
+        raise InstanceSyntaxError(line, f"edge: membership flag must be 0 or 1, got {flag}")
+    if flag == 1 and len(fields) != 4:
+        raise InstanceSyntaxError(line, "edge: member edge needs a weight")
+    if flag == 0 and len(fields) != 3:
+        raise InstanceSyntaxError(line, "edge: non-member edge takes no weight")
+    return u, v, fields[3] if flag else None
+
+
 def _parse_tree_edges(lines: _Lines) -> TreeEdgesInstance:
     nv = _count(lines, "vertex count", minimum=1)
     edges = []
     f_edges = []
-    for _ in range(nv - 1):
-        line, text = lines.next("edge line")
-        parts = text.split()
-        if len(parts) not in (3, 4):
-            raise InstanceSyntaxError(line, "edge: expected `u v 0` or `u v 1 w`")
-        fields = _ints(line, parts, "edge")
-        u, v, flag = fields[0], fields[1], fields[2]
-        if flag not in (0, 1):
-            raise InstanceSyntaxError(line, f"edge: membership flag must be 0 or 1, got {flag}")
-        if flag == 1 and len(fields) != 4:
-            raise InstanceSyntaxError(line, "edge: member edge needs a weight")
-        if flag == 0 and len(fields) != 3:
-            raise InstanceSyntaxError(line, "edge: non-member edge takes no weight")
+    for line, text in lines.take(nv - 1, "edge line"):
+        # the two shapes a writer emits; anything else, flags such as `00` or
+        # `+1` included, goes through the field-by-field checks
+        try:
+            match text.split():
+                case [u, v, "0"]:
+                    edges.append((int(u), int(v)))
+                    continue
+                case [u, v, "1", w]:
+                    member = (int(u), int(v), int(w))
+                    edges.append(member[:2])
+                    f_edges.append(member)
+                    continue
+        except ValueError:
+            pass
+        u, v, weight = _tree_edge(line, text)
         edges.append((u, v))
-        if flag == 1:
-            f_edges.append((u, v, fields[3]))
+        if weight is not None:
+            f_edges.append((u, v, weight))
     host = HostTree(nv, tuple(edges))
     return TreeEdgesInstance(host, tuple(f_edges))
 
@@ -392,8 +420,7 @@ def _parse_split(lines: _Lines) -> SplitInstance:
     nv = _count(lines, "vertex count", minimum=1)
     sides: list[str] = []
     weights: list[int] = []
-    for expect_id in range(nv):
-        line, text = lines.next("vertex line")
+    for expect_id, (line, text) in enumerate(lines.take(nv, "vertex line")):
         parts = text.split()
         if len(parts) != 3:
             raise InstanceSyntaxError(line, "vertex: expected `id side w`")
@@ -409,14 +436,14 @@ def _parse_split(lines: _Lines) -> SplitInstance:
     m = _count(lines, "edge count")
     cross = []
     seen = set()
-    for _ in range(m):
-        line, text = lines.next("edge line")
+    for line, text in lines.take(m, "edge line"):
         u, v = _int_fields(line, text, 2, "edge")
         if (u in clique) == (v in clique):
             raise InstanceSemanticError(f"edge {u} {v} must join the A side to the B side")
-        if frozenset((u, v)) in seen:
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
             raise InstanceSemanticError(f"duplicate edge {u} {v}")
-        seen.add(frozenset((u, v)))
+        seen.add(key)
         cross.append((u, v))
     clique_pairs = [(u, v) for u in sorted(clique) for v in sorted(clique) if u < v]
     graph = WeightedGraph.from_edges(weights, clique_pairs + cross)
@@ -428,8 +455,7 @@ def _parse_subtrees(lines: _Lines) -> SubtreeInstance:
     k = _count(lines, "subtree count", minimum=1)
     subtrees = []
     weights = []
-    for _ in range(k):
-        line, text = lines.next("subtree line")
+    for line, text in lines.take(k, "subtree line"):
         parts = text.split()
         if len(parts) < 2:
             raise InstanceSyntaxError(line, "subtree: expected `w size v1..vsize`")
@@ -449,8 +475,7 @@ def _parse_subtrees(lines: _Lines) -> SubtreeInstance:
 def _parse_explicit(lines: _Lines) -> WeightedGraph:
     nv = _count(lines, "vertex count", minimum=1)
     weights = []
-    for expect_id in range(nv):
-        line, text = lines.next("vertex line")
+    for expect_id, (line, text) in enumerate(lines.take(nv, "vertex line")):
         ident, w = _int_fields(line, text, 2, "vertex")
         if ident != expect_id:
             raise InstanceSemanticError(f"vertex id {ident} out of order, expected {expect_id}")
@@ -458,12 +483,12 @@ def _parse_explicit(lines: _Lines) -> WeightedGraph:
     m = _count(lines, "edge count")
     edges = []
     seen = set()
-    for _ in range(m):
-        line, text = lines.next("edge line")
+    for line, text in lines.take(m, "edge line"):
         u, v = _int_fields(line, text, 2, "edge")
-        if frozenset((u, v)) in seen:
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
             raise InstanceSemanticError(f"duplicate edge {u} {v}")
-        seen.add(frozenset((u, v)))
+        seen.add(key)
         edges.append((u, v))
     return WeightedGraph.from_edges(weights, edges)
 

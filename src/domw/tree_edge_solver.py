@@ -18,7 +18,7 @@ public phase functions run the same code on dicts over one `RootedEdgeTree`.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
@@ -126,9 +126,17 @@ def rooted_at(t: RootedEdgeTree, root: int) -> RootedEdgeTree:
 
 def _normalized(host: HostTree, subset: Sequence[FEdge]) -> tuple[FEdge, ...]:
     """The selection in host edge order and orientation; rejects an empty
-    selection, an edge outside the host, an edge selected twice and a weight below 1."""
+    selection, an edge outside the host, an edge selected twice and a weight below 1.
+
+    A selection that is already a subsequence of the host edges, each in host
+    orientation with weight at least 1, is returned as it is: one pass over
+    the host edges tells.  Any other selection is placed by position.
+    """
     if not subset:
         raise EmptyEdgeSet("the selected edge set is empty")
+    rest = iter(host.edges)
+    if all((u, v) in rest and w >= 1 for u, v, w in subset):
+        return tuple(subset)
     position = {(u, v) if u < v else (v, u): i for i, (u, v) in enumerate(host.edges)}
     weight = [0] * len(host.edges)
     for u, v, w in subset:
@@ -293,15 +301,17 @@ def _certificate_holds(subset: Sequence[FEdge], cert: Certificate) -> bool:
     leaves the other member itself with ends claimed by two members.
     """
     f = cert.dominating
-    if not all(0 <= e < len(subset) for e in (*f.support, *cert.dispersed)):
+    if not all(0 <= e < len(subset) for e in (*f.values, *cert.dispersed)):
         return False
-    at: Counter[int] = Counter()
+    on = [0] * len(subset)  # f(e), by edge id
+    at: defaultdict[int, int] = defaultdict(int)
     for e, x in f.values.items():
+        on[e] = x
         at[subset[e][0]] += x
         at[subset[e][1]] += x
     claim = {x: m for m in cert.dispersed for x in subset[m][:2]}
     return (
-        all(at[x] + at[y] - f(e) >= w for e, (x, y, w) in enumerate(subset))
+        all(at[x] + at[y] - fe >= w for (x, y, w), fe in zip(subset, on))
         and not any(x in claim and y in claim and claim[x] != claim[y] for x, y, _ in subset)
         and f.size == cert.value == sum(subset[m][2] for m in cert.dispersed)
     )

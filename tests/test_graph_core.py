@@ -23,6 +23,7 @@ from domw import (
 )
 from domw.errors import DisconnectedSubtree, EmptySubtree
 from domw.graph_core import NOT_DISPERSED, NOT_DOMINATING, VALUE_MISMATCH
+from domw.instances_io import gen_subtrees
 
 from .strategies import host_trees, interval_families, subtree_instances, weighted_graphs
 
@@ -141,6 +142,30 @@ def test_host_tree_validation():
         HostTree(4, ((0, 1), (1, 2), (2, 0)))
     t = HostTree(3, ((0, 1), (1, 2)))
     assert t.adjacency() == [{1}, {0, 2}, {1}]
+
+
+def test_lazy_host_tables_match_a_search_of_the_edges():
+    """The neighbor sets and depths a host builds on first use, against a BFS
+    from 0 over its edge list and the pairwise subtree intersections."""
+    for seed in range(200):
+        host, subtrees, weights = gen_subtrees(seed, 1 + seed % 13, 1 + seed % 7, 4)
+        nbrs: list[set[int]] = [set() for _ in range(host.n)]
+        for u, v in host.edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        depth, frontier = {0: 0}, [0]
+        for x in frontier:
+            for y in nbrs[x]:
+                if y not in depth:
+                    depth[y] = depth[x] + 1
+                    frontier.append(y)
+        host = HostTree(host.n, host.edges)  # gen_subtrees has read the sets already
+        assert not {"_adj", "_depth"} & vars(host).keys()
+        assert host.adjacency() == nbrs
+        assert host._depth == depth
+        pairs = [(i, j) for j in range(len(subtrees)) for i in range(j) if subtrees[i] & subtrees[j]]
+        expected = WeightedGraph.from_edges(weights, pairs)
+        assert build_intersection_graph(host, subtrees, weights) == expected
 
 
 def test_build_intersection_graph_small_example():

@@ -23,7 +23,12 @@ from domw import (
     write_instance,
     write_split_result,
 )
-from domw.errors import InstanceSemanticError, InstanceSyntaxError, ParameterOutOfRange
+from domw.errors import (
+    InstanceSemanticError,
+    InstanceSyntaxError,
+    ParameterOutOfRange,
+    UnknownVertex,
+)
 from domw.instances_io import (
     example_forked_star,
     example_nontu_intervals,
@@ -310,3 +315,58 @@ def test_random_hosts_round_trip_through_the_tree_format(host: HostTree):
     subset = tuple((u, v, 1 + (u + v) % 5) for (u, v) in host.edges)
     inst = InstanceFile("tree-edges", TreeEdgesInstance(host, subset))
     assert parse_instance(write_instance(inst)) == inst
+
+
+TREE_KIND = "domw 1\nkind tree-edges\n"
+SPLIT_AB = "domw 1\nkind split\n2\n0 A 1\n1 B 1\n"
+Syntax, Semantic = InstanceSyntaxError, InstanceSemanticError
+
+
+@pytest.mark.parametrize(
+    "text, error, message, line",
+    [
+        # a member edge of weight 0 is caught by the selection check
+        (TREE_KIND + "2\n0 1 1 0\n", Semantic, "edge (0, 1) must have positive weight", None),
+        # host faults, from the host tree check
+        (TREE_KIND + "3\n0 1 0\n1 0 1 2\n", Semantic, "duplicate edge (1, 0)", None),
+        (TREE_KIND + "4\n0 1 1 1\n1 2 0\n2 0 1 1\n", Semantic, "host tree is not connected", None),
+        (TREE_KIND + "3\n0 1 0\n1 3 1 1\n", Semantic, "edge (1, 3) out of range", None),
+        (TREE_KIND + "3\n0 1 0\n1 1 0\n", Semantic, "self-loop at vertex 1", None),
+        # the first faulty edge wins: a repeat ahead of an out-of-range edge
+        (TREE_KIND + "4\n0 1 0\n0 1 0\n2 5 0\n", Semantic, "duplicate edge (0, 1)", None),
+        # line faults; comments and blank lines keep their numbers
+        (TREE_KIND + "2\n0 x\n", Syntax, "line 4: edge: expected `u v 0` or `u v 1 w`", 4),
+        (TREE_KIND + "3\n0 1 0\n# a comment\n\n1 x 1 2\n", Syntax, "line 7: edge: fields must be integers", 7),
+        # cut short inside a block: reported at the line after the last one,
+        # and after any fault in the rows that are there
+        (TREE_KIND + "4\n0 1 0\n\n# cut short\n1 2 1 1\n", Syntax, "line 8: missing edge line", 8),
+        (TREE_KIND + "4\n0 1 0\n1 x 0\n", Syntax, "line 5: edge: fields must be integers", 5),
+        ("domw 1\nkind interval\n3\n0 1 2 1\n1 2 3 1\n", Syntax, "line 6: missing interval line", 6),
+        ("domw 1\nkind split\n3\n0 A 1\n1 B 1\n", Syntax, "line 6: missing vertex line", 6),
+        (SPLIT_AB + "2\n0 1\n", Syntax, "line 8: missing edge line", 8),
+        ("domw 1\nkind subtree-intersection\n3\n0 1 1 0\n", Syntax, "line 5: missing host edge line", 5),
+        # a repeated edge, given in the other orientation
+        (SPLIT_AB + "2\n0 1\n1 0\n", Semantic, "duplicate edge 1 0", None),
+        ("domw 1\nkind explicit\n2\n0 1\n1 1\n2\n0 1\n1 0\n", Semantic, "duplicate edge 1 0", None),
+    ],
+)
+def test_parser_fault_class_message_and_line(text, error, message, line):
+    with pytest.raises(error) as err:
+        parse_instance(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert getattr(err.value, "line", None) == line
+
+
+def test_out_of_range_host_vertex_comes_from_unknown_vertex():
+    with pytest.raises(InstanceSemanticError) as err:
+        parse_instance(TREE_KIND + "2\n0 5 1 1\n")
+    assert str(err.value) == "edge (0, 5) out of range"
+    assert type(err.value.__cause__) is UnknownVertex
+
+
+def test_flags_that_int_accepts_still_parse():
+    # `00` and `+1` are not the written shapes but are integer 0 and 1
+    odd = parse_instance(TREE_KIND + "3\n0 1 00\n1 2 +1 5\n")
+    assert odd == parse_instance(TREE_KIND + "3\n0 1 0\n1 2 1 5\n")
+    assert odd.payload.f_edges == ((1, 2, 5),)

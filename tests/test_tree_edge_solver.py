@@ -20,6 +20,7 @@ from domw.errors import EmptyEdgeSet
 from domw.instances_io import example_nontu_star, gen_tree
 from domw.tree_edge_solver import (
     _certificate_holds,
+    _normalized,
     bottom_up_f,
     edge_line_graph,
     reduce_to_full_tree,
@@ -104,6 +105,34 @@ def test_non_host_edge_is_rejected():
         solve_tree(PATH3, ((0, 1, 1), (1, 0, 1)))
     with pytest.raises(ValueError, match="positive weight"):
         solve_tree(PATH3, ((0, 1, 0),))
+
+
+FORK = HostTree(5, ((0, 1), (0, 2), (2, 3), (2, 4)))
+
+
+def test_a_selection_out_of_host_order_normalizes_like_the_ordered_one():
+    ordered = ((0, 2, 3), (2, 3, 1), (2, 4, 5))
+    assert _normalized(FORK, ordered) is ordered  # already in host order: kept as it is
+    shuffled = ((2, 4, 5), (0, 2, 3), (2, 3, 1))
+    reversed_ends = ((2, 0, 3), (3, 2, 1), (4, 2, 5))
+    both = ((4, 2, 5), (3, 2, 1), (2, 0, 3))
+    for subset in (shuffled, reversed_ends, both):
+        assert _normalized(FORK, subset) == ordered
+
+
+@pytest.mark.parametrize(
+    "in_order, out_of_order, message",
+    [
+        (((0, 1, 1), (1, 3, 1)), ((1, 3, 1), (0, 1, 1)), "(1, 3) is not an edge of the host tree"),
+        (((0, 1, 1), (0, 1, 2)), ((0, 2, 1), (0, 1, 1), (0, 1, 2)), "edge (0, 1) selected twice"),
+        (((0, 1, 1), (2, 3, 0)), ((2, 3, 0), (0, 1, 1)), "edge (2, 3) must have positive weight"),
+    ],
+)
+def test_normalized_rejects_alike_on_both_branches(in_order, out_of_order, message):
+    for subset in (in_order, out_of_order):
+        with pytest.raises(ValueError) as err:
+            _normalized(FORK, subset)
+        assert str(err.value) == message
 
 
 def test_value_is_root_independent_on_the_two_edge_path():
