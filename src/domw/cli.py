@@ -49,6 +49,27 @@ from .oracles import (
 )
 
 
+# Each built-in instance and each generated kind is named once, here: the
+# parser takes its choices from these tables' keys.
+_EXAMPLES = {
+    "forked-star": lambda: InstanceFile(
+        "subtree-intersection", SubtreeInstance(*example_forked_star())
+    ),
+    "split-triangle": lambda: InstanceFile("split", example_split_triangle()),
+    "non-tu-intervals": lambda: InstanceFile("interval", example_nontu_intervals()),
+    "non-tu-star": lambda: InstanceFile("tree-edges", TreeEdgesInstance(*example_nontu_star())),
+}
+
+_GENERATORS = {
+    "interval": lambda a: gen_interval(a.seed, a.n, a.max_coord, a.max_w),
+    "tree-edges": lambda a: TreeEdgesInstance(*gen_tree(a.seed, a.n_edges, a.max_w)),
+    "split": lambda a: gen_split(a.seed, a.n_a, a.n_b, a.edge_prob, a.max_w),
+    "subtree-intersection": lambda a: SubtreeInstance(
+        *gen_subtrees(a.seed, a.n_tree, a.n_subtrees, a.max_w)
+    ),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -71,15 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--cap", type=int, default=10)
 
     example = sub.add_parser("example", help="write a built-in instance to standard output")
-    example.add_argument(
-        "name",
-        choices=("forked-star", "split-triangle", "non-tu-intervals", "non-tu-star"),
-    )
+    example.add_argument("name", choices=tuple(_EXAMPLES))
 
     gen = sub.add_parser("gen", help="write a seeded random instance to standard output")
-    gen.add_argument(
-        "kind", choices=("interval", "tree-edges", "split", "subtree-intersection")
-    )
+    gen.add_argument("kind", choices=tuple(_GENERATORS))
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--max-w", type=int, default=5)
     gen.add_argument("--n", type=int, default=6, help="intervals (interval kind)")
@@ -211,33 +227,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
-    if args.name == "forked-star":
-        host, subtrees, weights = example_forked_star()
-        inst = InstanceFile("subtree-intersection", SubtreeInstance(host, subtrees, weights))
-    elif args.name == "split-triangle":
-        inst = InstanceFile("split", example_split_triangle())
-    elif args.name == "non-tu-intervals":
-        inst = InstanceFile("interval", example_nontu_intervals())
-    else:
-        host, f_edges = example_nontu_star()
-        inst = InstanceFile("tree-edges", TreeEdgesInstance(host, f_edges))
-    print(write_instance(inst), end="")
+    print(write_instance(_EXAMPLES[args.name]()), end="")
     return 0
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.kind == "interval":
-        payload = gen_interval(args.seed, args.n, args.max_coord, args.max_w)
-    elif args.kind == "tree-edges":
-        host, f_edges = gen_tree(args.seed, args.n_edges, args.max_w)
-        payload = TreeEdgesInstance(host, f_edges)
-    elif args.kind == "split":
-        payload = gen_split(args.seed, args.n_a, args.n_b, args.edge_prob, args.max_w)
-    else:
-        host, subtrees, weights = gen_subtrees(
-            args.seed, args.n_tree, args.n_subtrees, args.max_w
-        )
-        payload = SubtreeInstance(host, subtrees, weights)
+    payload = _GENERATORS[args.kind](args)
     print(write_instance(InstanceFile(args.kind, payload)), end="")
     return 0
 

@@ -6,12 +6,17 @@ intervals by right endpoint then decomposes them into blocks, each either a
 zero block or owning a witness interval whose weight the block pays for
 exactly; the witnesses form a dispersed set of total weight |f|, which proves
 optimality of both sides at once.
+
+All three phases read two orders of the ids, K_r = (right, left, id) and
+K_l = (left, right, id), which a family sorts once and keeps; the self-check
+sorts the endpoints on its own, so that it shares no code with the solver.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from math import inf
 from typing import Iterable, Mapping
@@ -53,6 +58,17 @@ class IntervalFamily:
     def intersects(self, i: int, j: int) -> bool:
         a, b = self.intervals[i], self.intervals[j]
         return max(a.left, b.left) <= min(a.right, b.right)
+
+    @cached_property
+    def _orders(self) -> tuple[tuple[int, ...], ...]:
+        """The ids by K_r and by K_l, and each id's position in each order."""
+        ivs = self.intervals
+        by_right = tuple(sorted(range(self.n), key=lambda i: (ivs[i].right, ivs[i].left, i)))
+        by_left = tuple(sorted(range(self.n), key=lambda i: (ivs[i].left, ivs[i].right, i)))
+        pos_r, pos_l = [0] * self.n, [0] * self.n
+        for k, (r, l) in enumerate(zip(by_right, by_left)):
+            pos_r[r], pos_l[l] = k, k
+        return by_right, by_left, tuple(pos_r), tuple(pos_l)
 
 
 @dataclass(frozen=True)
@@ -102,27 +118,28 @@ def intersection_graph(fam: IntervalFamily) -> WeightedGraph:
 
 def order_by_right_endpoint(fam: IntervalFamily) -> tuple[int, ...]:
     """Enumeration by ascending K_r = (right endpoint, left endpoint, id)."""
-    ivs = fam.intervals
-    return tuple(sorted(range(fam.n), key=lambda i: (ivs[i].right, ivs[i].left, i)))
+    return fam._orders[0]
 
 
 def _greedy(fam: IntervalFamily, forward: bool) -> tuple[DominationFunction, GreedyTrace]:
-    # The forward pass settles intervals by ascending K_r and pushes each
-    # shortfall onto the closed neighbor largest by K_r: furthest right, and
-    # on a tie the later interval, never the source itself while it still
-    # has other neighbors.  The backward pass is the same pass on the mirror
-    # image (lo, hi, key) = (-right, -left, (-left, -right, -id)): descending
-    # K_l, onto the smallest by K_l.  Both keys end in the id: no ties.
+    # Both passes read the family's two orders.  The forward pass settles by
+    # ascending K_r and pushes each shortfall onto the closed neighbor latest
+    # in K_r: furthest right, on a tie the later interval, never the source
+    # itself while it has other neighbors.  The backward pass mirrors it on
+    # (lo, hi) = (-right, -left): descending K_l, onto the earliest in K_l.
+    by_right, by_left, pos_r, pos_l = fam._orders
     if forward:
         ends = [(iv.left, iv.right) for iv in fam.intervals]
+        settle, scan, rank = by_right, by_left, pos_r
     else:
         ends = [(-iv.right, -iv.left) for iv in fam.intervals]
-    key = [(hi, lo, i if forward else -i) for i, (lo, hi) in enumerate(ends)]
-    by_lo = sorted(range(fam.n), key=ends.__getitem__)
-    starts = [ends[i][0] for i in by_lo]
-    # the key-maximum among the intervals with lo <= hi[v] ends at or after
-    # v does, so it is v's closed neighbor with the largest key
-    best = list(accumulate(by_lo, lambda a, b: max(a, b, key=key.__getitem__)))
+        settle, scan, rank = by_left[::-1], by_right[::-1], [fam.n - 1 - p for p in pos_l]
+    starts = [ends[i][0] for i in scan]
+    # rank[i] is i's position in the settle order.  Of the intervals with
+    # lo <= hi[v], the one ranked highest ends at or after v, so it is the
+    # target.  The prefix maximum is read only after a whole run of equal lo,
+    # so the order inside such a run does not matter.
+    best = list(accumulate((rank[i] for i in scan), max))
     values: dict[int, int] = {}
     steps: list[GreedyStep] = []
     target_ends: list[int] = []
@@ -132,13 +149,13 @@ def _greedy(fam: IntervalFamily, forward: bool) -> tuple[DominationFunction, Gre
     # so the targets' ends never decrease.  The mass that misses v is thus
     # on the first steps, whose targets end before v starts.  Both facts
     # are guarded at every step.
-    for v in sorted(range(fam.n), key=key.__getitem__):
+    for v in settle:
         lo, hi = ends[v]
         missed = placed[bisect_left(target_ends, lo)]
         amount = fam.intervals[v].weight - (placed[-1] - missed)
         if amount <= 0:
             continue
-        target = best[bisect_right(starts, hi) - 1]
+        target = settle[best[bisect_right(starts, hi) - 1]]
         target_lo, target_hi = ends[target]
         if target_lo > hi or target_hi < lo:
             raise TheoremViolation(f"target {target} misses its source {v}")
@@ -176,10 +193,7 @@ def extract_dispersed(
     endpoints; no graph is built.
     """
     ivs = fam.intervals
-    order = order_by_right_endpoint(fam)
-    position = {v: i for i, v in enumerate(order)}
-    k_l = [(iv.left, iv.right, i) for i, iv in enumerate(ivs)]
-    by_left = [k[2] for k in sorted(k_l)]
+    order, by_left, position, pos_l = fam._orders
     lefts, rights = [ivs[i].left for i in by_left], [ivs[v].right for v in order]
     fv, gv = ([h.values.get(i, 0) for i in range(fam.n)] for h in (f, g))
     # N[z] is the first hi intervals by left minus the first lo by right (those
@@ -188,7 +202,7 @@ def extract_dispersed(
     # the latest in it of the first hi by left ends at or after z: both are in N[z].
     f_l, g_l = ([0, *accumulate(map(h.__getitem__, by_left))] for h in (fv, gv))
     f_r, g_r = ([0, *accumulate(map(h.__getitem__, order))] for h in (fv, gv))
-    first = [k[2] for k in accumulate((k_l[v] for v in reversed(order)), min)][::-1]
+    first = [by_left[p] for p in accumulate((pos_l[v] for v in reversed(order)), min)][::-1]
     last = list(accumulate(map(position.__getitem__, by_left), max))
     sources: dict[int, list[int]] = {}
     for step in gtrace.steps:
@@ -204,10 +218,8 @@ def extract_dispersed(
         return v == first[lo] and g_l[hi] - g_r[lo] == ivs[z].weight
 
     blocks: list[tuple[int, ...]] = []
-    j_indices: set[int] = set()
     k_indices: set[int] = set()
-    representatives: dict[int, int] = {}
-    chosen: list[int] = []
+    representatives: dict[int, int] = {}  # by J-block index
 
     pos = 0
     while pos < fam.n:
@@ -243,18 +255,16 @@ def extract_dispersed(
         if sum(fv[u] for u in block) != wz or sum(gv[u] for u in block) != wz:
             raise TheoremViolation(f"block of witness {z} does not pay for it exactly")
         blocks.append(block)
-        j_indices.add(len(blocks) - 1)
         representatives[len(blocks) - 1] = z
-        chosen.append(z)
         pos += len(block)
 
-    total = sum(ivs[z].weight for z in chosen)
+    total = sum(ivs[z].weight for z in representatives.values())
     if total != f.size or total != g.size:
         raise TheoremViolation("witness weight does not match the greedy value")
     decomposition = DispersedDecomposition(
-        tuple(blocks), frozenset(j_indices), frozenset(k_indices), representatives
+        tuple(blocks), frozenset(representatives), frozenset(k_indices), representatives
     )
-    return frozenset(chosen), decomposition
+    return frozenset(representatives.values()), decomposition
 
 
 def _certificate_holds(fam: IntervalFamily, cert: Certificate) -> bool:

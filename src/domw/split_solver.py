@@ -53,11 +53,6 @@ def validate_split(graph: WeightedGraph, clique: frozenset[int], independent: fr
     return SplitInstance(graph, frozenset(clique), frozenset(independent))
 
 
-def _covered_by(inst: SplitInstance, demands: frozenset[int]) -> DominationFunction:
-    """Exact minimum function supported on the clique that dominates demands."""
-    return min_dominating(inst.graph, demands, inst.clique)[1]
-
-
 def min_cover_B(inst: SplitInstance) -> DominationFunction:
     """Exact minimum function supported on the clique that dominates B.
 
@@ -67,7 +62,7 @@ def min_cover_B(inst: SplitInstance) -> DominationFunction:
     for b in sorted(inst.independent):
         if not inst.graph.adjacency[b] & inst.clique:
             raise IsolatedBVertex(f"vertex {b} has positive weight and no clique neighbor")
-    return _covered_by(inst, inst.independent)
+    return min_dominating(inst.graph, inst.independent, inst.clique)[1]
 
 
 def solve_split(inst: SplitInstance) -> SplitResult:
@@ -79,7 +74,7 @@ def solve_split(inst: SplitInstance) -> SplitResult:
     """
     w = inst.graph.weights
     isolated = frozenset(b for b in inst.independent if not inst.graph.adjacency[b])
-    cover = _covered_by(inst, inst.independent - isolated)
+    cover = min_dominating(inst.graph, inst.independent - isolated, inst.clique)[1]
     values = dict(cover.values)
     values.update((b, w[b]) for b in isolated)
     heaviest = max((w[a] for a in inst.clique), default=0)

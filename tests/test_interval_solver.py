@@ -31,7 +31,12 @@ from domw import (
     solve_tree,
     verify_certificate,
 )
-from domw.instances_io import example_nontu_intervals, example_three_intervals
+from domw.instances_io import (
+    InstanceFile,
+    example_nontu_intervals,
+    example_three_intervals,
+    write_instance,
+)
 
 from .strategies import corrupted, interval_families
 
@@ -142,9 +147,7 @@ def test_forward_trace_sources_strictly_increase(fam: IntervalFamily):
     assert all(step.amount > 0 for step in trace.steps)
 
 
-@settings(max_examples=150, deadline=None)
-@given(interval_families())
-def test_greedy_traces_replay_from_the_definition(fam: IntervalFamily):
+def replay_greedy_traces(fam: IntervalFamily) -> None:
     """Each pass settles, in its own order, every interval still short of its
     weight: it pushes exactly the residual onto the closed neighbor reaching
     furthest in the pass direction, and leaves no residual behind."""
@@ -174,6 +177,22 @@ def test_greedy_traces_replay_from_the_definition(fam: IntervalFamily):
         assert next(steps, None) is None
         assert residual == [0] * fam.n
         assert dict(f.items()) == mass
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_families())
+def test_greedy_traces_replay_from_the_definition(fam: IntervalFamily):
+    replay_greedy_traces(fam)
+
+
+def test_greedy_traces_replay_on_every_small_family():
+    """All families of up to three intervals on 1..3 with weights 1..2, in
+    every id order: repeated intervals and touching ends pin the id
+    tie-breaks of both passes."""
+    shapes = [(x, y, w) for x in range(1, 4) for y in range(x, 4) for w in (1, 2)]
+    for n in (1, 2, 3):
+        for triples in product(shapes, repeat=n):
+            replay_greedy_traces(IntervalFamily.of(triples))
 
 
 @settings(max_examples=100, deadline=None)
@@ -324,6 +343,35 @@ def test_interval_checker_rejects_ids_outside_the_family():
     assert not holds(fam, Certificate(DominationFunction({0: 1, 1: 1}), frozenset({0, 2}), 2))
     assert not holds(fam, Certificate(DominationFunction({0: 1, 1: 1}), frozenset({0, -1}), 2))
     assert not holds(fam, Certificate(DominationFunction({0: 1, 1: 1, 2: 1}), frozenset({0, 1}), 3))
+
+
+def test_each_family_sorts_its_two_orders_once(monkeypatch):
+    """The passes and the extraction share the family's K_r and K_l orders,
+    sorted on first use: two sorts per family, while the self-check keeps
+    its own three.  The cached orders leave the family's value alone."""
+    calls = []
+
+    def counting_sorted(*args, **kwargs):
+        calls.append(1)
+        return sorted(*args, **kwargs)
+
+    fam = gen_interval(2, 60, 200, 5)
+    fresh = gen_interval(2, 60, 200, 5)
+    assert vars(fam) == {"intervals": fam.intervals}
+    monkeypatch.setattr(domw.interval_solver, "sorted", counting_sorted, raising=False)
+    cert = solve_interval(fam)
+    assert len(calls) == 5
+    assert vars(fam) != {"intervals": fam.intervals}
+    calls.clear()
+    f, _ = forward_greedy(fam)
+    g, gtrace = backward_greedy(fam)
+    extract_dispersed(fam, f, g, gtrace)
+    assert len(calls) == 0
+    assert domw.interval_solver._certificate_holds(fam, cert)
+    assert len(calls) == 3
+    monkeypatch.undo()
+    assert fam == fresh and hash(fam) == hash(fresh) and repr(fam) == repr(fresh)
+    assert write_instance(InstanceFile("interval", fam)) == write_instance(InstanceFile("interval", fresh))
 
 
 def test_public_passes_build_no_graph(monkeypatch):
