@@ -3,9 +3,10 @@
 Everything here is deliberately separate from the interval and tree-edge
 solvers so the two routes can disagree loudly in tests.  The branch and bound
 `min_dominating` is also the split solver's cover search; the split tests
-therefore keep a plain exhaustive reference that does not use it.  All
-arithmetic is exact: integer branch and bound, Fraction simplex,
-fraction-free determinants.
+therefore keep a plain exhaustive reference that does not use it.  Its node
+state is a bitmask over the demands for each remaining deficit, and its
+packing bound reads one conflict mask per demand.  All arithmetic is exact:
+integer branch and bound, Fraction simplex, fraction-free determinants.
 """
 
 from __future__ import annotations
@@ -25,18 +26,14 @@ from .graph_core import (
 DEFAULT_CAP = 10
 # Nodes one min_dominating search may visit before it raises InstanceTooLarge
 # (exit code 3) instead of running on.  The most any search has needed: 7,262
-# on the 18,000 split-search benchmark instances of workload seeds 0-9, 1,548
-# in the test suite, 127,372 (about 2 s) on gen_split(3, 18, 40, 50, 5).
+# on the 18,000 split-search benchmark instances of workload seeds 0-9, 33,299
+# in the test suite, 127,372 (about 0.5 s) on gen_split(3, 18, 40, 50, 5).
 NODE_BUDGET = 1_000_000
 
 
 def _check_cap(g: WeightedGraph, cap: int) -> None:
     if g.n > cap:
         raise InstanceTooLarge(f"{g.n} vertices exceeds the cap of {cap}")
-
-
-def _closed_masks(g: WeightedGraph) -> list[int]:
-    return [(1 << v) | sum(1 << u for u in g.adjacency[v]) for v in g.vertices]
 
 
 def min_dominating(
@@ -47,78 +44,103 @@ def min_dominating(
     """Exact minimum size of a function with f[N(u)] >= w(u) for u in demands.
 
     Depth-first branch and bound on an explicit stack, one level per
-    supplier.  Values on a vertex are capped by the worst remaining deficit
-    in its neighborhood (anything above is reducible), and each demand is met
-    at its last supplier at the latest, which takes at least what the demand
-    still lacks.  The lower bound packs demands with disjoint neighborhoods,
-    and the incumbent starts from a greedy cover.  When suppliers is given,
-    only those vertices may carry mass.  A search that visits more than
+    supplier, suppliers by falling degree.  When suppliers is given, only
+    those vertices may carry mass.  A search that visits more than
     NODE_BUDGET nodes raises InstanceTooLarge.
+
+    The node state is bit-parallel.  Demands are bits, at their positions in
+    sorted order, and a node holds level[0..W], W the largest demand weight:
+    level[d] holds the demands that still lack exactly d, so all are met when
+    level[0] is full.  A supplier's cover mask holds the demands in its closed
+    neighborhood.  Its value runs from the highest level that meets the
+    demands whose last supplier it is (each demand is met there at the
+    latest) up to the highest level that meets its cover mask (anything above
+    is reducible).  Placing a value moves each covered demand that many
+    levels down in O(W) mask operations, and the child gets the new levels as
+    its own.
+
+    The lower bound packs demands with disjoint closed neighborhoods, which
+    need disjoint mass.  It walks the levels from W down, takes the lowest
+    free demand each time and blocks that demand's conflict mask, the
+    demands whose closed neighborhoods meet its own; it stops as soon as the
+    bound prunes.  The incumbent starts from a greedy cover.
     """
-    w = g.weights
-    nmask = _closed_masks(g)
     demand_list = sorted(set(demands))
     if not demand_list:
         return 0, DominationFunction.zero()
-    useful = 0
+    w = g.weights
+    # holders[x]: the demands whose closed neighborhood contains x, which is
+    # the cover mask of x as a supplier
+    holders = [0] * g.n
+    for i, u in enumerate(demand_list):
+        for x in (u, *g.adjacency[u]):
+            holders[x] |= 1 << i
+    pool = g.vertices if suppliers is None else sorted(set(suppliers))
+    variables = sorted((v for v in pool if holders[v]), key=lambda v: (-g.degree(v), v))
+    covers = [holders[v] for v in variables]
+    # lasts[j]: the demands whose last supplier in the branching order is at
+    # position j.  The node there forces at least their deficit onto it, so
+    # every demand is met by the time the search passes its last supplier: no
+    # node meets an unmet demand with no supplier left, and none runs past
+    # the end.
+    lasts = []
+    seen = 0
+    for cover in reversed(covers):
+        lasts.append(cover & ~seen)
+        seen |= cover
+    lasts.reverse()
+    full = (1 << len(demand_list)) - 1
+    if seen != full:
+        missing = full & ~seen
+        u = demand_list[(missing & -missing).bit_length() - 1]
+        raise ValueError(f"demand at vertex {u} has no available supplier")
+    # conflict[i]: the demands whose closed neighborhood meets demand i's
+    conflict = []
     for u in demand_list:
-        useful |= nmask[u]
-    if suppliers is None:
-        pool = [v for v in g.vertices if useful >> v & 1]
-    else:
-        pool = [v for v in sorted(set(suppliers)) if useful >> v & 1]
-    variables = sorted(pool, key=lambda v: (-g.degree(v), v))
-    covers: dict[int, list[int]] = {}
-    # last[u]: the position of u's last supplier in the branching order.  The
-    # node at that position forces at least u's deficit onto it, so every
-    # demand is met by the time the search passes its last supplier: no node
-    # meets an unmet demand with no supplier left, and none runs past the end.
-    last: dict[int, int] = {}
-    for i, v in enumerate(variables):
-        covers[v] = [u for u in demand_list if nmask[u] >> v & 1]
-        for u in covers[v]:
-            last[u] = i
-    for u in demand_list:
-        if u not in last:
-            raise ValueError(f"demand at vertex {u} has no available supplier")
+        mask = 0
+        for x in (u, *g.adjacency[u]):
+            mask |= holders[x]
+        conflict.append(mask)
+    max_w = max(w[u] for u in demand_list)
+    start = [0] * (max_w + 1)
+    for i, u in enumerate(demand_list):
+        start[w[u]] |= 1 << i
 
-    placed = {u: 0 for u in demand_list}
+    def place(level: list[int], cover: int, val: int) -> list[int]:
+        # every covered demand lacks val less; those that lacked at most val are met
+        keep = ~cover
+        met = level[0]
+        for d in range(1, val + 1):
+            met |= level[d] & cover
+        moved = level[val + 1 :] + [0] * val
+        return [met] + [low & keep | high & cover for low, high in zip(level[1:], moved)]
 
     def greedy_seed() -> dict[int, int]:
-        # each round meets one unmet demand by adding at most its weight, so
-        # the seed is never worse than putting w(u) on every demand u
+        # each round meets the neediest unmet demand, the lowest on a tie, by
+        # adding what it lacks at its supplier that covers the most unmet
+        # demands; so the seed is never worse than w(u) on every demand u
         values: dict[int, int] = {}
-        got = {u: 0 for u in demand_list}
-        while True:
-            unmet = [u for u in demand_list if got[u] < w[u]]
-            if not unmet:
-                return values
-            u_star = max(unmet, key=lambda u: (w[u] - got[u], -u))
-            options = [v for v in variables if nmask[u_star] >> v & 1]
-            v_star = max(
-                options, key=lambda v: (sum(1 for x in covers[v] if got[x] < w[x]), -v)
+        level = start
+        while level[0] != full:
+            d = max_w
+            while not level[d]:
+                d -= 1
+            bit = level[d] & -level[d]
+            unmet = ~level[0]
+            j = max(
+                (j for j, cover in enumerate(covers) if cover & bit),
+                key=lambda j: ((covers[j] & unmet).bit_count(), -variables[j]),
             )
-            add = w[u_star] - got[u_star]
-            values[v_star] = values.get(v_star, 0) + add
-            for x in covers[v_star]:
-                got[x] += add
+            values[variables[j]] = values.get(variables[j], 0) + d
+            level = place(level, covers[j], d)
+        return values
 
     best_values = greedy_seed()
     best_size = sum(best_values.values())
-    assign: dict[int, int] = {}
+    path = [0] * len(variables)  # the value at each position above the node
     nodes = 0
 
-    def packing_bound(unmet: list[int]) -> int:
-        # demands with disjoint closed neighborhoods need disjoint mass
-        bound = 0
-        taken = 0
-        for u in sorted(unmet, key=lambda u: (placed[u] - w[u], u)):
-            if nmask[u] & taken == 0:
-                bound += w[u] - placed[u]
-                taken |= nmask[u]
-        return bound
-
-    def dfs(idx: int, size: int) -> Iterator[tuple[int, int]]:
+    def dfs(idx: int, size: int, level: list[int]) -> Iterator[tuple[int, int, list[int]]]:
         # yields each child call instead of recursing, so the search depth
         # (one level per supplier) is bounded by memory, not the call stack
         nonlocal best_size, best_values, nodes
@@ -127,27 +149,36 @@ def min_dominating(
             raise InstanceTooLarge(f"the cover search exceeded its budget of {NODE_BUDGET} nodes")
         if size >= best_size:
             return
-        unmet = [u for u in demand_list if placed[u] < w[u]]
-        if not unmet:
+        if level[0] == full:
             best_size = size
-            best_values = {v: x for v, x in assign.items() if x > 0}
+            best_values = {variables[j]: path[j] for j in range(idx) if path[j]}
             return
-        if size + packing_bound(unmet) >= best_size:
-            return
-        v = variables[idx]
-        local = [u for u in covers[v] if placed[u] < w[u]]
-        top = max((w[u] - placed[u] for u in local), default=0)
-        forced = max((w[u] - placed[u] for u in local if last[u] == idx), default=0)
+        # demands with disjoint closed neighborhoods need disjoint mass; take
+        # them neediest first, the lowest on a tie, until the bound prunes
+        gap = best_size - size
+        blocked = 0
+        for d in range(max_w, 0, -1):
+            free = level[d] & ~blocked
+            while free:
+                gap -= d
+                if gap <= 0:
+                    return
+                i = (free & -free).bit_length() - 1
+                blocked |= conflict[i]
+                free &= ~conflict[i]
+        cover = covers[idx]
+        top = max_w
+        while top and not level[top] & cover:
+            top -= 1
+        mine = cover & lasts[idx]
+        forced = top
+        while forced and not level[forced] & mine:
+            forced -= 1
         for val in range(forced, top + 1):
-            assign[v] = val
-            for u in covers[v]:
-                placed[u] += val
-            yield idx + 1, size + val
-            for u in covers[v]:
-                placed[u] -= val
-        assign.pop(v, None)
+            path[idx] = val
+            yield idx + 1, size + val, place(level, cover, val) if val else level
 
-    stack = [dfs(0, 0)]
+    stack = [dfs(0, 0, start)]
     while stack:
         child = next(stack[-1], None)
         if child is None:

@@ -2,7 +2,7 @@
 
 import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +23,7 @@ from domw import (
 )
 from domw import oracles
 from domw.errors import BadPermutation, InstanceTooLarge
-from domw.instances_io import example_nontu_intervals, example_split_triangle
+from domw.instances_io import example_nontu_intervals, example_split_triangle, gen_split
 from domw.interval_solver import intersection_graph, order_by_right_endpoint
 
 from .strategies import weighted_graphs
@@ -97,6 +97,44 @@ def test_cover_search_deeper_than_the_call_stack_stops_at_its_budget(monkeypatch
     monkeypatch.setattr(oracles, "NODE_BUDGET", 5_000)
     with pytest.raises(InstanceTooLarge, match="budget"):
         oracles.min_dominating(g, range(n_a, n_a + n_b), range(n_a))
+
+
+@pytest.mark.parametrize(
+    "args, nodes",
+    [
+        ((3, 5, 8, 60, 5), 53),
+        ((0, 9, 40, 30, 5), 33),
+        ((2, 16, 40, 50, 5), 18_426),
+        ((1, 14, 40, 50, 5), 33_299),
+    ],
+)
+def test_cover_search_visits_its_pinned_number_of_nodes(monkeypatch, args, nodes):
+    """The split cover search visits exactly this many nodes: a budget of
+    that many passes and one fewer raises.  A change to the branching order,
+    the value range or either bound changes the count and must re-pin it."""
+    inst = gen_split(*args)
+    g = inst.graph
+    demands = {b for b in inst.independent if g.adjacency[b] & inst.clique}
+    monkeypatch.setattr(oracles, "NODE_BUDGET", nodes)
+    oracles.min_dominating(g, demands, inst.clique)
+    monkeypatch.setattr(oracles, "NODE_BUDGET", nodes - 1)
+    with pytest.raises(InstanceTooLarge, match="budget"):
+        oracles.min_dominating(g, demands, inst.clique)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_graphs(max_n=5, max_w=3))
+def test_gamma_is_the_exhaustive_minimum(g: WeightedGraph):
+    """Here demands may be adjacent and may supply each other, unlike in the
+    split searches.  No vertex needs more than the largest weight, so trying
+    every function with values up to it finds the minimum."""
+    closed = [g.adjacency[u] | {u} for u in g.vertices]
+    best = min(
+        sum(f)
+        for f in product(range(max(g.weights) + 1), repeat=g.n)
+        if all(sum(f[v] for v in closed[u]) >= g.weights[u] for u in g.vertices)
+    )
+    assert brute_gamma(g)[0] == best
 
 
 @settings(max_examples=120, deadline=None)
