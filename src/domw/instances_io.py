@@ -29,7 +29,7 @@ from .graph_core import (
     is_w_dominating,
     verify_certificate,
 )
-from .interval_solver import Interval, IntervalFamily, intersection_graph, solve_interval
+from .interval_solver import IntervalFamily, _fault, intersection_graph, solve_interval
 from .split_solver import SplitInstance, SplitResult, solve_split, validate_split
 from .tree_edge_solver import FEdge, _normalized, _solve_forest, edge_line_graph
 
@@ -359,17 +359,28 @@ def _parse_host_tree(lines: _Lines) -> HostTree:
 
 
 def _parse_interval(lines: _Lines) -> IntervalFamily:
+    """The interval lines, read straight into the family's columns; each line
+    gets the checks of `_int_fields` and `Interval`, with their messages."""
     n = _count(lines, "interval count", minimum=1)
-    intervals = []
+    left: list[int] = []
+    right: list[int] = []
+    weight: list[int] = []
     for expect_id, (line, text) in enumerate(lines.take(n, "interval line")):
-        ident, x, y, w = _int_fields(line, text, 4, "interval")
+        parts = text.split()
+        if len(parts) != 4:
+            raise InstanceSyntaxError(line, f"interval: expected 4 fields, got {len(parts)}")
+        try:
+            ident, x, y, w = map(int, parts)
+        except ValueError:
+            raise InstanceSyntaxError(line, "interval: fields must be integers") from None
         if ident != expect_id:
             raise InstanceSemanticError(f"interval id {ident} out of order, expected {expect_id}")
-        try:
-            intervals.append(Interval(x, y, w))
-        except ValueError as exc:
-            raise InstanceSemanticError(f"line {line}: interval {ident}: {exc}") from None
-    return IntervalFamily(tuple(intervals))
+        if x > y or w < 1:
+            raise InstanceSemanticError(f"line {line}: interval {ident}: {_fault(x, y, w)}")
+        left.append(x)
+        right.append(y)
+        weight.append(w)
+    return IntervalFamily._checked(tuple(left), tuple(right), tuple(weight))
 
 
 def _tree_edge(line: int, text: str) -> tuple[int, int, int | None]:
@@ -517,8 +528,8 @@ def parse_instance(text: str) -> InstanceFile:
 
 def _write_interval(fam: IntervalFamily) -> list[str]:
     out = [str(fam.n)]
-    for i, iv in enumerate(fam.intervals):
-        out.append(f"{i} {iv.left} {iv.right} {iv.weight}")
+    for i, (x, y, w) in enumerate(zip(fam.left, fam.right, fam.weight)):
+        out.append(f"{i} {x} {y} {w}")
     return out
 
 

@@ -7,9 +7,11 @@ zero block or owning a witness interval whose weight the block pays for
 exactly; the witnesses form a dispersed set of total weight |f|, which proves
 optimality of both sides at once.
 
-All three phases read two orders of the ids, K_r = (right, left, id) and
-K_l = (left, right, id), which a family sorts once and keeps; the self-check
-sorts the endpoints on its own, so that it shares no code with the solver.
+A family is three columns indexed by id: left ends, right ends and weights.
+All three phases read those columns and two orders of the ids, K_r = (right,
+left, id) and K_l = (left, right, id), which a family sorts once and keeps;
+the self-check sorts the endpoints on its own, so that it shares no code with
+the solver.
 """
 
 from __future__ import annotations
@@ -25,6 +27,17 @@ from .errors import TheoremViolation
 from .graph_core import Certificate, DominationFunction, WeightedGraph
 
 
+def _fault(left, right, weight) -> str:
+    """Why (left, right, weight) is no interval, or "" when it is one."""
+    if not (isinstance(left, int) and isinstance(right, int) and isinstance(weight, int)):
+        return "interval data must be integers"
+    if left > right:
+        return f"interval [{left}, {right}] is reversed"
+    if weight < 1:
+        return "interval weight must be positive"
+    return ""
+
+
 @dataclass(frozen=True)
 class Interval:
     left: int
@@ -32,39 +45,64 @@ class Interval:
     weight: int
 
     def __post_init__(self):
-        for x in (self.left, self.right, self.weight):
-            if not isinstance(x, int):
-                raise ValueError("interval data must be integers")
-        if self.left > self.right:
-            raise ValueError(f"interval [{self.left}, {self.right}] is reversed")
-        if self.weight < 1:
-            raise ValueError("interval weight must be positive")
+        fault = _fault(self.left, self.right, self.weight)
+        if fault:
+            raise ValueError(fault)
 
 
 @dataclass(frozen=True)
 class IntervalFamily:
-    """Closed intervals with integer endpoints; ids are positions."""
+    """Closed intervals with integer endpoints; ids are positions.
 
-    intervals: tuple[Interval, ...]
+    The family is three columns, one slot per id: left end, right end and
+    weight.  The constructor checks every slot with `Interval`'s checks and
+    raises its ValueError.
+    """
+
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    weight: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not len(self.left) == len(self.right) == len(self.weight):
+            raise ValueError("interval columns must have equal lengths")
+        for x, y, w in zip(self.left, self.right, self.weight):
+            fault = _fault(x, y, w)
+            if fault:
+                raise ValueError(fault)
 
     @classmethod
     def of(cls, triples: Iterable[tuple[int, int, int]]) -> "IntervalFamily":
-        return cls(tuple(Interval(x, y, w) for x, y, w in triples))
+        rows = [(x, y, w) for x, y, w in triples]
+        return cls(*zip(*rows)) if rows else cls((), (), ())
+
+    @classmethod
+    def _checked(
+        cls, left: tuple[int, ...], right: tuple[int, ...], weight: tuple[int, ...]
+    ) -> "IntervalFamily":
+        """A family of columns whose every slot the caller has already checked."""
+        fam = object.__new__(cls)
+        for name, column in (("left", left), ("right", right), ("weight", weight)):
+            object.__setattr__(fam, name, column)
+        return fam
+
+    @property
+    def intervals(self) -> tuple[Interval, ...]:
+        return tuple(map(Interval, self.left, self.right, self.weight))
 
     @property
     def n(self) -> int:
-        return len(self.intervals)
+        return len(self.left)
 
     def intersects(self, i: int, j: int) -> bool:
-        a, b = self.intervals[i], self.intervals[j]
-        return max(a.left, b.left) <= min(a.right, b.right)
+        return max(self.left[i], self.left[j]) <= min(self.right[i], self.right[j])
 
     @cached_property
     def _orders(self) -> tuple[tuple[int, ...], ...]:
         """The ids by K_r and by K_l, and each id's position in each order."""
-        ivs = self.intervals
-        by_right = tuple(sorted(range(self.n), key=lambda i: (ivs[i].right, ivs[i].left, i)))
-        by_left = tuple(sorted(range(self.n), key=lambda i: (ivs[i].left, ivs[i].right, i)))
+        ids = range(self.n)
+        by_right = tuple(i for _, _, i in sorted(zip(self.right, self.left, ids)))
+        by_left = tuple(i for _, _, i in sorted(zip(self.left, self.right, ids)))
         pos_r, pos_l = [0] * self.n, [0] * self.n
         for k, (r, l) in enumerate(zip(by_right, by_left)):
             pos_r[r], pos_l[l] = k, k
@@ -103,17 +141,17 @@ def intersection_graph(fam: IntervalFamily) -> WeightedGraph:
     A sweep by left endpoint: an interval meets each later-starting one up to
     the first that starts after its right end, so the cost is O(n log n + m).
     """
-    ivs = fam.intervals
-    by_left = sorted(range(fam.n), key=lambda i: ivs[i].left)
+    lefts = fam.left
+    by_left = sorted(range(fam.n), key=lefts.__getitem__)
     edges = []
     for k, i in enumerate(by_left):
-        right = ivs[i].right
+        right = fam.right[i]
         for later in range(k + 1, fam.n):
             j = by_left[later]
-            if ivs[j].left > right:
+            if lefts[j] > right:
                 break
             edges.append((i, j))
-    return WeightedGraph.from_edges([iv.weight for iv in fam.intervals], edges)
+    return WeightedGraph.from_edges(fam.weight, edges)
 
 
 def order_by_right_endpoint(fam: IntervalFamily) -> tuple[int, ...]:
@@ -129,17 +167,18 @@ def _greedy(fam: IntervalFamily, forward: bool) -> tuple[DominationFunction, Gre
     # (lo, hi) = (-right, -left): descending K_l, onto the earliest in K_l.
     by_right, by_left, pos_r, pos_l = fam._orders
     if forward:
-        ends = [(iv.left, iv.right) for iv in fam.intervals]
+        los, his = fam.left, fam.right
         settle, scan, rank = by_right, by_left, pos_r
     else:
-        ends = [(-iv.right, -iv.left) for iv in fam.intervals]
+        los, his = [-y for y in fam.right], [-x for x in fam.left]
         settle, scan, rank = by_left[::-1], by_right[::-1], [fam.n - 1 - p for p in pos_l]
-    starts = [ends[i][0] for i in scan]
+    starts = list(map(los.__getitem__, scan))
+    weight = fam.weight
     # rank[i] is i's position in the settle order.  Of the intervals with
     # lo <= hi[v], the one ranked highest ends at or after v, so it is the
     # target.  The prefix maximum is read only after a whole run of equal lo,
     # so the order inside such a run does not matter.
-    best = list(accumulate((rank[i] for i in scan), max))
+    best = list(accumulate(map(rank.__getitem__, scan), max))
     values: dict[int, int] = {}
     steps: list[GreedyStep] = []
     target_ends: list[int] = []
@@ -150,14 +189,14 @@ def _greedy(fam: IntervalFamily, forward: bool) -> tuple[DominationFunction, Gre
     # on the first steps, whose targets end before v starts.  Both facts
     # are guarded at every step.
     for v in settle:
-        lo, hi = ends[v]
+        lo, hi = los[v], his[v]
         missed = placed[bisect_left(target_ends, lo)]
-        amount = fam.intervals[v].weight - (placed[-1] - missed)
+        amount = weight[v] - (placed[-1] - missed)
         if amount <= 0:
             continue
         target = settle[best[bisect_right(starts, hi) - 1]]
-        target_lo, target_hi = ends[target]
-        if target_lo > hi or target_hi < lo:
+        target_hi = his[target]
+        if los[target] > hi or target_hi < lo:
             raise TheoremViolation(f"target {target} misses its source {v}")
         if target_ends and target_hi < target_ends[-1]:
             raise TheoremViolation(f"target {target} ends before the previous target")
@@ -192,10 +231,10 @@ def extract_dispersed(
     bug, not an unlucky instance.  Neighborhoods are read off the sorted
     endpoints; no graph is built.
     """
-    ivs = fam.intervals
+    n, left, right, weight = fam.n, fam.left, fam.right, fam.weight
     order, by_left, position, pos_l = fam._orders
-    lefts, rights = [ivs[i].left for i in by_left], [ivs[v].right for v in order]
-    fv, gv = ([h.values.get(i, 0) for i in range(fam.n)] for h in (f, g))
+    lefts, rights = [left[i] for i in by_left], [right[v] for v in order]
+    fv, gv = ([h.values.get(i, 0) for i in range(n)] for h in (f, g))
     # N[z] is the first hi intervals by left minus the first lo by right (those
     # end before z starts), so prefix sums in both orders give h[N[z]].  From lo
     # on, the enumeration holds z, so its K_l-least member starts by z.right;
@@ -209,20 +248,20 @@ def extract_dispersed(
         sources.setdefault(step.target, []).append(step.source)
 
     def span(z: int) -> tuple[int, int]:
-        return bisect_left(rights, ivs[z].left), bisect_right(lefts, ivs[z].right)
+        return bisect_left(rights, left[z]), bisect_right(lefts, right[z])
 
     def is_witness(z: int, v: int) -> bool:
         # v must be the furthest-left-reaching closed neighbor of z, and the
         # mass g places on N(z) must pay for w(z) exactly
         lo, hi = span(z)
-        return v == first[lo] and g_l[hi] - g_r[lo] == ivs[z].weight
+        return v == first[lo] and g_l[hi] - g_r[lo] == weight[z]
 
     blocks: list[tuple[int, ...]] = []
     k_indices: set[int] = set()
     representatives: dict[int, int] = {}  # by J-block index
 
     pos = 0
-    while pos < fam.n:
+    while pos < n:
         v = order[pos]
         if gv[v] == 0:
             if fv[v] != 0:
@@ -244,12 +283,12 @@ def extract_dispersed(
             raise TheoremViolation(f"no witness interval for {v}")
         lo, hi = span(z)
         block = order[pos:last[hi - 1] + 1]
-        wz = ivs[z].weight
+        wz = weight[z]
         # Block members end no earlier than v, so they meet z when they start
         # by z.right.  The other neighbors of z sit in earlier blocks and are
         # properly contained in v (z reaches no further left than v does), so
         # they carry no mass.
-        near = [u for u in block if ivs[u].left <= ivs[z].right]
+        near = [u for u in block if left[u] <= right[z]]
         if sum(fv[u] for u in near) != f_l[hi] - f_r[lo] or sum(gv[u] for u in near) != wz:
             raise TheoremViolation(f"witness {z} has a neighbor with mass in an earlier block")
         if sum(fv[u] for u in block) != wz or sum(gv[u] for u in block) != wz:
@@ -258,7 +297,7 @@ def extract_dispersed(
         representatives[len(blocks) - 1] = z
         pos += len(block)
 
-    total = sum(ivs[z].weight for z in representatives.values())
+    total = sum(weight[z] for z in representatives.values())
     if total != f.size or total != g.size:
         raise TheoremViolation("witness weight does not match the greedy value")
     decomposition = DispersedDecomposition(
@@ -273,22 +312,23 @@ def _certificate_holds(fam: IntervalFamily, cert: Certificate) -> bool:
     f[N(z)] = f(left <= z.right) - f(right < z.left); if some interval meets
     two members, one meets two members that are consecutive by right endpoint.
     """
-    f, ivs = cert.dominating, fam.intervals
-    if not all(0 <= v < fam.n for v in (*f.support, *cert.dispersed)):
+    f, n, left, right, weight = cert.dominating, fam.n, fam.left, fam.right, fam.weight
+    if not all(0 <= v < n for v in (*f.support, *cert.dispersed)):
         return False
-    starts = sorted((iv.left, iv.right, f.values.get(i, 0)) for i, iv in enumerate(ivs))
-    ends = sorted((iv.right, f.values.get(i, 0)) for i, iv in enumerate(ivs))
+    fv = [f.values.get(i, 0) for i in range(n)]
+    starts = sorted(zip(left, right, fv))
+    ends = sorted(zip(right, fv))
     lefts, by_start = [s[0] for s in starts], [0, *accumulate(s[2] for s in starts)]
     rights, by_end = [e[0] for e in ends], [0, *accumulate(e[1] for e in ends)]
     reach = [-inf, *accumulate((s[1] for s in starts), max)]  # furthest right end so far
-    members = sorted(cert.dispersed, key=lambda m: ivs[m].right)
+    members = sorted(cert.dispersed, key=right.__getitem__)
     return (
         all(
-            by_start[bisect_right(lefts, iv.right)] - by_end[bisect_left(rights, iv.left)] >= iv.weight
-            for iv in ivs
+            by_start[bisect_right(lefts, y)] - by_end[bisect_left(rights, x)] >= w
+            for x, y, w in zip(left, right, weight)
         )
-        and all(reach[bisect_right(lefts, ivs[a].right)] < ivs[b].left for a, b in zip(members, members[1:]))
-        and f.size == cert.value == sum(ivs[m].weight for m in cert.dispersed)
+        and all(reach[bisect_right(lefts, right[a])] < left[b] for a, b in zip(members, members[1:]))
+        and f.size == cert.value == sum(weight[m] for m in cert.dispersed)
     )
 
 

@@ -317,7 +317,7 @@ def test_criterion_09_prefix_minimality():
         fwd = order_by_right_endpoint(fam)
         bwd = sorted(
             range(fam.n),
-            key=lambda i: (fam.intervals[i].left, fam.intervals[i].right, i),
+            key=lambda i: (fam.left[i], fam.right[i], i),
             reverse=True,
         )
         top = max(g.weights)

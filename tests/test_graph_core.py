@@ -238,7 +238,7 @@ def test_w_dominating_definition_matches_neighborhood_sums(g: WeightedGraph, dat
 @given(interval_families(max_n=12, max_coord=30))
 def test_interval_graph_matches_pairwise_intersection(fam):
     g = intersection_graph(fam)
-    assert g.weights == tuple(iv.weight for iv in fam.intervals)
+    assert g.weights == fam.weight
     for i in range(fam.n):
         assert g.adjacency[i] == {j for j in range(fam.n) if j != i and fam.intersects(i, j)}
 

@@ -8,6 +8,7 @@ from domw import (
     DominationFunction,
     HostTree,
     InstanceFile,
+    IntervalFamily,
     LCG,
     SubtreeInstance,
     TreeEdgesInstance,
@@ -370,3 +371,50 @@ def test_flags_that_int_accepts_still_parse():
     odd = parse_instance(TREE_KIND + "3\n0 1 00\n1 2 +1 5\n")
     assert odd == parse_instance(TREE_KIND + "3\n0 1 0\n1 2 1 5\n")
     assert odd.payload.f_edges == ((1, 2, 5),)
+
+
+INTERVALS = "domw 1\nkind interval\n"
+
+
+@pytest.mark.parametrize(
+    "body, error, message, line",
+    [
+        # field counts and integer fields
+        ("1\n0 1 2\n", Syntax, "line 4: interval: expected 4 fields, got 3", 4),
+        ("1\n0 1 2 1 1\n", Syntax, "line 4: interval: expected 4 fields, got 5", 4),
+        ("2\n0 1 2 1\n1 1 x 1\n", Syntax, "line 5: interval: fields must be integers", 5),
+        ("1\n0 1 2.0 1\n", Syntax, "line 4: interval: fields must be integers", 4),
+        # the id must be the line's position in the block
+        ("2\n0 1 2 1\n0 3 4 1\n", Semantic, "interval id 0 out of order, expected 1", None),
+        ("1\n1 1 2 1\n", Semantic, "interval id 1 out of order, expected 0", None),
+        # the interval itself, with `Interval`'s message and the line number in front
+        ("2\n0 1 2 1\n1 9 2 1\n", Semantic, "line 5: interval 1: interval [9, 2] is reversed", None),
+        ("1\n0 1 2 0\n", Semantic, "line 4: interval 0: interval weight must be positive", None),
+        ("1\n0 1 2 -1\n", Semantic, "line 4: interval 0: interval weight must be positive", None),
+        ("1\n0 9 2 0\n", Semantic, "line 4: interval 0: interval [9, 2] is reversed", None),
+        # a file that ends early, after the rows it has are checked
+        ("3\n0 1 2 1\n\n# cut short\n1 2 3 1\n", Syntax, "line 8: missing interval line", 8),
+        ("3\n0 1 2 1\n1 2 1 1\n", Semantic, "line 5: interval 1: interval [2, 1] is reversed", None),
+        ("3\n0 1 2 1\n1 2 x 1\n", Syntax, "line 5: interval: fields must be integers", 5),
+        # the count line
+        ("0\n", Semantic, "interval count must be at least 1, got 0", None),
+        ("x\n", Syntax, "line 3: interval count: fields must be integers", 3),
+    ],
+)
+def test_interval_parse_fault_class_message_and_line(body, error, message, line):
+    with pytest.raises(error) as err:
+        parse_instance(INTERVALS + body)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert getattr(err.value, "line", None) == line
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["+1 -1 01 +2", "1 -1 1 2", "1\t-1   1\t\t2", "  1 -1_0 1_0 2  ", "1 -0010 00010 0_2"],
+)
+def test_interval_fields_take_every_spelling_int_accepts(row):
+    fam = parse_instance(INTERVALS + "2\n0 5 5 1\n" + row + "\n").payload
+    expected = [int(field) for field in row.split()[1:]]
+    assert list(zip(fam.left, fam.right, fam.weight)) == [(5, 5, 1), tuple(expected)]
+    assert fam == IntervalFamily.of([(5, 5, 1), expected])

@@ -54,6 +54,37 @@ def test_interval_validation():
         Interval(1.5, 2, 1)
 
 
+def test_family_constructor_checks_every_slot_as_interval_does():
+    assert IntervalFamily((1, 4), (2, 6), (3, 1)) == family((1, 2, 3), (4, 6, 1))
+    with pytest.raises(ValueError, match="^interval columns must have equal lengths$"):
+        IntervalFamily((1, 4), (2,), (3, 1))
+    for bad in [(9, 6, 1), (4, 6, 0), (4, 6, -2), (4.0, 6, 1), (4, "6", 1), (4, 6, None)]:
+        with pytest.raises(ValueError) as expected:
+            Interval(*bad)
+        with pytest.raises(ValueError) as err:
+            IntervalFamily(*zip((1, 2, 3), bad))
+        assert type(err.value) is ValueError and str(err.value) == str(expected.value)
+        with pytest.raises(ValueError) as err:
+            family((1, 2, 3), bad)
+        assert str(err.value) == str(expected.value)
+
+
+def test_a_bool_endpoint_is_an_int_as_it_is_for_interval():
+    assert Interval(True, 2, 1) == Interval(1, 2, 1)
+    assert family((True, 2, True)) == family((1, 2, 1))
+    assert IntervalFamily((False,), (True,), (1,)) == family((0, 1, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_families(max_n=9))
+def test_family_equality_and_its_interval_view(fam: IntervalFamily):
+    triples = list(zip(fam.left, fam.right, fam.weight))
+    assert IntervalFamily.of(triples) == IntervalFamily.of(triples) == fam
+    assert hash(IntervalFamily.of(triples)) == hash(fam)
+    assert IntervalFamily.of((iv.left, iv.right, iv.weight) for iv in fam.intervals) == fam
+    assert fam.intervals == tuple(Interval(*t) for t in triples)
+
+
 def test_empty_family_solves_to_zero():
     cert = solve_interval(IntervalFamily.of([]))
     assert cert.value == 0
@@ -223,7 +254,7 @@ def test_blocks_partition_the_enumeration(fam: IntervalFamily):
         assert f(lone) == 0 and g(lone) == 0
     for i in dec.j_indices:
         z = dec.representatives[i]
-        wz = fam.intervals[z].weight
+        wz = fam.weight[z]
         assert set_sum(f, dec.blocks[i]) == wz
         assert set_sum(g, dec.blocks[i]) == wz
 
@@ -251,7 +282,7 @@ def test_prefix_minimality_against_all_dominating_functions(fam: IntervalFamily)
     fwd = order_by_right_endpoint(fam)
     bwd = sorted(
         range(fam.n),
-        key=lambda i: (fam.intervals[i].left, fam.intervals[i].right, i),
+        key=lambda i: (fam.left[i], fam.right[i], i),
         reverse=True,
     )
     top = max(g.weights)
@@ -308,7 +339,7 @@ def test_no_graph_is_built_per_solve(monkeypatch):
 @settings(max_examples=400, deadline=None)
 @given(interval_families(), st.data())
 def test_interval_checker_agrees_with_verify_certificate(fam: IntervalFamily, data):
-    cert = data.draw(corrupted(solve_interval(fam), [iv.weight for iv in fam.intervals]))
+    cert = data.draw(corrupted(solve_interval(fam), fam.weight))
     expected = bool(verify_certificate(intersection_graph(fam), cert))
     assert domw.interval_solver._certificate_holds(fam, cert) == expected
 
@@ -348,7 +379,8 @@ def test_interval_checker_rejects_ids_outside_the_family():
 def test_each_family_sorts_its_two_orders_once(monkeypatch):
     """The passes and the extraction share the family's K_r and K_l orders,
     sorted on first use: two sorts per family, while the self-check keeps
-    its own three.  The cached orders leave the family's value alone."""
+    its own three.  Before a solve the family holds its three columns only;
+    the cached orders leave its value alone."""
     calls = []
 
     def counting_sorted(*args, **kwargs):
@@ -357,11 +389,13 @@ def test_each_family_sorts_its_two_orders_once(monkeypatch):
 
     fam = gen_interval(2, 60, 200, 5)
     fresh = gen_interval(2, 60, 200, 5)
-    assert vars(fam) == {"intervals": fam.intervals}
+    columns = {"left": fam.left, "right": fam.right, "weight": fam.weight}
+    assert vars(fam) == columns
+    assert all(type(column) is tuple and len(column) == 60 for column in columns.values())
     monkeypatch.setattr(domw.interval_solver, "sorted", counting_sorted, raising=False)
     cert = solve_interval(fam)
     assert len(calls) == 5
-    assert vars(fam) != {"intervals": fam.intervals}
+    assert vars(fam) != columns
     calls.clear()
     f, _ = forward_greedy(fam)
     g, gtrace = backward_greedy(fam)
@@ -407,7 +441,7 @@ def test_a_hundred_thousand_dense_intervals_solve():
     endpoints only and checks its own certificate."""
     fam = gen_interval(1, 10**5, 4 * 10**5, 5)
     cert = solve_interval(fam)
-    assert cert.value == sum(fam.intervals[z].weight for z in cert.dispersed)
+    assert cert.value == sum(fam.weight[z] for z in cert.dispersed)
 
 
 def test_a_thousand_dense_intervals_solve_to_a_verified_certificate():
