@@ -1,5 +1,6 @@
 """Tests for the two-pass interval greedy and its dispersed-set extraction."""
 
+import hashlib
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -449,3 +450,54 @@ def test_a_thousand_dense_intervals_solve_to_a_verified_certificate():
     fam = gen_interval(1, 1000, 4000, 5)
     cert = solve_interval(fam)
     assert verify_certificate(intersection_graph(fam), cert).ok
+
+
+def parity_families():
+    """3,085 families: the empty one, every ordered family of up to three
+    intervals on 1..3 with weights 1..2, and 1,200 seeded ones, among them
+    short intervals shifted to negative coordinates and near 10^12."""
+    yield IntervalFamily.of([])
+    shapes = [(x, y, w) for x in range(1, 4) for y in range(x, 4) for w in (1, 2)]
+    for n in (1, 2, 3):
+        for triples in product(shapes, repeat=n):
+            yield IntervalFamily.of(triples)
+    for seed in range(400):
+        yield gen_interval(seed, 1 + seed % 40, 10 + seed % 90, 1 + seed % 5)
+    for seed in range(800):
+        rng, n = LCG(seed), 1 + seed % 60
+        shift = (0, -3 * n, -(10**12), 10**12 - 3 * n)[seed % 4]
+        triples = []
+        for _ in range(n):
+            left = shift + rng.randint(1, 2 * n)
+            triples.append((left, left + rng.randint(0, 6), rng.randint(1, 5)))
+        yield IntervalFamily.of(triples)
+
+
+def test_phases_match_their_pinned_digest():
+    """Both greedy traces, the decomposition and the certificate, byte for
+    byte, as the phases gave them before they were rewritten for speed."""
+    digest = hashlib.sha256()
+    count = 0
+    for fam in parity_families():
+        f, ftrace = forward_greedy(fam)
+        g, gtrace = backward_greedy(fam)
+        chosen, dec = extract_dispersed(fam, f, g, gtrace)
+        cert = solve_interval(fam)
+        record = (
+            [(s.source, s.target, s.amount) for s in ftrace.steps],
+            [(s.source, s.target, s.amount) for s in gtrace.steps],
+            sorted(f.items()),
+            sorted(g.items()),
+            sorted(chosen),
+            dec.blocks,
+            sorted(dec.j_indices),
+            sorted(dec.k_indices),
+            sorted(dec.representatives.items()),
+            sorted(cert.dominating.items()),
+            sorted(cert.dispersed),
+            cert.value,
+        )
+        digest.update(repr(record).encode("ascii") + b"\n")
+        count += 1
+    assert count == 3085
+    assert digest.hexdigest() == "c8baaf48fbae138a774ac96286835750099dda772196cc7f0602d4ed9ff4d16e"
