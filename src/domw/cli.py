@@ -4,13 +4,19 @@ Machine-readable payloads go to standard output, diagnostics to standard
 error.  Exit codes: 0 success, 1 invalid input or failed verification,
 2 internal assertion failure (a disproved theorem or an LP duality gap),
 3 instance too large for the requested oracle or over a search's node budget.
+When `solve` exits 2, it also keeps the instance text it read in the temp
+directory, in a file named by the text's SHA-256, and names that file on
+standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
+import os
 import sys
+import tempfile
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -123,8 +129,26 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _internal_error(exc: Exception) -> int:
+    print(f"internal error: {exc}", file=sys.stderr)
+    return 2
+
+
+def _keep_for_replay(text: str) -> str:
+    """Write an instance text to the temp directory; return where, or why not."""
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    path = os.path.join(tempfile.gettempdir(), f"domw-replay-{digest}.domw")
+    try:
+        with open(path, "w", encoding="ascii", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        return f"not written ({exc})"
+    return path
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
-    inst = parse_instance(_read(args.file))
+    text = _read(args.file)
+    inst = parse_instance(text)
     kind = KINDS[inst.kind]
     if kind.solve is None:
         print(
@@ -133,7 +157,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    print(kind.write_result(kind.solve(inst.payload)), end="")
+    try:
+        result = kind.solve(inst.payload)
+    except (TheoremViolation, LPInternalError) as exc:
+        code = _internal_error(exc)
+        print(f"replay file: {_keep_for_replay(text)}", file=sys.stderr)
+        return code
+    print(kind.write_result(result), end="")
     return 0
 
 
@@ -292,8 +322,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (TheoremViolation, LPInternalError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
+        return _internal_error(exc)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

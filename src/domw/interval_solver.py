@@ -9,9 +9,11 @@ optimality of both sides at once.
 
 A family is three columns indexed by id: left ends, right ends and weights.
 All three phases read those columns and two orders of the ids, K_r = (right,
-left, id) and K_l = (left, right, id), which a family sorts once and keeps;
-the self-check sorts the endpoints on its own, so that it shares no code with
-the solver.
+left, id) and K_l = (left, right, id), which a family sorts once, each by one
+int key, and keeps; the self-check sorts the endpoints on its own, so that it
+shares no code with the solver.  The solve keeps each pass's steps as three
+int columns (source, target, amount); the public passes run the same code and
+return them as a `GreedyTrace`.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import inf
+from operator import ge, lt, sub
 from typing import Iterable, Mapping
 
 from .errors import TheoremViolation
@@ -99,11 +102,23 @@ class IntervalFamily:
 
     @cached_property
     def _orders(self) -> tuple[tuple[int, ...], ...]:
-        """The ids by K_r and by K_l, and each id's position in each order."""
-        ids = range(self.n)
-        by_right = tuple(i for _, _, i in sorted(zip(self.right, self.left, ids)))
-        by_left = tuple(i for _, _, i in sorted(zip(self.left, self.right, ids)))
-        pos_r, pos_l = [0] * self.n, [0] * self.n
+        """The ids by K_r and by K_l, and each id's position in each order.
+
+        Each order is a stable sort of the ids by one int key.  Every end
+        lies in lo..lo + span - 1, so (right - lo) * span + (left - lo) ranks
+        the ids as (right, left) does, and its mirror as (left, right) does.
+        """
+        n, left, right = self.n, self.left, self.right
+        if not n:
+            return (), (), (), ()
+        lo = min(left)
+        span = max(right) - lo + 1
+        ids = range(n)
+        k_r = [(y - lo) * span + (x - lo) for x, y in zip(left, right)]
+        k_l = [(x - lo) * span + (y - lo) for x, y in zip(left, right)]
+        by_right = tuple(sorted(ids, key=k_r.__getitem__))
+        by_left = tuple(sorted(ids, key=k_l.__getitem__))
+        pos_r, pos_l = [0] * n, [0] * n
         for k, (r, l) in enumerate(zip(by_right, by_left)):
             pos_r[r], pos_l[l] = k, k
         return by_right, by_left, tuple(pos_r), tuple(pos_l)
@@ -159,7 +174,11 @@ def order_by_right_endpoint(fam: IntervalFamily) -> tuple[int, ...]:
     return fam._orders[0]
 
 
-def _greedy(fam: IntervalFamily, forward: bool) -> tuple[DominationFunction, GreedyTrace]:
+def _greedy(
+    fam: IntervalFamily, forward: bool
+) -> tuple[DominationFunction, list[int], list[int], list[int]]:
+    """One pass: its function and its steps as three columns, source, target
+    and amount, one slot per step."""
     # Both passes read the family's two orders.  The forward pass settles by
     # ascending K_r and pushes each shortfall onto the closed neighbor latest
     # in K_r: furthest right, on a tie the later interval, never the source
@@ -170,8 +189,9 @@ def _greedy(fam: IntervalFamily, forward: bool) -> tuple[DominationFunction, Gre
         los, his = fam.left, fam.right
         settle, scan, rank = by_right, by_left, pos_r
     else:
+        last = fam.n - 1
         los, his = [-y for y in fam.right], [-x for x in fam.left]
-        settle, scan, rank = by_left[::-1], by_right[::-1], [fam.n - 1 - p for p in pos_l]
+        settle, scan, rank = by_left[::-1], by_right[::-1], [last - p for p in pos_l]
     starts = list(map(los.__getitem__, scan))
     weight = fam.weight
     # rank[i] is i's position in the settle order.  Of the intervals with
@@ -180,9 +200,12 @@ def _greedy(fam: IntervalFamily, forward: bool) -> tuple[DominationFunction, Gre
     # so the order inside such a run does not matter.
     best = list(accumulate(map(rank.__getitem__, scan), max))
     values: dict[int, int] = {}
-    steps: list[GreedyStep] = []
+    sources: list[int] = []
+    targets: list[int] = []
+    amounts: list[int] = []
     target_ends: list[int] = []
     placed = [0]  # placed[k]: mass of the first k steps
+    total = 0
     # Each earlier target meets an earlier source, which ends no later than
     # v, so it starts no later than v ends.  The prefix maximum only grows,
     # so the targets' ends never decrease.  The mass that misses v is thus
@@ -190,8 +213,7 @@ def _greedy(fam: IntervalFamily, forward: bool) -> tuple[DominationFunction, Gre
     # are guarded at every step.
     for v in settle:
         lo, hi = los[v], his[v]
-        missed = placed[bisect_left(target_ends, lo)]
-        amount = weight[v] - (placed[-1] - missed)
+        amount = weight[v] - total + placed[bisect_left(target_ends, lo)]
         if amount <= 0:
             continue
         target = settle[best[bisect_right(starts, hi) - 1]]
@@ -201,21 +223,29 @@ def _greedy(fam: IntervalFamily, forward: bool) -> tuple[DominationFunction, Gre
         if target_ends and target_hi < target_ends[-1]:
             raise TheoremViolation(f"target {target} ends before the previous target")
         values[target] = values.get(target, 0) + amount
-        steps.append(GreedyStep(v, target, amount))
+        sources.append(v)
+        targets.append(target)
+        amounts.append(amount)
         target_ends.append(target_hi)
-        placed.append(placed[-1] + amount)
-    f = DominationFunction(values)
-    return f, GreedyTrace(tuple(steps))
+        total += amount
+        placed.append(total)
+    return DominationFunction(values), sources, targets, amounts
+
+
+def _traced(
+    f: DominationFunction, sources: list[int], targets: list[int], amounts: list[int]
+) -> tuple[DominationFunction, GreedyTrace]:
+    return f, GreedyTrace(tuple(map(GreedyStep, sources, targets, amounts)))
 
 
 def forward_greedy(fam: IntervalFamily) -> tuple[DominationFunction, GreedyTrace]:
     """Minimum w-dominating function built left to right."""
-    return _greedy(fam, forward=True)
+    return _traced(*_greedy(fam, forward=True))
 
 
 def backward_greedy(fam: IntervalFamily) -> tuple[DominationFunction, GreedyTrace]:
     """The mirrored greedy: enumerate right to left, push mass leftward."""
-    return _greedy(fam, forward=False)
+    return _traced(*_greedy(fam, forward=False))
 
 
 def extract_dispersed(
@@ -231,30 +261,42 @@ def extract_dispersed(
     bug, not an unlucky instance.  Neighborhoods are read off the sorted
     endpoints; no graph is built.
     """
+    steps = gtrace.steps
+    return _extract(fam, f, g, [s.source for s in steps], [s.target for s in steps])
+
+
+def _column(h: DominationFunction, n: int) -> list[int]:
+    """h at every id of a family of n intervals."""
+    column = [0] * n
+    for v, x in h.values.items():
+        if 0 <= v < n:
+            column[v] = x
+    return column
+
+
+def _extract(
+    fam: IntervalFamily,
+    f: DominationFunction,
+    g: DominationFunction,
+    sources: list[int],
+    targets: list[int],
+) -> tuple[frozenset[int], DispersedDecomposition]:
+    """`extract_dispersed` on the backward steps' sources and targets."""
     n, left, right, weight = fam.n, fam.left, fam.right, fam.weight
     order, by_left, position, pos_l = fam._orders
     lefts, rights = [left[i] for i in by_left], [right[v] for v in order]
-    fv, gv = ([h.values.get(i, 0) for i in range(n)] for h in (f, g))
+    fv, gv = _column(f, n), _column(g, n)
     # N[z] is the first hi intervals by left minus the first lo by right (those
     # end before z starts), so prefix sums in both orders give h[N[z]].  From lo
     # on, the enumeration holds z, so its K_l-least member starts by z.right;
     # the latest in it of the first hi by left ends at or after z: both are in N[z].
     f_l, g_l = ([0, *accumulate(map(h.__getitem__, by_left))] for h in (fv, gv))
     f_r, g_r = ([0, *accumulate(map(h.__getitem__, order))] for h in (fv, gv))
-    first = [by_left[p] for p in accumulate((pos_l[v] for v in reversed(order)), min)][::-1]
+    first = [by_left[p] for p in accumulate(map(pos_l.__getitem__, reversed(order)), min)][::-1]
     last = list(accumulate(map(position.__getitem__, by_left), max))
-    sources: dict[int, list[int]] = {}
-    for step in gtrace.steps:
-        sources.setdefault(step.target, []).append(step.source)
-
-    def span(z: int) -> tuple[int, int]:
-        return bisect_left(rights, left[z]), bisect_right(lefts, right[z])
-
-    def is_witness(z: int, v: int) -> bool:
-        # v must be the furthest-left-reaching closed neighbor of z, and the
-        # mass g places on N(z) must pay for w(z) exactly
-        lo, hi = span(z)
-        return v == first[lo] and g_l[hi] - g_r[lo] == weight[z]
+    pushed_by: dict[int, list[int]] = {}  # the sources of each target
+    for source, target in zip(sources, targets):
+        pushed_by.setdefault(target, []).append(source)
 
     blocks: list[tuple[int, ...]] = []
     k_indices: set[int] = set()
@@ -278,24 +320,33 @@ def extract_dispersed(
         # with weights 1..2 and of up to three with weights 1..3 (196,352),
         # and 53,000 seeded random and short-interval ones.  So none is
         # done: a missing witness raises, it never yields a wrong answer.
-        z = min((s for s in sources.get(v, ()) if is_witness(s, v)), default=None)
+        z = lo = hi = None
+        for s in pushed_by.get(v, ()):
+            s_lo, s_hi = bisect_left(rights, left[s]), bisect_right(lefts, right[s])
+            # v must be the furthest-left-reaching closed neighbor of s, and
+            # the mass g places on N(s) must pay for w(s) exactly
+            if v == first[s_lo] and g_l[s_hi] - g_r[s_lo] == weight[s] and (z is None or s < z):
+                z, lo, hi = s, s_lo, s_hi
         if z is None:
             raise TheoremViolation(f"no witness interval for {v}")
-        lo, hi = span(z)
-        block = order[pos:last[hi - 1] + 1]
+        end = last[hi - 1] + 1
+        block = order[pos:end]
         wz = weight[z]
         # Block members end no earlier than v, so they meet z when they start
         # by z.right.  The other neighbors of z sit in earlier blocks and are
         # properly contained in v (z reaches no further left than v does), so
         # they carry no mass.
         near = [u for u in block if left[u] <= right[z]]
-        if sum(fv[u] for u in near) != f_l[hi] - f_r[lo] or sum(gv[u] for u in near) != wz:
+        if (
+            sum(map(fv.__getitem__, near)) != f_l[hi] - f_r[lo]
+            or sum(map(gv.__getitem__, near)) != wz
+        ):
             raise TheoremViolation(f"witness {z} has a neighbor with mass in an earlier block")
-        if sum(fv[u] for u in block) != wz or sum(gv[u] for u in block) != wz:
+        if f_r[end] - f_r[pos] != wz or g_r[end] - g_r[pos] != wz:
             raise TheoremViolation(f"block of witness {z} does not pay for it exactly")
         blocks.append(block)
         representatives[len(blocks) - 1] = z
-        pos += len(block)
+        pos = end
 
     total = sum(weight[z] for z in representatives.values())
     if total != f.size or total != g.size:
@@ -311,23 +362,30 @@ def _certificate_holds(fam: IntervalFamily, cert: Certificate) -> bool:
 
     f[N(z)] = f(left <= z.right) - f(right < z.left); if some interval meets
     two members, one meets two members that are consecutive by right endpoint.
+    The intervals are checked in right-end order: the bisects by right end
+    then come in ascending order, which keeps each near the one before it.
     """
     f, n, left, right, weight = cert.dominating, fam.n, fam.left, fam.right, fam.weight
     if not all(0 <= v < n for v in (*f.support, *cert.dispersed)):
         return False
-    fv = [f.values.get(i, 0) for i in range(n)]
-    starts = sorted(zip(left, right, fv))
-    ends = sorted(zip(right, fv))
-    lefts, by_start = [s[0] for s in starts], [0, *accumulate(s[2] for s in starts)]
-    rights, by_end = [e[0] for e in ends], [0, *accumulate(e[1] for e in ends)]
-    reach = [-inf, *accumulate((s[1] for s in starts), max)]  # furthest right end so far
+    fv = [0] * n
+    for v, x in f.values.items():
+        fv[v] = x
+    starts = sorted(range(n), key=left.__getitem__)
+    ends = sorted(range(n), key=right.__getitem__)
+    lefts, rights = list(map(left.__getitem__, starts)), list(map(right.__getitem__, ends))
+    by_start = [0, *accumulate(map(fv.__getitem__, starts))]
+    by_end = [0, *accumulate(map(fv.__getitem__, ends))]
+    reach = [-inf, *accumulate(map(right.__getitem__, starts), max)]  # furthest right end so far
     members = sorted(cert.dispersed, key=right.__getitem__)
+    # per interval in right-end order: f(left <= z.right) and f(right < z.left)
+    upto = map(by_start.__getitem__, map(bisect_right, repeat(lefts), rights))
+    before = map(by_end.__getitem__, map(bisect_left, repeat(rights), map(left.__getitem__, ends)))
+    # per member but the last: the furthest right end among those starting by its right end
+    met = map(reach.__getitem__, map(bisect_right, repeat(lefts), map(right.__getitem__, members)))
     return (
-        all(
-            by_start[bisect_right(lefts, y)] - by_end[bisect_left(rights, x)] >= w
-            for x, y, w in zip(left, right, weight)
-        )
-        and all(reach[bisect_right(lefts, right[a])] < left[b] for a, b in zip(members, members[1:]))
+        all(map(ge, map(sub, upto, before), map(weight.__getitem__, ends)))
+        and all(map(lt, met, map(left.__getitem__, members[1:])))
         and f.size == cert.value == sum(weight[m] for m in cert.dispersed)
     )
 
@@ -336,12 +394,13 @@ def solve_interval(fam: IntervalFamily) -> Certificate:
     """Certificate with gamma_w = rho_w on the interval graph of the family.
 
     Every phase and the self-check read the sorted endpoints; no graph is built.
+    The steps stay in columns: no `GreedyStep` is built.
     """
-    f, _ = forward_greedy(fam)
-    g, gtrace = backward_greedy(fam)
+    f, *_ = _greedy(fam, forward=True)
+    g, sources, targets, _ = _greedy(fam, forward=False)
     if f.size != g.size:
         raise TheoremViolation("forward and backward greedy disagree on the value")
-    dispersed, _ = extract_dispersed(fam, f, g, gtrace)
+    dispersed, _ = _extract(fam, f, g, sources, targets)
     cert = Certificate(f, dispersed, f.size)
     if not _certificate_holds(fam, cert):
         raise TheoremViolation("certificate failed re-verification")

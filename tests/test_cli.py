@@ -1,9 +1,11 @@
 """End-to-end tests for the command line interface."""
 
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ import domw.interval_solver
 import domw.tree_edge_solver
 from domw import DominationFunction, SplitResult, oracles, write_split_result
 from domw.cli import run
-from domw.instances_io import KINDS
+from domw.instances_io import KINDS, parse_instance
 
 
 def invoke(capsys, *argv):
@@ -365,7 +367,30 @@ def test_cover_search_over_its_node_budget_exits_three(tmp_path, capsys, monkeyp
     assert code == 0 and out.startswith("domw-split 1\n")
 
 
-def test_internal_error_exits_two(interval_file, capsys, monkeypatch):
+@pytest.fixture
+def replay_dir(tmp_path, monkeypatch):
+    """A fresh, empty temp directory for the replay files of one test."""
+    path = tmp_path / "replay"
+    path.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(path))
+    return path
+
+
+def assert_replays(err: str, instance_path: str, replay_dir: Path) -> None:
+    """The last stderr line names a replay file in the temp directory that
+    holds the instance text, named by its SHA-256, and parses back to it."""
+    text = Path(instance_path).read_text()
+    line = err.splitlines()[-1]
+    assert line.startswith("replay file: ")
+    replay = Path(line[len("replay file: "):])
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert replay == replay_dir / f"domw-replay-{digest}.domw"
+    assert list(replay_dir.iterdir()) == [replay]
+    assert replay.read_text() == text
+    assert parse_instance(replay.read_text()) == parse_instance(text)
+
+
+def test_internal_error_exits_two(interval_file, replay_dir, capsys, monkeypatch):
     def broken(_payload):
         raise domw.TheoremViolation("planted failure")
 
@@ -373,20 +398,60 @@ def test_internal_error_exits_two(interval_file, capsys, monkeypatch):
     code, out, err = invoke(capsys, "solve", interval_file)
     assert (code, out) == (2, "")
     assert err.startswith("internal error:")
+    assert_replays(err, interval_file, replay_dir)
 
 
-def test_interval_self_check_failure_exits_two(interval_file, capsys, monkeypatch):
+def test_an_lp_failure_exits_two_with_a_replay(interval_file, replay_dir, capsys, monkeypatch):
+    def broken(_payload):
+        raise domw.LPInternalError("planted failure")
+
+    monkeypatch.setattr(KINDS["interval"], "solve", broken)
+    code, out, err = invoke(capsys, "solve", interval_file)
+    assert (code, out) == (2, "")
+    assert err.startswith("internal error: planted failure\n")
+    assert_replays(err, interval_file, replay_dir)
+
+
+def test_an_unwritable_replay_still_exits_two(interval_file, tmp_path, capsys, monkeypatch):
+    def broken(_payload):
+        raise domw.TheoremViolation("planted failure")
+
+    monkeypatch.setattr(KINDS["interval"], "solve", broken)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    code, out, err = invoke(capsys, "solve", interval_file)
+    assert (code, out) == (2, "")
+    assert err.startswith("internal error:")
+    assert err.splitlines()[-1].startswith("replay file: not written (")
+
+
+def test_only_exit_two_leaves_a_replay(interval_file, replay_dir, tmp_path, capsys, monkeypatch):
+    assert invoke(capsys, "solve", interval_file)[0] == 0
+    junk = tmp_path / "junk.domw"
+    junk.write_text("not an instance\n")
+    assert invoke(capsys, "solve", str(junk))[0] == 1
+    monkeypatch.setattr(oracles, "NODE_BUDGET", 10)
+    _, text, _ = invoke(capsys, "gen", "split", "--seed", "3", "--n-a", "5", "--n-b", "8")
+    split = tmp_path / "split.domw"
+    split.write_text(text)
+    code, out, err = invoke(capsys, "solve", str(split))
+    assert (code, out) == (3, "")
+    assert "replay" not in err
+    assert list(replay_dir.iterdir()) == []
+
+
+def test_interval_self_check_failure_exits_two(interval_file, replay_dir, capsys, monkeypatch):
     # every interval as the witness set: they all meet the long one
     monkeypatch.setattr(
-        domw.interval_solver, "extract_dispersed",
-        lambda fam, f, g, gtrace: (frozenset(range(fam.n)), None),
+        domw.interval_solver, "_extract",
+        lambda fam, f, g, sources, targets: (frozenset(range(fam.n)), None),
     )
     code, out, err = invoke(capsys, "solve", interval_file)
     assert (code, out) == (2, "")
     assert "re-verification" in err
+    assert_replays(err, interval_file, replay_dir)
 
 
-def test_tree_self_check_failure_exits_two(tmp_path, capsys, monkeypatch):
+def test_tree_self_check_failure_exits_two(tmp_path, replay_dir, capsys, monkeypatch):
     # every edge of the star as the witness set: they all share the center
     _, text, _ = invoke(capsys, "example", "non-tu-star")
     path = tmp_path / "star.domw"
@@ -398,6 +463,7 @@ def test_tree_self_check_failure_exits_two(tmp_path, capsys, monkeypatch):
     code, out, err = invoke(capsys, "solve", str(path))
     assert (code, out) == (2, "")
     assert "re-verification" in err
+    assert_replays(err, str(path), replay_dir)
 
 
 def test_malformed_file_exits_one(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import domw
 import domw.graph_core
 import domw.interval_solver
 import domw.tree_edge_solver
@@ -95,6 +96,56 @@ def test_empty_family_solves_to_zero():
 def test_order_by_right_endpoint_breaks_ties_by_left_then_id():
     fam = family((1, 5, 1), (2, 5, 1), (1, 5, 1), (1, 2, 1))
     assert order_by_right_endpoint(fam) == (3, 0, 2, 1)
+
+
+def assert_orders_are_the_tuple_orders(fam: IntervalFamily) -> None:
+    ids = range(fam.n)
+    by_right = tuple(i for _, _, i in sorted(zip(fam.right, fam.left, ids)))
+    by_left = tuple(i for _, _, i in sorted(zip(fam.left, fam.right, ids)))
+    assert fam._orders == (
+        by_right,
+        by_left,
+        tuple(by_right.index(i) for i in ids),
+        tuple(by_left.index(i) for i in ids),
+    )
+
+
+FAR = 10**12
+
+
+@pytest.mark.parametrize(
+    "triples",
+    [
+        [],
+        [(4, 9, 2)],
+        [(3, 5, 1)] * 5,
+        [(-4, -1, 1), (-7, -1, 2), (-4, 2, 1), (-9, -7, 3), (-4, -1, 2), (0, 0, 1)],
+        [(FAR - 3, FAR, 1), (FAR, FAR, 2), (FAR - 5, FAR - 1, 1), (FAR - 3, FAR, 2)],
+        [(-FAR, -FAR + 2, 1), (-FAR - 4, -FAR, 2), (-FAR, -FAR, 1), (-FAR - 4, -FAR + 2, 3)],
+        [(-FAR, FAR, 1), (-FAR, -FAR, 1), (FAR, FAR, 1), (0, FAR, 1), (-FAR, 0, 1), (-FAR, FAR, 2)],
+    ],
+    ids=["empty", "one", "identical", "negative", "near-plus-far", "near-minus-far", "both-far"],
+)
+def test_int_key_orders_are_the_tuple_orders(triples):
+    """One int key per order sorts the ids exactly as the (right, left, id)
+    and (left, right, id) tuples do, whatever the range of the ends."""
+    assert_orders_are_the_tuple_orders(IntervalFamily.of(triples))
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(0, 3), st.integers(-FAR, FAR), st.integers(0, 2)),
+        max_size=12,
+    )
+)
+def test_int_key_orders_are_the_tuple_orders_on_wide_families(rows):
+    """Ends clustered near a few far-apart offsets, with ties in both ends."""
+    offsets = (-FAR, 0, FAR)
+    triples = []
+    for x, length, far, pick in rows:
+        left = x + (offsets[pick] if far % 2 else far)
+        triples.append((left, left + length, 1))
+    assert_orders_are_the_tuple_orders(IntervalFamily.of(triples))
 
 
 def test_intersection_graph_of_three_intervals():
@@ -366,6 +417,20 @@ def test_interval_checker_agrees_with_verify_certificate_on_every_small_case():
                 ):
                     expected = bool(verify_certificate(graph, cert))
                     assert domw.interval_solver._certificate_holds(fam, cert) == expected
+
+
+@pytest.mark.parametrize("stray", [3, -1])
+def test_extraction_raises_on_mass_outside_the_family(stray):
+    """Mass on an id the family lacks is never read as mass on one it has."""
+    fam = family((1, 2, 1), (2, 4, 2), (6, 7, 1))
+    f, _ = forward_greedy(fam)
+    g, gtrace = backward_greedy(fam)
+    assert extract_dispersed(fam, f, g, gtrace)[0] == frozenset({1, 2})
+    for h in (f, g):
+        bad = DominationFunction({**h.values, stray: 1})
+        pair = (bad, g) if h is f else (f, bad)
+        with pytest.raises(domw.TheoremViolation, match="witness weight does not match"):
+            extract_dispersed(fam, *pair, gtrace)
 
 
 def test_interval_checker_rejects_ids_outside_the_family():
