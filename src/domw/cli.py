@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import os
 import sys
 import tempfile
@@ -136,6 +135,10 @@ def _internal_error(exc: Exception) -> int:
 
 def _keep_for_replay(text: str) -> str:
     """Write an instance text to the temp directory; return where, or why not."""
+    # imported on this failure path only: hashlib loads OpenSSL, which adds
+    # about 3.6 MB to the peak RSS of every `domw` process that imports it
+    import hashlib
+
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
     path = os.path.join(tempfile.gettempdir(), f"domw-replay-{digest}.domw")
     try:

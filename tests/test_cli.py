@@ -439,6 +439,21 @@ def test_only_exit_two_leaves_a_replay(interval_file, replay_dir, tmp_path, caps
     assert list(replay_dir.iterdir()) == []
 
 
+def test_a_solve_that_succeeds_loads_no_hashlib(interval_file):
+    """The replay file's hash is imported on exit 2 only: hashlib loads
+    OpenSSL, which would raise the peak RSS of every solve by megabytes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(domw.__file__).parents[1]))
+    code = (
+        "import sys\nfrom domw.cli import run\n"
+        f"assert run(['solve', {interval_file!r}]) == 0\n"
+        "print('hashlib' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_interval_self_check_failure_exits_two(interval_file, replay_dir, capsys, monkeypatch):
     # every interval as the witness set: they all meet the long one
     monkeypatch.setattr(
