@@ -161,12 +161,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
         return 1
     try:
-        result = kind.solve(inst.payload)
+        output = kind.write_result(kind.solve(inst.payload))
     except (TheoremViolation, LPInternalError) as exc:
         code = _internal_error(exc)
         print(f"replay file: {_keep_for_replay(text)}", file=sys.stderr)
         return code
-    print(kind.write_result(result), end="")
+    print(output, end="")
     return 0
 
 

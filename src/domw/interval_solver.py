@@ -266,7 +266,8 @@ def extract_dispersed(
 
 
 def _column(h: DominationFunction, n: int) -> list[int]:
-    """h at every id of a family of n intervals."""
+    """h at the ids 0..n-1.  Mass on any other id is left out here, so the
+    final weight check raises on it."""
     column = [0] * n
     for v, x in h.values.items():
         if 0 <= v < n:
