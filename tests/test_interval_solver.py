@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import domw
 import domw.graph_core
 import domw.interval_solver
 import domw.tree_edge_solver
