@@ -1,0 +1,86 @@
+"""Certificate checks for intervals and tree edges: what `verify_certificate` decides on the
+explicit graph, in its order, with no graph built and no code shared with the solvers."""
+
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
+from contextlib import suppress
+from itertools import accumulate, repeat
+from math import inf
+from operator import ge, lt, sub
+from typing import Any, Callable, Iterable, Sequence
+
+from .errors import EmptyEdgeSet, TheoremViolation, UnknownVertex
+from .graph_core import NOT_DISPERSED, NOT_DOMINATING, VALUE_MISMATCH, Certificate, CertificateCheck
+
+
+def _known(ids: Iterable[int], n: int) -> None:
+    for v in ids:
+        if not 0 <= v < n:
+            raise UnknownVertex(f"vertex {v} out of range 0..{n - 1}")
+
+
+def _matched(cert: Certificate, dispersed_weight: int) -> CertificateCheck:
+    ok = cert.dominating.size == cert.value == dispersed_weight
+    return CertificateCheck(ok, None if ok else VALUE_MISMATCH)
+
+
+def check_interval(fam: Any, cert: Certificate) -> CertificateCheck:
+    """The check on the interval graph of a family's columns left, right and weight.
+
+    f[N(z)] = f(left <= z.right) - f(right < z.left); if some interval meets
+    two members, one meets two members that are consecutive by right endpoint.
+    The intervals are checked in right-end order, so the bisects by right end
+    come in ascending order, each near the one before it."""
+    f, n, left, right, weight = cert.dominating, fam.n, fam.left, fam.right, fam.weight
+    _known(f.values, n)
+    starts = sorted(range(n), key=left.__getitem__)
+    ends = sorted(range(n), key=right.__getitem__)
+    lefts, rights = list(map(left.__getitem__, starts)), list(map(right.__getitem__, ends))
+    by_start = [0, *accumulate(map(f.values.get, starts, repeat(0)))]
+    by_end = [0, *accumulate(map(f.values.get, ends, repeat(0)))]
+    # per interval in right-end order: f(left <= z.right) and f(right < z.left)
+    upto = map(by_start.__getitem__, map(bisect_right, repeat(lefts), rights))
+    before = map(by_end.__getitem__, map(bisect_left, repeat(rights), map(left.__getitem__, ends)))
+    if not all(map(ge, map(sub, upto, before), map(weight.__getitem__, ends))):
+        return CertificateCheck(False, NOT_DOMINATING)
+    _known(cert.dispersed, n)
+    reach = [-inf, *accumulate(map(right.__getitem__, starts), max)]  # furthest right end so far
+    members = sorted(cert.dispersed, key=right.__getitem__)
+    # per member but the last: the furthest right end among those starting by its right end
+    met = map(reach.__getitem__, map(bisect_right, repeat(lefts), map(right.__getitem__, members)))
+    if not all(map(lt, met, map(left.__getitem__, members[1:]))):
+        return CertificateCheck(False, NOT_DISPERSED)
+    return _matched(cert, sum(weight[m] for m in cert.dispersed))
+
+
+def check_tree_edges(subset: Sequence[tuple[int, int, int]], cert: Certificate) -> CertificateCheck:
+    """The check on the line graph of selected (end, end, weight) tree edges;
+    an empty selection has none and raises EmptyEdgeSet, as `edge_line_graph` does.
+
+    f[N[e]] = S(x) + S(y) - f(e) for e = (x, y), with S(x) the mass at x.  Each
+    member claims its two ends; two members are too close when a selected edge
+    joins ends that they claim.  A vertex claimed twice keeps one claim, which
+    leaves the other member itself with ends claimed by two members."""
+    if not subset:
+        raise EmptyEdgeSet("the selected edge set is empty")
+    f = cert.dominating.values
+    _known(f, len(subset))
+    at: defaultdict[int, int] = defaultdict(int)  # S(x)
+    for e, fe in f.items():
+        at[subset[e][0]] += fe
+        at[subset[e][1]] += fe
+    if not all(at[x] + at[y] - f.get(e, 0) >= w for e, (x, y, w) in enumerate(subset)):
+        return CertificateCheck(False, NOT_DOMINATING)
+    _known(cert.dispersed, len(subset))
+    claim = {x: m for m in cert.dispersed for x in subset[m][:2]}
+    if any(x in claim and y in claim and claim[x] != claim[y] for x, y, _ in subset):
+        return CertificateCheck(False, NOT_DISPERSED)
+    return _matched(cert, sum(subset[m][2] for m in cert.dispersed))
+
+
+def self_check(checker: Callable[[Any, Certificate], CertificateCheck], inst: Any, cert: Certificate) -> Certificate:
+    """`cert`, once `checker` accepts it; any other outcome, an unknown id included, is a broken theorem."""
+    with suppress(UnknownVertex):
+        if checker(inst, cert):
+            return cert
+    raise TheoremViolation("certificate failed re-verification")

@@ -20,6 +20,7 @@ from .errors import (
     InstanceSyntaxError,
     ParameterOutOfRange,
 )
+from .checkers import CertificateCheck, check_interval, check_tree_edges
 from .graph_core import (
     Certificate,
     DominationFunction,
@@ -27,7 +28,6 @@ from .graph_core import (
     WeightedGraph,
     build_intersection_graph,
     is_w_dominating,
-    verify_certificate,
 )
 from .interval_solver import IntervalFamily, _fault, intersection_graph, solve_interval
 from .split_solver import SplitInstance, SplitResult, solve_split, validate_split
@@ -656,13 +656,14 @@ def parse_certificate(text: str) -> Certificate:
 Checks = list[tuple[str, bool]]  # (property, holds) pairs
 
 
-def _certificate_checks(g: WeightedGraph, cert: Certificate) -> Checks:
-    return [("certificate verifies", bool(verify_certificate(g, cert)))]
+def _certified(check: CertificateCheck) -> Checks:
+    """A certificate's one check, named by its reason when it fails, as `domw verify` prints it."""
+    return [(check.reason or "certificate verifies", check.ok)]
 
 
-def _split_checks(g: WeightedGraph, block: Certificate) -> Checks:
+def _split_checks(inst: SplitInstance, block: Certificate) -> Checks:
     """A split report proves a feasible function and an independent witness."""
-    f, witness = block.dominating, block.dispersed
+    g, f, witness = inst.graph, block.dominating, block.dispersed
     dominates = all(v in g.vertices for v in f.support) and is_w_dominating(g, f)
     independent = all(v in g.vertices and not g.adjacency[v] & witness for v in witness)
     return [
@@ -677,9 +678,9 @@ class Kind:
 
     Every kind parses and writes its file section and denotes one weighted
     graph.  A kind with an exact solver also writes the solver's result under
-    `result_header`, names the checks a block under that header must pass,
-    and names the oracle values (gamma_w, rho_w, gamma_i_w) the solver value
-    must equal and those it must bound from above.
+    `result_header`, names the checks of the payload a block under that
+    header must pass, and names the oracle values (gamma_w, rho_w, gamma_i_w)
+    the solver value must equal and those it must bound from above.
     """
 
     parse: Callable[[_Lines], Any]
@@ -688,7 +689,7 @@ class Kind:
     solve: Callable[[Any], Any] | None = None
     write_result: Callable[[Any], str] = write_certificate
     result_header: str = CERT_HEADER
-    check_result: Callable[[WeightedGraph, Certificate], Checks] = _certificate_checks
+    check_result: Callable[[Any, Certificate], Checks] | None = None
     equals: tuple[str, ...] = ()
     at_most: tuple[str, ...] = ()
 
@@ -696,11 +697,13 @@ class Kind:
 KINDS: dict[str, Kind] = {
     "interval": Kind(
         _parse_interval, _write_interval, intersection_graph,
-        solve=solve_interval, equals=("gamma_w", "rho_w"),
+        solve=solve_interval, check_result=lambda p, cert: _certified(check_interval(p, cert)),
+        equals=("gamma_w", "rho_w"),
     ),
     "tree-edges": Kind(
         _parse_tree_edges, _write_tree_edges, lambda p: edge_line_graph(p.host, p.f_edges),
-        solve=lambda p: _solve_forest(p.host.n, p.f_edges), equals=("gamma_w", "rho_w"),
+        solve=lambda p: _solve_forest(p.host.n, p.f_edges),
+        check_result=lambda p, cert: _certified(check_tree_edges(p.f_edges, cert)), equals=("gamma_w", "rho_w"),
     ),
     "split": Kind(
         _parse_split, _write_split, lambda p: p.graph,

@@ -10,10 +10,10 @@ optimality of both sides at once.
 A family is three columns indexed by id: left ends, right ends and weights.
 All three phases read those columns and two orders of the ids, K_r = (right,
 left, id) and K_l = (left, right, id), which a family sorts once, each by one
-int key, and keeps; the self-check sorts the endpoints on its own, so that it
-shares no code with the solver.  The solve keeps each pass's steps as three
-int columns (source, target, amount); the public passes run the same code and
-return them as a `GreedyTrace`.
+int key, and keeps; the self-check is `checkers.check_interval`, which sorts
+the endpoints on its own, so that it shares no code with the solver.  The
+solve keeps each pass's steps as three int columns (source, target, amount);
+the public passes run the same code and return them as a `GreedyTrace`.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
-from math import inf
-from operator import ge, lt, sub
+from itertools import accumulate
 from typing import Iterable, Mapping
 
+from .checkers import check_interval, self_check
 from .errors import TheoremViolation
 from .graph_core import Certificate, DominationFunction, WeightedGraph
 
@@ -265,16 +264,6 @@ def extract_dispersed(
     return _extract(fam, f, g, [s.source for s in steps], [s.target for s in steps])
 
 
-def _column(h: DominationFunction, n: int) -> list[int]:
-    """h at the ids 0..n-1.  Mass on any other id is left out here, so the
-    final weight check raises on it."""
-    column = [0] * n
-    for v, x in h.values.items():
-        if 0 <= v < n:
-            column[v] = x
-    return column
-
-
 def _extract(
     fam: IntervalFamily,
     f: DominationFunction,
@@ -286,7 +275,12 @@ def _extract(
     n, left, right, weight = fam.n, fam.left, fam.right, fam.weight
     order, by_left, position, pos_l = fam._orders
     lefts, rights = [left[i] for i in by_left], [right[v] for v in order]
-    fv, gv = _column(f, n), _column(g, n)
+    # f and g at the ids 0..n-1; mass on any other id is left out, so the final weight check raises on it
+    fv, gv = [0] * n, [0] * n
+    for column, h in ((fv, f), (gv, g)):
+        for v, x in h.values.items():
+            if 0 <= v < n:
+                column[v] = x
     # N[z] is the first hi intervals by left minus the first lo by right (those
     # end before z starts), so prefix sums in both orders give h[N[z]].  From lo
     # on, the enumeration holds z, so its K_l-least member starts by z.right;
@@ -358,39 +352,6 @@ def _extract(
     return frozenset(representatives.values()), decomposition
 
 
-def _certificate_holds(fam: IntervalFamily, cert: Certificate) -> bool:
-    """The certificate check on the interval graph, from the endpoints alone.
-
-    f[N(z)] = f(left <= z.right) - f(right < z.left); if some interval meets
-    two members, one meets two members that are consecutive by right endpoint.
-    The intervals are checked in right-end order: the bisects by right end
-    then come in ascending order, which keeps each near the one before it.
-    """
-    f, n, left, right, weight = cert.dominating, fam.n, fam.left, fam.right, fam.weight
-    if not all(0 <= v < n for v in (*f.support, *cert.dispersed)):
-        return False
-    fv = [0] * n
-    for v, x in f.values.items():
-        fv[v] = x
-    starts = sorted(range(n), key=left.__getitem__)
-    ends = sorted(range(n), key=right.__getitem__)
-    lefts, rights = list(map(left.__getitem__, starts)), list(map(right.__getitem__, ends))
-    by_start = [0, *accumulate(map(fv.__getitem__, starts))]
-    by_end = [0, *accumulate(map(fv.__getitem__, ends))]
-    reach = [-inf, *accumulate(map(right.__getitem__, starts), max)]  # furthest right end so far
-    members = sorted(cert.dispersed, key=right.__getitem__)
-    # per interval in right-end order: f(left <= z.right) and f(right < z.left)
-    upto = map(by_start.__getitem__, map(bisect_right, repeat(lefts), rights))
-    before = map(by_end.__getitem__, map(bisect_left, repeat(rights), map(left.__getitem__, ends)))
-    # per member but the last: the furthest right end among those starting by its right end
-    met = map(reach.__getitem__, map(bisect_right, repeat(lefts), map(right.__getitem__, members)))
-    return (
-        all(map(ge, map(sub, upto, before), map(weight.__getitem__, ends)))
-        and all(map(lt, met, map(left.__getitem__, members[1:])))
-        and f.size == cert.value == sum(weight[m] for m in cert.dispersed)
-    )
-
-
 def solve_interval(fam: IntervalFamily) -> Certificate:
     """Certificate with gamma_w = rho_w on the interval graph of the family.
 
@@ -402,7 +363,4 @@ def solve_interval(fam: IntervalFamily) -> Certificate:
     if f.size != g.size:
         raise TheoremViolation("forward and backward greedy disagree on the value")
     dispersed, _ = _extract(fam, f, g, sources, targets)
-    cert = Certificate(f, dispersed, f.size)
-    if not _certificate_holds(fam, cert):
-        raise TheoremViolation("certificate failed re-verification")
-    return cert
+    return self_check(check_interval, fam, Certificate(f, dispersed, f.size))

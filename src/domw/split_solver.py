@@ -33,8 +33,7 @@ class SplitInstance:
 class SplitResult:
     value: int  # gamma_w = gamma_i_w
     dominating: DominationFunction
-    witness_independent: frozenset[int]
-    witness_cost: int  # minimum size of a function dominating the witness
+    witness_independent: frozenset[int]  # dominating it alone costs the value
 
 
 def validate_split(graph: WeightedGraph, clique: frozenset[int], independent: frozenset[int]) -> SplitInstance:
@@ -84,4 +83,4 @@ def solve_split(inst: SplitInstance) -> SplitResult:
         values[a_star] = values.get(a_star, 0) + heaviest - cover.size
         witness = isolated | {a_star}
     f = DominationFunction(values)
-    return SplitResult(f.size, f, witness, f.size)
+    return SplitResult(f.size, f, witness)

@@ -18,10 +18,10 @@ public phase functions run the same code on dicts over one `RootedEdgeTree`.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
+from .checkers import check_tree_edges, self_check
 from .errors import EmptyEdgeSet, TheoremViolation, UnknownVertex
 from .graph_core import (
     Certificate,
@@ -292,35 +292,8 @@ def edge_line_graph(host: HostTree, subset: Sequence[FEdge]) -> WeightedGraph:
     return build_intersection_graph(host, [{u, v} for u, v, _ in subset], [w for _, _, w in subset])
 
 
-def _certificate_holds(subset: Sequence[FEdge], cert: Certificate) -> bool:
-    """The certificate check on the line graph, from sums and claims at host vertices.
-
-    f[N[e]] = S(x) + S(y) - f(e) for e = (x, y), with S(x) the mass at x.  Each
-    member claims its two ends; two members are too close when a selected edge
-    joins ends that they claim.  A vertex claimed twice keeps one claim, which
-    leaves the other member itself with ends claimed by two members.
-    """
-    f = cert.dominating
-    if not all(0 <= e < len(subset) for e in (*f.values, *cert.dispersed)):
-        return False
-    on = [0] * len(subset)  # f(e), by edge id
-    at: defaultdict[int, int] = defaultdict(int)
-    for e, x in f.values.items():
-        on[e] = x
-        at[subset[e][0]] += x
-        at[subset[e][1]] += x
-    claim = {x: m for m in cert.dispersed for x in subset[m][:2]}
-    return (
-        all(at[x] + at[y] - fe >= w for (x, y, w), fe in zip(subset, on))
-        and not any(x in claim and y in claim and claim[x] != claim[y] for x, y, _ in subset)
-        and f.size == cert.value == sum(subset[m][2] for m in cert.dispersed)
-    )
-
-
 def _solve_forest(n: int, subset: Sequence[FEdge]) -> Certificate:
-    """solve_tree on a selection already checked against a host on vertices 0..n-1."""
-    if not subset:
-        raise EmptyEdgeSet("the selected edge set is empty")
+    """solve_tree on a selection checked against a host on vertices 0..n-1; the self-check refuses an empty one."""
     tb, components = _forest(n, subset)
     f, at, mass, alive = [0] * len(subset), [0] * n, [0] * n, [True] * len(subset)
     dispersed: list[int] = []
@@ -331,10 +304,7 @@ def _solve_forest(n: int, subset: Sequence[FEdge]) -> Certificate:
             f[e0] += d
         dispersed += [s for chosen, _ in _peel(tb, root, d, e0, order, f, mass, alive) for s in chosen]
     total = DominationFunction(dict(enumerate(f)))
-    cert = Certificate(total, frozenset(dispersed), total.size)
-    if not _certificate_holds(subset, cert):
-        raise TheoremViolation("certificate failed re-verification")
-    return cert
+    return self_check(check_tree_edges, subset, Certificate(total, frozenset(dispersed), total.size))
 
 
 def solve_tree(host: HostTree, subset: Sequence[FEdge]) -> Certificate:

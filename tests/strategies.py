@@ -4,16 +4,19 @@ Instances are kept deliberately small so the brute-force oracles stay
 instant; the acceptance module covers the larger seeded sweeps.
 """
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from hypothesis import strategies as st
 
 from domw import (
+    LCG,
     Certificate,
+    CertificateCheck,
     DominationFunction,
     HostTree,
     IntervalFamily,
     SplitInstance,
+    UnknownVertex,
     WeightedGraph,
     validate_split,
 )
@@ -137,3 +140,54 @@ def corrupted(draw, cert: Certificate, weights: Sequence[int]) -> Certificate:
         f = {m: weights[m] for m in members}
         value = sum(f.values())
     return Certificate(DominationFunction(f), frozenset(members), value)
+
+
+def seeded_corruptions(cert: Certificate, graph: WeightedGraph, seed: int) -> list[Certificate]:
+    """The certificate and ten broken copies of it, drawn from `LCG(seed)`:
+    an `f` line dropped; a value changed by +1 or -1; one unit of mass moved
+    onto a neighbor; an `I` member added, removed or swapped; the `value` line
+    bumped by +1 or -1; an id past the end or a negative one put in f and in I.
+    A copy that needs something the certificate lacks (a nonzero f, a member,
+    a vertex with a neighbor) is the certificate itself."""
+    rng, n = LCG(seed), graph.n
+    f, members, value = dict(cert.dominating.values), sorted(cert.dispersed), cert.value
+
+    def pick(items):
+        return items[rng.draw(len(items))] if items else None
+
+    def copy(values=f, ids=members, total=value):
+        return Certificate(DominationFunction(values), frozenset(ids), total)
+
+    def stray():
+        return n + rng.draw(3) if rng.draw(2) else -1 - rng.draw(3)
+
+    out = [cert]
+    v = pick(sorted(f))
+    out.append(copy({u: x for u, x in f.items() if u != v}))
+    v = rng.draw(n)
+    out.append(copy({**f, v: f.get(v, 0) + (1 if rng.draw(2) or not f.get(v) else -1)}))
+    v = pick(sorted(u for u in f if graph.adjacency[u]))
+    if v is None:
+        out.append(cert)
+    else:
+        u = pick(sorted(graph.adjacency[v]))
+        out.append(copy({**f, v: f[v] - 1, u: f.get(u, 0) + 1}))
+    out.append(copy(ids=[*members, rng.draw(n)]))
+    gone = pick(members)
+    out.append(copy(ids=[m for m in members if m != gone]))
+    out.append(copy(ids=[*(m for m in members if m != gone), rng.draw(n)]))
+    out.append(copy(total=value + (1 if rng.draw(2) else -1)))
+    out.append(copy({**f, stray(): 1 + rng.draw(3)}))
+    out.append(copy(ids=[*members, stray()]))
+    # a stray id in each: the f one is reported first
+    out.append(copy({**f, stray(): 1}, [*members, stray()]))
+    return out
+
+
+def outcome(checker: Callable[..., CertificateCheck], *args) -> str | None:
+    """What a checker decides: None when the certificate holds, else its
+    reason or the UnknownVertex it raised."""
+    try:
+        return checker(*args).reason
+    except UnknownVertex as exc:
+        return f"UnknownVertex: {exc}"

@@ -17,6 +17,9 @@ from domw import DominationFunction, SplitResult, oracles, write_split_result
 from domw.cli import run
 from domw.instances_io import KINDS, parse_instance
 
+# one edge between two vertices of weight 1
+_EDGE = "domw 1\nkind explicit\n2\n0 1\n1 1\n1\n0 1\n"
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -113,10 +116,31 @@ def test_verify_rejects_a_faulty_split_block(values, witness, failing, tmp_path,
     path = tmp_path / "tri.domw"
     path.write_text(text)
     block = tmp_path / "tri.out"
-    fake = SplitResult(6, DominationFunction(values), frozenset(witness), 6)
+    fake = SplitResult(6, DominationFunction(values), frozenset(witness))
     block.write_text(write_split_result(fake))
     code, out, _ = invoke(capsys, "verify", str(path), str(block))
     assert (code, out) == (1, failing + "\n")
+
+
+@pytest.mark.parametrize(
+    "instance, block, expected",
+    [
+        (_EDGE, "domw-cert 1\nf 0 1\nI 1\nvalue 1\n", (0, "PASS value 1\n")),
+        (_EDGE, "domw-cert 1\nI 1\nvalue 0\n", (1, "FAIL NotDominating\n")),
+        (_EDGE, "domw-cert 1\nf 2 1\nI 1\nvalue 1\n", (1, "")),
+        # every dispersed set of the triangle is one vertex, of weight at most 5 < 6
+        (None, "domw-cert 1\nf 0 2\nf 1 2\nf 2 2\nI 0\nvalue 6\n", (1, "FAIL ValueMismatch\n")),
+    ],
+    ids=["explicit-pass", "explicit-not-dominating", "explicit-unknown-vertex", "split"],
+)
+def test_verify_checks_a_certificate_of_another_kind_on_its_graph(instance, block, expected, tmp_path, capsys):
+    """Kinds with no checker of their own: the explicit-graph route."""
+    text = instance or invoke(capsys, "example", "split-triangle")[1]
+    path, cert = tmp_path / "inst.domw", tmp_path / "inst.cert"
+    path.write_text(text)
+    cert.write_text(block)
+    code, out, _ = invoke(capsys, "verify", str(path), str(cert))
+    assert (code, out) == expected
 
 
 def test_verify_refuses_a_split_block_for_an_interval_instance(interval_file, tmp_path, capsys):
@@ -247,7 +271,7 @@ def test_check_rejects_a_faulty_split_result(values, witness, failing, tmp_path,
     _, text, _ = invoke(capsys, "example", "split-triangle")
     path = tmp_path / "tri.domw"
     path.write_text(text)
-    fake = SplitResult(6, DominationFunction(values), frozenset(witness), 6)
+    fake = SplitResult(6, DominationFunction(values), frozenset(witness))
     monkeypatch.setattr(KINDS["split"], "solve", lambda inst: fake)
     code, out, _ = invoke(capsys, "check", str(path))
     assert code == 1
@@ -454,11 +478,16 @@ def test_a_solve_that_succeeds_loads_no_hashlib(interval_file):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
-def test_interval_self_check_failure_exits_two(interval_file, replay_dir, capsys, monkeypatch):
-    # every interval as the witness set: they all meet the long one
+@pytest.mark.parametrize(
+    "witnesses",
+    # every interval, which all meet the long one; an id past the last; a negative id
+    [lambda n: range(n), lambda n: [n], lambda n: [-1]],
+    ids=["not-dispersed", "past-the-end", "negative"],
+)
+def test_interval_self_check_failure_exits_two(witnesses, interval_file, replay_dir, capsys, monkeypatch):
     monkeypatch.setattr(
         domw.interval_solver, "_extract",
-        lambda fam, f, g, sources, targets: (frozenset(range(fam.n)), None),
+        lambda fam, f, g, sources, targets: (frozenset(witnesses(fam.n)), None),
     )
     code, out, err = invoke(capsys, "solve", interval_file)
     assert (code, out) == (2, "")
@@ -466,14 +495,19 @@ def test_interval_self_check_failure_exits_two(interval_file, replay_dir, capsys
     assert_replays(err, interval_file, replay_dir)
 
 
-def test_tree_self_check_failure_exits_two(tmp_path, replay_dir, capsys, monkeypatch):
-    # every edge of the star as the witness set: they all share the center
+@pytest.mark.parametrize(
+    "witnesses",
+    # every edge of the star, which all share the center; an id past the last; a negative id
+    [lambda edges: list(edges), lambda edges: [len(edges)], lambda edges: [-1]],
+    ids=["not-dispersed", "past-the-end", "negative"],
+)
+def test_tree_self_check_failure_exits_two(witnesses, tmp_path, replay_dir, capsys, monkeypatch):
     _, text, _ = invoke(capsys, "example", "non-tu-star")
     path = tmp_path / "star.domw"
     path.write_text(text)
     monkeypatch.setattr(
         domw.tree_edge_solver, "_peel",
-        lambda tb, root, d, e0, edges, *scratch: [(list(edges), list(edges))],
+        lambda tb, root, d, e0, edges, *scratch: [(witnesses(edges), list(edges))],
     )
     code, out, err = invoke(capsys, "solve", str(path))
     assert (code, out) == (2, "")

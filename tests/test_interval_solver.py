@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import domw.checkers
 import domw.graph_core
 import domw.interval_solver
 import domw.tree_edge_solver
@@ -32,14 +33,16 @@ from domw import (
     solve_tree,
     verify_certificate,
 )
+from domw.checkers import check_interval
 from domw.instances_io import (
     InstanceFile,
     example_nontu_intervals,
     example_three_intervals,
     write_instance,
 )
+from domw.interval_solver import GreedyStep, GreedyTrace
 
-from .strategies import corrupted, interval_families
+from .strategies import corrupted, interval_families, outcome, seeded_corruptions
 
 
 def family(*triples) -> IntervalFamily:
@@ -391,8 +394,7 @@ def test_no_graph_is_built_per_solve(monkeypatch):
 @given(interval_families(), st.data())
 def test_interval_checker_agrees_with_verify_certificate(fam: IntervalFamily, data):
     cert = data.draw(corrupted(solve_interval(fam), fam.weight))
-    expected = bool(verify_certificate(intersection_graph(fam), cert))
-    assert domw.interval_solver._certificate_holds(fam, cert) == expected
+    assert outcome(check_interval, fam, cert) == outcome(verify_certificate, intersection_graph(fam), cert)
 
 
 def test_interval_checker_agrees_with_verify_certificate_on_every_small_case():
@@ -414,8 +416,57 @@ def test_interval_checker_agrees_with_verify_certificate_on_every_small_case():
                     Certificate(solver_f, members, solver_f.size),
                     Certificate(solver_f, members, weight),
                 ):
-                    expected = bool(verify_certificate(graph, cert))
-                    assert domw.interval_solver._certificate_holds(fam, cert) == expected
+                    assert outcome(check_interval, fam, cert) == outcome(verify_certificate, graph, cert)
+
+
+def test_interval_checker_agrees_with_verify_certificate_on_seeded_corruptions():
+    """440 certificates: each of 40 seeded families' own and 10 broken
+    copies, out-of-range and negative ids included; the reason, or the
+    UnknownVertex raised, is the explicit graph's."""
+    checked = 0
+    for seed in range(40):
+        fam = gen_interval(seed, 1 + seed % 9, 4 + seed % 17, 1 + seed % 4)
+        graph = intersection_graph(fam)
+        for cert in seeded_corruptions(solve_interval(fam), graph, seed):
+            assert outcome(check_interval, fam, cert) == outcome(verify_certificate, graph, cert)
+            checked += 1
+    assert checked == 440
+
+
+def test_extraction_takes_the_smallest_passing_source_as_the_witness():
+    """Twin intervals: a trace that also has the first twin push onto itself
+    gives the block two sources that pass, and either order of the steps
+    elects the smaller id."""
+    fam = family((1, 2, 1), (1, 2, 1))
+    f, _ = forward_greedy(fam)
+    g, gtrace = backward_greedy(fam)
+    assert extract_dispersed(fam, f, g, gtrace)[0] == frozenset({1})
+    self_push = GreedyStep(0, 0, 1)
+    for steps in [(self_push, *gtrace.steps), (*gtrace.steps, self_push)]:
+        chosen, dec = extract_dispersed(fam, f, g, GreedyTrace(steps))
+        assert chosen == frozenset({0}) and dec.representatives == {0: 0}
+
+
+@pytest.mark.parametrize(
+    "g, steps, message",
+    [
+        ({}, None, "interval 1 carries forward mass but no backward mass"),
+        (None, (), "no witness interval for 1"),
+        # interval 2 ends inside the block of witness 0 but does not meet it
+        ({0: 1, 2: 1}, ((0, 0),), "block of witness 0 does not pay for it exactly"),
+    ],
+    ids=["no-backward-mass", "no-witness", "block-pay"],
+)
+def test_extraction_guards_fire_on_a_tampered_g_or_trace(g, steps, message):
+    """The forward function of [1, 2], [2, 5], [3, 4] with a backward function
+    or trace (None: the greedy's own) that no greedy pass gives."""
+    fam = family((1, 2, 1), (2, 5, 1), (3, 4, 1))
+    f, _ = forward_greedy(fam)
+    own_g, own_trace = backward_greedy(fam)
+    g = own_g if g is None else DominationFunction(g)
+    gtrace = own_trace if steps is None else GreedyTrace(tuple(GreedyStep(s, t, 1) for s, t in steps))
+    with pytest.raises(domw.TheoremViolation, match=f"^{message}$"):
+        extract_dispersed(fam, f, g, gtrace)
 
 
 @pytest.mark.parametrize("stray", [3, -1])
@@ -433,12 +484,15 @@ def test_extraction_raises_on_mass_outside_the_family(stray):
 
 
 def test_interval_checker_rejects_ids_outside_the_family():
+    """An unknown id of f raises before domination is read, one of I only
+    after it; as on the explicit graph."""
     fam = family((1, 2, 1), (4, 5, 1))
-    holds = domw.interval_solver._certificate_holds
-    assert holds(fam, Certificate(DominationFunction({0: 1, 1: 1}), frozenset({0, 1}), 2))
-    assert not holds(fam, Certificate(DominationFunction({0: 1, 1: 1}), frozenset({0, 2}), 2))
-    assert not holds(fam, Certificate(DominationFunction({0: 1, 1: 1}), frozenset({0, -1}), 2))
-    assert not holds(fam, Certificate(DominationFunction({0: 1, 1: 1, 2: 1}), frozenset({0, 1}), 3))
+    both, first = DominationFunction({0: 1, 1: 1}), DominationFunction({0: 1})
+    assert check_interval(fam, Certificate(both, frozenset({0, 1}), 2)).ok
+    assert check_interval(fam, Certificate(first, frozenset({0, 2}), 1)).reason == "NotDominating"
+    for f, members in [(both, {0, 2}), (both, {0, -1}), (DominationFunction({0: 1, 1: 1, 2: 1}), {0, 1})]:
+        with pytest.raises(domw.UnknownVertex, match="out of range 0..1"):
+            check_interval(fam, Certificate(f, frozenset(members), 2))
 
 
 def test_each_family_sorts_its_two_orders_once(monkeypatch):
@@ -448,26 +502,30 @@ def test_each_family_sorts_its_two_orders_once(monkeypatch):
     the cached orders leave its value alone."""
     calls = []
 
-    def counting_sorted(*args, **kwargs):
-        calls.append(1)
-        return sorted(*args, **kwargs)
+    def counting(module):
+        def counting_sorted(*args, **kwargs):
+            calls.append(module)
+            return sorted(*args, **kwargs)
+
+        return counting_sorted
 
     fam = gen_interval(2, 60, 200, 5)
     fresh = gen_interval(2, 60, 200, 5)
     columns = {"left": fam.left, "right": fam.right, "weight": fam.weight}
     assert vars(fam) == columns
     assert all(type(column) is tuple and len(column) == 60 for column in columns.values())
-    monkeypatch.setattr(domw.interval_solver, "sorted", counting_sorted, raising=False)
+    for module in (domw.interval_solver, domw.checkers):
+        monkeypatch.setattr(module, "sorted", counting(module), raising=False)
     cert = solve_interval(fam)
-    assert len(calls) == 5
+    assert calls == [domw.interval_solver] * 2 + [domw.checkers] * 3
     assert vars(fam) != columns
     calls.clear()
     f, _ = forward_greedy(fam)
     g, gtrace = backward_greedy(fam)
     extract_dispersed(fam, f, g, gtrace)
     assert len(calls) == 0
-    assert domw.interval_solver._certificate_holds(fam, cert)
-    assert len(calls) == 3
+    assert check_interval(fam, cert).ok
+    assert calls == [domw.checkers] * 3
     monkeypatch.undo()
     assert fam == fresh and hash(fam) == hash(fresh) and repr(fam) == repr(fresh)
     assert write_instance(InstanceFile("interval", fam)) == write_instance(InstanceFile("interval", fresh))

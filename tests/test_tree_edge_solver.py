@@ -16,10 +16,10 @@ from domw import (
     solve_tree,
     verify_certificate,
 )
-from domw.errors import EmptyEdgeSet
+from domw.checkers import check_tree_edges
+from domw.errors import EmptyEdgeSet, UnknownVertex
 from domw.instances_io import example_nontu_star, gen_tree
 from domw.tree_edge_solver import (
-    _certificate_holds,
     _normalized,
     bottom_up_f,
     edge_line_graph,
@@ -29,7 +29,7 @@ from domw.tree_edge_solver import (
     solve_rooted,
 )
 
-from .strategies import corrupted, tree_edge_subsets
+from .strategies import corrupted, outcome, seeded_corruptions, tree_edge_subsets
 
 PATH3 = HostTree(3, ((0, 1), (1, 2)))
 
@@ -292,8 +292,8 @@ def test_a_path_of_four_thousand_selected_edges_solves_to_a_verified_certificate
 def test_tree_checker_agrees_with_verify_certificate(case, data):
     host, subset = case
     cert = data.draw(corrupted(solve_tree(host, subset), [w for _, _, w in subset]))
-    expected = bool(verify_certificate(edge_line_graph(host, subset), cert))
-    assert _certificate_holds(subset, cert) == expected
+    graph = edge_line_graph(host, subset)
+    assert outcome(check_tree_edges, subset, cert) == outcome(verify_certificate, graph, cert)
 
 
 def test_tree_checker_agrees_with_verify_certificate_on_every_small_case():
@@ -323,16 +323,35 @@ def _assert_checker_agrees(host, subset):
             Certificate(solver_f, members, solver_f.size),
             Certificate(solver_f, members, weight),
         ):
-            assert _certificate_holds(subset, cert) == bool(verify_certificate(graph, cert))
+            assert outcome(check_tree_edges, subset, cert) == outcome(verify_certificate, graph, cert)
+
+
+def test_tree_checker_agrees_with_verify_certificate_on_seeded_corruptions():
+    """440 certificates: each of 40 seeded selections' own and 10 broken
+    copies, out-of-range and negative ids included; the reason, or the
+    UnknownVertex raised, is the explicit line graph's."""
+    checked = 0
+    for seed in range(40):
+        host, subset = gen_tree(seed, 1 + seed % 11, 1 + seed % 4)
+        graph = edge_line_graph(host, subset)
+        for cert in seeded_corruptions(solve_tree(host, subset), graph, seed):
+            assert outcome(check_tree_edges, subset, cert) == outcome(verify_certificate, graph, cert)
+            checked += 1
+    assert checked == 440
 
 
 def test_tree_checker_rejects_ids_outside_the_selection():
+    """An unknown id of f raises before domination is read, one of I only
+    after it; as on the explicit line graph."""
     subset = ((0, 1, 2), (1, 2, 3))
     f = DominationFunction({1: 3})
-    assert _certificate_holds(subset, Certificate(f, frozenset({1}), 3))
-    assert not _certificate_holds(subset, Certificate(f, frozenset({2}), 3))
-    assert not _certificate_holds(subset, Certificate(f, frozenset({-1}), 3))
-    assert not _certificate_holds(subset, Certificate(DominationFunction({1: 3, 2: 1}), frozenset({1}), 4))
+    assert check_tree_edges(subset, Certificate(f, frozenset({1}), 3)).ok
+    assert check_tree_edges(subset, Certificate(DominationFunction({0: 1}), frozenset({2}), 1)).reason == "NotDominating"
+    for g, members in [(f, {2}), (f, {-1}), (DominationFunction({1: 3, 2: 1}), {1})]:
+        with pytest.raises(UnknownVertex, match="out of range 0..1"):
+            check_tree_edges(subset, Certificate(g, frozenset(members), 3))
+    with pytest.raises(EmptyEdgeSet):
+        check_tree_edges((), Certificate(DominationFunction(), frozenset(), 0))
 
 
 def test_a_star_of_ten_thousand_selected_edges_solves():
