@@ -223,7 +223,6 @@ def check_instance(inst: InstanceFile, cap: int = DEFAULT_CAP) -> CheckReport:
     """Every invariant `domw check` tests: the solver result against its kind's
     checks and, up to `cap` vertices, against the brute-force oracles and the LP."""
     kind = KINDS[inst.kind]
-    g = kind.graph(inst.payload)
     lines: Checks = []
     value = None
     if kind.solve is not None:
@@ -232,9 +231,10 @@ def check_instance(inst: InstanceFile, cap: int = DEFAULT_CAP) -> CheckReport:
         _, block = parse_result(text, (kind.result_header,))
         value = block.value
         lines += [(f"solver {name}", ok) for name, ok in kind.check_result(inst.payload, block)]
-    if g.n > cap:
-        return CheckReport(lines, skip=f"{g.n} vertices exceed the cap of {cap}")
-
+    n = kind.vertex_count(inst.payload)
+    if n > cap:
+        return CheckReport(lines, skip=f"{n} vertices exceed the cap of {cap}")
+    g = kind.graph(inst.payload)
     gamma, _ = brute_gamma(g, cap)
     rho, _ = brute_rho(g, cap)
     gamma_i, _, _ = brute_gamma_i(g, cap)

@@ -18,6 +18,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import ge
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .errors import (
@@ -40,9 +41,7 @@ class WeightedGraph:
         n = len(self.weights)
         if len(self.adjacency) != n:
             raise ValueError("adjacency and weights disagree on vertex count")
-        for v, w in enumerate(self.weights):
-            if not isinstance(w, int) or w < 1:
-                raise ValueError(f"weight of vertex {v} must be a positive integer")
+        _check_weights(self.weights)
         for v, nbrs in enumerate(self.adjacency):
             for u in nbrs:
                 if not 0 <= u < n:
@@ -53,7 +52,19 @@ class WeightedGraph:
                     raise ValueError(f"adjacency not symmetric at ({v}, {u})")
 
     @classmethod
+    def _checked(cls, weights: tuple[int, ...], adjacency: tuple[frozenset[Vertex], ...]) -> "WeightedGraph":
+        """A graph whose weights and symmetric, loop-free adjacency the caller
+        has already checked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "weights", weights)
+        object.__setattr__(g, "adjacency", adjacency)
+        return g
+
+    @classmethod
     def from_edges(cls, weights: Sequence[int], edges: Iterable[tuple[Vertex, Vertex]]) -> "WeightedGraph":
+        """The graph of an edge list, with the constructor's checks in its
+        order: edge range, then weights, then self-loops.  Each edge lands in
+        both neighbor sets, so symmetry needs no rescan."""
         n = len(weights)
         nbrs: list[set[Vertex]] = [set() for _ in range(n)]
         for u, v in edges:
@@ -61,7 +72,11 @@ class WeightedGraph:
                 raise UnknownVertex(f"edge ({u}, {v}) out of range")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return cls(tuple(weights), tuple(frozenset(s) for s in nbrs))
+        _check_weights(weights)
+        for v, s in enumerate(nbrs):
+            if v in s:
+                raise ValueError(f"self-loop at vertex {v}")
+        return cls._checked(tuple(weights), tuple(map(frozenset, nbrs)))
 
     @property
     def n(self) -> int:
@@ -73,6 +88,12 @@ class WeightedGraph:
 
     def degree(self, v: Vertex) -> int:
         return len(self.adjacency[v])
+
+
+def _check_weights(weights: Sequence[int]) -> None:
+    for v, w in enumerate(weights):
+        if not isinstance(w, int) or w < 1:
+            raise ValueError(f"weight of vertex {v} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -221,6 +242,14 @@ def _check_vertex(g: WeightedGraph, v: Vertex) -> None:
         raise UnknownVertex(f"vertex {v} out of range 0..{g.n - 1}")
 
 
+def _check_vertices(g: WeightedGraph, vs: Iterable[Vertex]) -> None:
+    """_check_vertex on each of vs, with the range test inline."""
+    n = g.n
+    for v in vs:
+        if not (isinstance(v, int) and 0 <= v < n):
+            _check_vertex(g, v)
+
+
 def closed_neighborhood(g: WeightedGraph, v: Vertex) -> frozenset[Vertex]:
     """N(v): the vertex itself together with its neighbors."""
     _check_vertex(g, v)
@@ -251,15 +280,18 @@ def is_dispersed(g: WeightedGraph, s: Iterable[Vertex]) -> bool:
 
     Vertices in different components are infinitely far apart and qualify.
     """
+    adjacency = g.adjacency
     members = set(s)
-    for v in members:
-        _check_vertex(g, v)
+    _check_vertices(g, members)
     claimed: set[Vertex] = set()
     for v in members:
-        for x in (v, *g.adjacency[v]):
-            if x in claimed:
-                return False
-            claimed.add(x)
+        # v itself is claimed only through an earlier neighbor, which is in
+        # adjacency[v] and claimed as well, so one disjointness test suffices
+        nbrs = adjacency[v]
+        if not claimed.isdisjoint(nbrs):
+            return False
+        claimed |= nbrs
+        claimed.add(v)
     return True
 
 
@@ -273,16 +305,19 @@ def is_w_dominating(g: WeightedGraph, f: DominationFunction, u: Iterable[Vertex]
 
     Every vertex of u and of the support of f must belong to g.
     """
-    targets = g.vertices if u is None else set(u)
-    for v in targets:
-        _check_vertex(g, v)
+    adjacency, weights = g.adjacency, g.weights
+    targets = None if u is None else set(u)
+    if targets is not None:
+        _check_vertices(g, targets)
+    _check_vertices(g, f.values)
     load = [0] * g.n  # load[t] = f[N(t)]
     for v, x in f.values.items():
-        _check_vertex(g, v)
         load[v] += x
-        for y in g.adjacency[v]:
+        for y in adjacency[v]:
             load[y] += x
-    return all(load[t] >= g.weights[t] for t in targets)
+    if targets is None:
+        return all(map(ge, load, weights))
+    return all(load[t] >= weights[t] for t in targets)
 
 
 def verify_certificate(g: WeightedGraph, cert: Certificate) -> CertificateCheck:
@@ -295,6 +330,25 @@ def verify_certificate(g: WeightedGraph, cert: Certificate) -> CertificateCheck:
     if not (cert.dominating.size == cert.value == weight_of_dispersed):
         return CertificateCheck(False, VALUE_MISMATCH)
     return CertificateCheck(True)
+
+
+def _checked_subtrees(host: HostTree, subtrees: Sequence[Iterable[Vertex]]) -> list[frozenset[Vertex]]:
+    """The subtrees as vertex sets, each checked to be a nonempty connected
+    set of host vertices."""
+    adj = host._adj
+    sets: list[frozenset[Vertex]] = []
+    for i, raw in enumerate(subtrees):
+        s = frozenset(raw)
+        if not s:
+            raise EmptySubtree(f"subtree {i} is empty")
+        for v in s:
+            if not 0 <= v < host.n:
+                raise UnknownVertex(f"subtree {i} uses vertex {v} outside the host tree")
+        # s induces a forest, which is connected exactly when it has |s| - 1 edges
+        if sum(len(adj[v] & s) for v in s) != 2 * (len(s) - 1):
+            raise DisconnectedSubtree(f"subtree {i} is not connected in the host tree")
+        sets.append(s)
+    return sets
 
 
 def build_intersection_graph(
@@ -312,19 +366,7 @@ def build_intersection_graph(
     """
     if len(subtrees) != len(weights):
         raise ValueError("one weight per subtree is required")
-    adj = host._adj
-    sets: list[frozenset[Vertex]] = []
-    for i, raw in enumerate(subtrees):
-        s = frozenset(raw)
-        if not s:
-            raise EmptySubtree(f"subtree {i} is empty")
-        for v in s:
-            if not 0 <= v < host.n:
-                raise UnknownVertex(f"subtree {i} uses vertex {v} outside the host tree")
-        # s induces a forest, which is connected exactly when it has |s| - 1 edges
-        if sum(len(adj[v] & s) for v in s) != 2 * (len(s) - 1):
-            raise DisconnectedSubtree(f"subtree {i} is not connected in the host tree")
-        sets.append(s)
+    sets = _checked_subtrees(host, subtrees)
     holders: list[list[int]] = [[] for _ in range(host.n)]
     for i, s in enumerate(sets):
         for v in s:

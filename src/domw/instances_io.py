@@ -13,12 +13,14 @@ comments, an explicit version header.  parse(write(x)) == x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Callable, Iterator, Sequence
 
 from .errors import (
     InstanceSemanticError,
     InstanceSyntaxError,
     ParameterOutOfRange,
+    UnknownVertex,
 )
 from .checkers import CertificateCheck, check_interval, check_tree_edges
 from .graph_core import (
@@ -26,7 +28,9 @@ from .graph_core import (
     DominationFunction,
     HostTree,
     WeightedGraph,
+    _check_weights,
     build_intersection_graph,
+    _checked_subtrees,
     is_w_dominating,
 )
 from .interval_solver import IntervalFamily, _fault, intersection_graph, solve_interval
@@ -427,38 +431,82 @@ def _parse_tree_edges(lines: _Lines) -> TreeEdgesInstance:
     return TreeEdgesInstance(host, tuple(f_edges))
 
 
+def _split_vertex(line: int, text: str) -> tuple[int, bool, int]:
+    """A vertex line's id, side (True for A) and weight, checked field by field."""
+    parts = text.split()
+    if len(parts) != 3:
+        raise InstanceSyntaxError(line, "vertex: expected `id side w`")
+    if parts[1] not in ("A", "B"):
+        raise InstanceSyntaxError(line, f"vertex: side must be A or B, got {parts[1]!r}")
+    ident, w = _ints(line, (parts[0], parts[2]), "vertex")
+    return ident, parts[1] == "A", w
+
+
 def _parse_split(lines: _Lines) -> SplitInstance:
+    """The vertex and edge lines, read straight into neighbor sets.
+
+    Each line is checked once, in file order: its fields, the id order, an
+    edge inside one side, a repeated edge.  After the edge block come the
+    first edge out of range, in file order, and then the first weight below
+    1.  Every vertex names a side, the parser joins the clique itself and
+    every edge crosses the sides, so the result is a split partition with
+    symmetric, loop-free neighbor sets, and no graph or split check runs
+    again.
+    """
     nv = _count(lines, "vertex count", minimum=1)
-    sides: list[str] = []
+    on_a: list[bool] = []
     weights: list[int] = []
     for expect_id, (line, text) in enumerate(lines.take(nv, "vertex line")):
-        parts = text.split()
-        if len(parts) != 3:
-            raise InstanceSyntaxError(line, "vertex: expected `id side w`")
-        if parts[1] not in ("A", "B"):
-            raise InstanceSyntaxError(line, f"vertex: side must be A or B, got {parts[1]!r}")
-        ident, w = _ints(line, (parts[0], parts[2]), "vertex")
+        # the shape a writer emits; anything else, `+1` or `1_0` included,
+        # goes through the field-by-field checks
+        try:
+            match text.split():
+                case [ident, "A" | "B" as side, w] if int(ident) == expect_id:
+                    weights.append(int(w))
+                    on_a.append(side == "A")
+                    continue
+        except ValueError:
+            pass
+        ident, side_a, w = _split_vertex(line, text)
         if ident != expect_id:
             raise InstanceSemanticError(f"vertex id {ident} out of order, expected {expect_id}")
-        sides.append(parts[1])
         weights.append(w)
-    clique = frozenset(v for v in range(nv) if sides[v] == "A")
-    independent = frozenset(v for v in range(nv) if sides[v] == "B")
+        on_a.append(side_a)
     m = _count(lines, "edge count")
-    cross = []
-    seen = set()
+    nbrs: list[set[int]] = [set() for _ in range(nv)]
+    stray: dict[tuple[int, int], tuple[int, int]] = {}  # ends out of range, in file order
     for line, text in lines.take(m, "edge line"):
-        u, v = _int_fields(line, text, 2, "edge")
-        if (u in clique) == (v in clique):
+        try:  # the shape a writer emits, two integers; any other line raises here
+            x, y = text.split()
+            u, v = int(x), int(y)
+        except ValueError:
+            u, v = _int_fields(line, text, 2, "edge")
+        if 0 <= u < nv and 0 <= v < nv:
+            if on_a[u] == on_a[v]:
+                raise InstanceSemanticError(f"edge {u} {v} must join the A side to the B side")
+            if v in nbrs[u]:
+                raise InstanceSemanticError(f"duplicate edge {u} {v}")
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+            continue
+        # an id out of range sits on no side, so it counts as B; guarding the
+        # lookup keeps a negative id from indexing from the end
+        if (0 <= u < nv and on_a[u]) == (0 <= v < nv and on_a[v]):
             raise InstanceSemanticError(f"edge {u} {v} must join the A side to the B side")
         key = (u, v) if u < v else (v, u)
-        if key in seen:
+        if key in stray:
             raise InstanceSemanticError(f"duplicate edge {u} {v}")
-        seen.add(key)
-        cross.append((u, v))
-    clique_pairs = [(u, v) for u in sorted(clique) for v in sorted(clique) if u < v]
-    graph = WeightedGraph.from_edges(weights, clique_pairs + cross)
-    return validate_split(graph, clique, independent)
+        stray[key] = (u, v)
+    if stray:
+        u, v = next(iter(stray.values()))
+        raise UnknownVertex(f"edge ({u}, {v}) out of range")
+    _check_weights(weights)
+    clique = frozenset(compress(range(nv), on_a))
+    for a in clique:
+        nbrs[a] |= clique
+        nbrs[a].discard(a)
+    graph = WeightedGraph._checked(tuple(weights), tuple(map(frozenset, nbrs)))
+    return SplitInstance(graph, clique, frozenset(range(nv)) - clique)
 
 
 def _parse_subtrees(lines: _Lines) -> SubtreeInstance:
@@ -677,15 +725,17 @@ class Kind:
     """Everything the package does with one instance kind.
 
     Every kind parses and writes its file section and denotes one weighted
-    graph.  A kind with an exact solver also writes the solver's result under
-    `result_header`, names the checks of the payload a block under that
-    header must pass, and names the oracle values (gamma_w, rho_w, gamma_i_w)
-    the solver value must equal and those it must bound from above.
+    graph, whose vertex count `domw check` compares with its cap before it
+    builds the graph.  A kind with an exact solver also writes the solver's
+    result under `result_header`, names the checks of the payload a block
+    under that header must pass, and names the oracle values (gamma_w, rho_w,
+    gamma_i_w) the solver value must equal and those it must bound from above.
     """
 
     parse: Callable[[_Lines], Any]
     write: Callable[[Any], list[str]]
     graph: Callable[[Any], WeightedGraph]
+    vertex_count: Callable[[Any], int]
     solve: Callable[[Any], Any] | None = None
     write_result: Callable[[Any], str] = write_certificate
     result_header: str = CERT_HEADER
@@ -696,25 +746,28 @@ class Kind:
 
 KINDS: dict[str, Kind] = {
     "interval": Kind(
-        _parse_interval, _write_interval, intersection_graph,
+        _parse_interval, _write_interval, intersection_graph, lambda p: p.n,
         solve=solve_interval, check_result=lambda p, cert: _certified(check_interval(p, cert)),
         equals=("gamma_w", "rho_w"),
     ),
     "tree-edges": Kind(
         _parse_tree_edges, _write_tree_edges, lambda p: edge_line_graph(p.host, p.f_edges),
+        lambda p: len(p.f_edges),
         solve=lambda p: _solve_forest(p.host.n, p.f_edges),
         check_result=lambda p, cert: _certified(check_tree_edges(p.f_edges, cert)), equals=("gamma_w", "rho_w"),
     ),
     "split": Kind(
-        _parse_split, _write_split, lambda p: p.graph,
+        _parse_split, _write_split, lambda p: p.graph, lambda p: p.graph.n,
         solve=solve_split, write_result=write_split_result, result_header=SPLIT_HEADER,
         check_result=_split_checks, equals=("gamma_w", "gamma_i_w"), at_most=("rho_w",),
     ),
     "subtree-intersection": Kind(
         _parse_subtrees, _write_subtrees,
         lambda p: build_intersection_graph(p.host, p.subtrees, p.weights),
+        # the file reader leaves the subtrees to be checked here
+        lambda p: len(_checked_subtrees(p.host, p.subtrees)),
     ),
-    "explicit": Kind(_parse_explicit, _write_explicit, lambda g: g),
+    "explicit": Kind(_parse_explicit, _write_explicit, lambda g: g, lambda g: g.n),
 }
 
 

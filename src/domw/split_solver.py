@@ -21,7 +21,9 @@ from .oracles import min_dominating
 class SplitInstance:
     """A graph with a vertex partition into a clique and an independent set.
 
-    Build through validate_split, which checks the partition is genuine.
+    Build through validate_split, which checks the partition is genuine;
+    the file reader builds one directly, from lines that hold it by
+    construction.
     """
 
     graph: WeightedGraph

@@ -278,6 +278,32 @@ def test_check_rejects_a_faulty_split_result(values, witness, failing, tmp_path,
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [failing]
 
 
+@pytest.mark.parametrize("kind", ["interval", "tree-edges", "split", "subtree-intersection"])
+def test_check_over_the_cap_builds_no_graph(kind, tmp_path, capsys, monkeypatch):
+    """Past the cap only the solver lines run; the graph, which a large
+    interval or tree-edge file could not afford, is never built."""
+    sizes = ("--n", "12", "--n-edges", "12", "--n-subtrees", "12")
+    _, text, _ = invoke(capsys, "gen", kind, "--seed", "1", *sizes)
+    path = tmp_path / "big.domw"
+    path.write_text(text)
+
+    def no_graph(payload):
+        raise AssertionError("graph built")
+
+    monkeypatch.setattr(KINDS[kind], "graph", no_graph)
+    code, out, _ = invoke(capsys, "check", str(path), "--cap", "2")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("SKIP oracle comparisons (")
+
+
+def test_check_over_the_cap_still_checks_the_subtrees(tmp_path, capsys):
+    path = tmp_path / "bad.domw"
+    path.write_text("domw 1\nkind subtree-intersection\n3\n0 1 1 0\n1 2 1 0\n1\n1 2 0 2\n")
+    code, out, err = invoke(capsys, "check", str(path), "--cap", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: subtree 0 is not connected in the host tree\n"
+
+
 def test_run_builds_its_parser_once(tmp_path, capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__

@@ -211,6 +211,43 @@ def test_predicates_reject_unknown_vertices():
             verify_certificate(g, Certificate(DominationFunction({bad: 1}), frozenset(), 1))
 
 
+def test_predicates_name_the_first_unknown_vertex():
+    g = path(3)
+    # targets are checked before the support, and any vertex ahead of a sum
+    cases = [
+        (lambda: is_w_dominating(g, DominationFunction({7: 1}), u={0, -2}), "vertex -2 out of range 0..2"),
+        (lambda: is_w_dominating(g, DominationFunction({0: 1, 7: 1})), "vertex 7 out of range 0..2"),
+        (lambda: is_w_dominating(g, DominationFunction(), u=["x"]), "vertex x out of range 0..2"),
+        (lambda: is_dispersed(g, [0, 1, 3]), "vertex 3 out of range 0..2"),
+        (lambda: is_dispersed(g, [1.0]), "vertex 1.0 out of range 0..2"),
+    ]
+    for call, message in cases:
+        with pytest.raises(UnknownVertex) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_from_edges_checks_range_then_weights_then_self_loops():
+    cases = [
+        ((0, 1, 1), [(2, 2), (0, 3)], UnknownVertex, "edge (0, 3) out of range"),
+        ((1, 0, 1), [(2, 2)], ValueError, "weight of vertex 1 must be a positive integer"),
+        ((1, 1, 1), [(2, 2), (1, 1)], ValueError, "self-loop at vertex 1"),
+    ]
+    for weights, edges, error, message in cases:
+        with pytest.raises(error) as err:
+            WeightedGraph.from_edges(weights, edges)
+        assert type(err.value) is error and str(err.value) == message
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_graphs(max_n=9))
+def test_from_edges_passes_every_constructor_check(g: WeightedGraph):
+    edges = [(u, v) for u in g.vertices for v in g.adjacency[u] if u < v]
+    built = WeightedGraph.from_edges(list(g.weights), edges)
+    assert built == g == WeightedGraph(built.weights, built.adjacency)
+    assert type(built.weights) is tuple
+
+
 @settings(max_examples=100, deadline=None)
 @given(weighted_graphs(max_n=9), st.data())
 def test_dispersed_definition_matches_pairwise_distances(g: WeightedGraph, data):

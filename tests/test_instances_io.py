@@ -10,8 +10,10 @@ from domw import (
     InstanceFile,
     IntervalFamily,
     LCG,
+    SplitInstance,
     SubtreeInstance,
     TreeEdgesInstance,
+    WeightedGraph,
     gen_interval,
     gen_split,
     gen_subtrees,
@@ -22,6 +24,7 @@ from domw import (
     solve_split,
     write_certificate,
     write_instance,
+    validate_split,
     write_split_result,
 )
 from domw.errors import (
@@ -31,6 +34,7 @@ from domw.errors import (
     UnknownVertex,
 )
 from domw.instances_io import (
+    KINDS,
     example_forked_star,
     example_nontu_intervals,
     example_nontu_star,
@@ -418,3 +422,147 @@ def test_interval_fields_take_every_spelling_int_accepts(row):
     expected = [int(field) for field in row.split()[1:]]
     assert list(zip(fam.left, fam.right, fam.weight)) == [(5, 5, 1), tuple(expected)]
     assert fam == IntervalFamily.of([(5, 5, 1), expected])
+
+
+SPLITS = "domw 1\nkind split\n"
+AAB = "3\n0 A 1\n1 A 2\n2 B 1\n"  # lines 3-6; the edge count is on line 7
+ABA = "3\n0 A 1\n1 B 1\n2 A 1\n"  # id -1 read from the end would land on A
+
+
+@pytest.mark.parametrize(
+    "body, error, message, line, cause",
+    [
+        # field counts
+        ("2\n0 A\n", Syntax, "line 4: vertex: expected `id side w`", 4, None),
+        ("2\n0 A 1 1\n", Syntax, "line 4: vertex: expected `id side w`", 4, None),
+        (AAB + "1\n0 2 1\n", Syntax, "line 8: edge: expected 2 fields, got 3", 8, None),
+        (AAB + "1\n0\n", Syntax, "line 8: edge: expected 2 fields, got 1", 8, None),
+        # the side letter and the integer fields
+        ("1\n0 a 1\n", Syntax, "line 4: vertex: side must be A or B, got 'a'", 4, None),
+        ("1\n0 A x\n", Syntax, "line 4: vertex: fields must be integers", 4, None),
+        ("1\n0 A 1.0\n", Syntax, "line 4: vertex: fields must be integers", 4, None),
+        (AAB + "1\n0 x\n", Syntax, "line 8: edge: fields must be integers", 8, None),
+        # the id must be the line's position in the block
+        ("2\n0 A 1\n0 B 1\n", Semantic, "vertex id 0 out of order, expected 1", None, None),
+        ("1\n-1 A 1\n", Semantic, "vertex id -1 out of order, expected 0", None, None),
+        # the count lines
+        ("x\n", Syntax, "line 3: vertex count: fields must be integers", 3, None),
+        ("1 2\n", Syntax, "line 3: vertex count: expected 1 fields, got 2", 3, None),
+        ("0\n", Semantic, "vertex count must be at least 1, got 0", None, None),
+        (AAB + "x\n", Syntax, "line 7: edge count: fields must be integers", 7, None),
+        (AAB + "-1\n", Semantic, "edge count must be at least 0, got -1", None, None),
+        ("1\n0 A 1\n", Syntax, "line 5: missing edge count", 5, None),
+        # an edge inside one side; an id out of range sits on the B side, and
+        # a negative one must not index from the end
+        (AAB + "1\n0 1\n", Semantic, "edge 0 1 must join the A side to the B side", None, None),
+        (AAB + "1\n2 2\n", Semantic, "edge 2 2 must join the A side to the B side", None, None),
+        (AAB + "1\n-1 2\n", Semantic, "edge -1 2 must join the A side to the B side", None, None),
+        (ABA + "1\n-1 1\n", Semantic, "edge -1 1 must join the A side to the B side", None, None),
+        (AAB + "1\n5 6\n", Semantic, "edge 5 6 must join the A side to the B side", None, None),
+        # repeats, in either orientation, in range or not
+        (AAB + "2\n0 2\n2 0\n", Semantic, "duplicate edge 2 0", None, None),
+        (AAB + "2\n0 5\n5 0\n", Semantic, "duplicate edge 5 0", None, None),
+        # after the block: the first edge out of range, then the first weight below 1
+        (AAB + "3\n0 5\n0 2\n2 0\n", Semantic, "duplicate edge 2 0", None, None),
+        (AAB + "1\n0 -1\n", Semantic, "edge (0, -1) out of range", None, UnknownVertex),
+        (ABA + "1\n0 -1\n", Semantic, "edge (0, -1) out of range", None, UnknownVertex),
+        (AAB + "2\n0 5\n1 7\n", Semantic, "edge (0, 5) out of range", None, UnknownVertex),
+        ("3\n0 A 1\n1 A 0\n2 B 1\n1\n0 5\n", Semantic, "edge (0, 5) out of range", None, UnknownVertex),
+        ("3\n0 A 1\n1 A 0\n2 B 1\n1\n0 2\n", Semantic,
+         "weight of vertex 1 must be a positive integer", None, ValueError),
+        ("3\n0 A 1\n1 A 0\n2 B -3\n1\n0 2\nextra\n", Semantic,
+         "weight of vertex 1 must be a positive integer", None, ValueError),
+        # a block cut short after a comment, and a fault in the rows it has
+        (AAB + "3\n0 2\n# a comment\n\n1 2\n", Syntax, "line 12: missing edge line", 12, None),
+        (AAB + "3\n0 2\n# a comment\n1 x\n", Syntax, "line 10: edge: fields must be integers", 10, None),
+    ],
+)
+def test_split_parse_fault_class_message_and_line(body, error, message, line, cause):
+    with pytest.raises(error) as err:
+        parse_instance(SPLITS + body)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert getattr(err.value, "line", None) == line
+    assert (None if err.value.__cause__ is None else type(err.value.__cause__)) is cause
+
+
+_SPLIT_CANON = (
+    "12\n" + "".join(f"{v} {'A' if v < 4 else 'B'} {1 + v % 5}\n" for v in range(12))
+    + "5\n0 4\n1 10\n3 11\n2 5\n0 11\n"
+)
+
+
+@pytest.mark.parametrize(
+    "spell",
+    [lambda f: "+" + f, lambda f: "0" + f, lambda f: "_".join(f)],
+    ids=["plus", "leading-zero", "underscore"],
+)
+@pytest.mark.parametrize("sep", [" ", "\t", "   ", " \t "])
+def test_split_fields_take_every_spelling_int_accepts(spell, sep):
+    """Every integer field of the vertex and edge lines respelled (ids 10 and
+    11 become `1_0` and `1_1`), the fields joined by `sep`."""
+    count, *rows = _SPLIT_CANON.splitlines()
+    spelled = [
+        sep.join(f if f in ("A", "B") else spell(f) for f in row.split()) if " " in row else row
+        for row in rows
+    ]
+    text = "\n".join([count, *spelled]) + "\n"
+    assert parse_instance(SPLITS + text) == parse_instance(SPLITS + _SPLIT_CANON)
+
+
+def _split_by_the_reference_path(text: str) -> SplitInstance:
+    """A split file read by splitting its lines and building the graph with
+    `WeightedGraph.from_edges` and `validate_split`, the clique pairs first."""
+    rows = [row.split() for row in text.splitlines()[2:] if row.strip() and row[0] != "#"]
+    nv = int(rows[0][0])
+    vertex_rows, edge_rows = rows[1 : 1 + nv], rows[2 + nv :]
+    clique = frozenset(int(i) for i, side, _ in vertex_rows if side == "A")
+    pairs = [(u, v) for u in sorted(clique) for v in sorted(clique) if u < v]
+    cross = [(int(u), int(v)) for u, v in edge_rows]
+    graph = WeightedGraph.from_edges([int(w) for _, _, w in vertex_rows], pairs + cross)
+    return validate_split(graph, clique, frozenset(range(nv)) - clique)
+
+
+def test_split_reader_matches_the_reference_path():
+    rng = LCG(2024)
+    for shape in range(1200):
+        n_a = 1 if shape % 7 == 0 else rng.randint(1, 8)
+        prob = (0, 100)[shape % 2] if shape % 5 == 0 else rng.randint(0, 100)
+        inst = gen_split(shape, n_a, rng.randint(1, 10), prob, rng.randint(1, 5))
+        text = write_instance(InstanceFile("split", inst))
+        parsed = parse_instance(text).payload
+        assert parsed == _split_by_the_reference_path(text) == inst
+        # the unchecked build still passes every check of the constructor
+        g = parsed.graph
+        assert WeightedGraph(g.weights, g.adjacency) == g
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "2\n0 A 3\n1 B 2\n0\n",  # an isolated B vertex
+        "4\n0 B 1\n1 A 2\n2 B 3\n3 A 1\n2\n2 3\n1 0\n",  # the sides interleaved
+        "3\n0 A 1\n1 A 2\n2 A 1\n0\n",  # no B side
+        "2\n0 B 1\n1 B 5\n0\n",  # no A side
+        "1\n0 A 4\n0\n",
+        "1\n0 B 4\n0\n",
+    ],
+)
+def test_hand_written_split_files_match_the_reference_path(body):
+    text = SPLITS + body
+    parsed = parse_instance(text)
+    assert parsed.payload == _split_by_the_reference_path(text)
+    assert parse_instance(write_instance(parsed)) == parsed
+
+
+def test_every_kind_counts_its_graph_vertices():
+    instances = [
+        InstanceFile("interval", gen_interval(1, 7, 12, 5)),
+        InstanceFile("tree-edges", TreeEdgesInstance(*gen_tree(1, 9, 5))),
+        InstanceFile("split", gen_split(1, 3, 5, 60, 5)),
+        InstanceFile("subtree-intersection", SubtreeInstance(*gen_subtrees(1, 6, 4, 3))),
+        InstanceFile("explicit", example_split_triangle().graph),
+    ]
+    assert sorted(inst.kind for inst in instances) == sorted(KINDS)
+    for inst in instances:
+        assert KINDS[inst.kind].vertex_count(inst.payload) == instance_graph(inst).n
