@@ -377,6 +377,28 @@ def test_flags_that_int_accepts_still_parse():
     assert odd.payload.f_edges == ((1, 2, 5),)
 
 
+def test_parsed_selections_equal_the_public_constructors():
+    """A parsed selection is the instance the public constructor builds from
+    the same host and members: 200 seeded files, a file with the flags the
+    written shapes do not take, and weights below 1 in any member."""
+    cases = [gen_tree(seed, 1 + seed % 40, 1 + seed % 7) for seed in range(200)]
+    for host, subset in cases:
+        parsed = parse_instance(write_instance(InstanceFile("tree-edges", TreeEdgesInstance(host, subset)))).payload
+        assert parsed == TreeEdgesInstance(host, subset) == TreeEdgesInstance(parsed.host, parsed.f_edges)
+        assert type(parsed.f_edges) is tuple and parsed.f_edges == subset
+    odd = parse_instance(TREE_KIND + "4\n0 1 +1 3\n1 2 00\n1 3 1 +2\n").payload
+    assert odd == TreeEdgesInstance(HostTree(4, ((0, 1), (1, 2), (1, 3))), ((0, 1, 3), (1, 3, 2)))
+    assert parse_instance(TREE_KIND + "2\n0 1 0\n").payload == TreeEdgesInstance(HostTree(2, ((0, 1),)), ())
+    for body, message in [
+        ("3\n0 1 1 2\n1 2 1 -3\n", "edge (1, 2) must have positive weight"),
+        ("3\n0 1 1 0\n1 2 1 -3\n", "edge (0, 1) must have positive weight"),
+        ("3\n0 1 +1 2\n2 1 1 0\n", "edge (2, 1) must have positive weight"),
+    ]:
+        with pytest.raises(InstanceSemanticError) as err:
+            parse_instance(TREE_KIND + body)
+        assert type(err.value) is InstanceSemanticError and str(err.value) == message
+
+
 INTERVALS = "domw 1\nkind interval\n"
 
 

@@ -17,12 +17,13 @@ from domw import (
     verify_certificate,
 )
 from domw.checkers import check_tree_edges
-from domw.errors import EmptyEdgeSet, UnknownVertex
+from domw.errors import EmptyEdgeSet, TheoremViolation, UnknownVertex
 from domw.instances_io import example_nontu_star, gen_tree
 from domw.tree_edge_solver import (
     _normalized,
     bottom_up_f,
     edge_line_graph,
+    extract_dispersed_tree,
     reduce_to_full_tree,
     root_adjust,
     rooted_at,
@@ -133,6 +134,61 @@ def test_normalized_rejects_alike_on_both_branches(in_order, out_of_order, messa
         with pytest.raises(ValueError) as err:
             _normalized(FORK, subset)
         assert str(err.value) == message
+
+
+STAR3 = HostTree(4, ((0, 1), (0, 2), (0, 3)))
+
+
+@pytest.mark.parametrize("host", [STAR3, FORK], ids=["star", "fork"])
+def test_equal_root_gaps_elect_the_smallest_edge_id(host):
+    """Over every weighting in 1..3: d is the largest root gap and e0 the
+    smallest id reaching it, recomputed from bottom-up f by definition."""
+    elected_later = 0
+    for ws in product((1, 2, 3), repeat=len(host.edges)):
+        (t,) = reduce_to_full_tree(host, tuple((u, v, w) for (u, v), w in zip(host.edges, ws)))
+        f = bottom_up_f(t)
+        held = {x: sum(f(e) for e in t.out_edges[x]) for x in t.vertices}
+        gap = {e: t.weight[e] - held[t.root] - held[t.ends[e][1]] for e in t.out_edges[t.root]}
+        d = max(gap.values())
+        g, got_d, e0 = root_adjust(t, f)
+        assert got_d == d
+        assert e0 == (min(e for e in gap if gap[e] == d) if d > 0 else None)
+        elected_later += e0 is not None and e0 > 0
+    assert elected_later  # some weighting ties at an edge after the first
+
+
+def test_equal_root_gaps_on_a_star_elect_the_first_of_them():
+    (t,) = reduce_to_full_tree(STAR3, ((0, 1, 2), (0, 2, 3), (0, 3, 3)))
+    g, d, e0 = root_adjust(t, bottom_up_f(t))
+    assert (d, e0) == (3, 1)
+    assert dict(g.items()) == {1: 3}
+
+
+def test_peel_guards_fire_on_a_tampered_adjustment():
+    """The peeling's guards, reached through the public phase with a crafted
+    g: a positive d with no edge, a positive root edge that no son pays for
+    exactly, and a layer whose deleted mass is not the chosen weight."""
+    (t,) = reduce_to_full_tree(PATH3, ((0, 1, 5), (1, 2, 2)))
+    f = bottom_up_f(t)  # {0: 2}, and root_adjust gives (d, e0) = (3, 0)
+    with pytest.raises(TheoremViolation, match=r"^a positive root adjustment names no root edge$"):
+        extract_dispersed_tree(t, DominationFunction({0: 5}), 3, None)
+    # root edge 0 holds 1; its son, edge 1, sees 1 + 0 on its neighborhood, not 2
+    with pytest.raises(TheoremViolation, match=r"^no candidate son pays for root edge 0 exactly$"):
+        extract_dispersed_tree(t, DominationFunction({0: 1}), 0, None)
+    # a root edge with no son at all
+    (leaf,) = reduce_to_full_tree(PATH3, ((1, 2, 2),))
+    with pytest.raises(TheoremViolation, match=r"^no candidate son pays for root edge 0 exactly$"):
+        extract_dispersed_tree(leaf, DominationFunction({0: 2}), 0, None)
+    layer = r"^layer accounting failed: empty layer or deleted mass != chosen weight$"
+    # the adjustment named but not applied: edge 0 is chosen, 2 is deleted against its 5
+    with pytest.raises(TheoremViolation, match=layer):
+        extract_dispersed_tree(t, f, 3, 0)
+    # an elected edge paid more than its weight
+    with pytest.raises(TheoremViolation, match=layer):
+        extract_dispersed_tree(leaf, DominationFunction({0: 3}), 1, 0)
+    # the untampered phases pass
+    g, d, e0 = root_adjust(t, f)
+    assert extract_dispersed_tree(t, g, d, e0)[0] == frozenset({0})
 
 
 def test_value_is_root_independent_on_the_two_edge_path():
