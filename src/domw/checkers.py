@@ -2,7 +2,6 @@
 explicit graph, in its order, with no graph built and no code shared with the solvers."""
 
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from contextlib import suppress
 from itertools import accumulate, repeat
 from math import inf
@@ -65,16 +64,26 @@ def check_tree_edges(subset: Sequence[tuple[int, int, int]], cert: Certificate) 
         raise EmptyEdgeSet("the selected edge set is empty")
     f = cert.dominating.values
     _known(f, len(subset))
-    at: defaultdict[int, int] = defaultdict(int)  # S(x)
+    at: dict[int, int] = {}  # S(x), read through .get
+    held = at.get
     for e, fe in f.items():
-        at[subset[e][0]] += fe
-        at[subset[e][1]] += fe
-    if not all(at[x] + at[y] - f.get(e, 0) >= w for e, (x, y, w) in enumerate(subset)):
-        return CertificateCheck(False, NOT_DOMINATING)
+        x, y, _ = subset[e]
+        at[x] = held(x, 0) + fe
+        at[y] = held(y, 0) + fe
+    f_of = f.get
+    for e, (x, y, w) in enumerate(subset):
+        if held(x, 0) + held(y, 0) - f_of(e, 0) < w:
+            return CertificateCheck(False, NOT_DOMINATING)
     _known(cert.dispersed, len(subset))
-    claim = {x: m for m in cert.dispersed for x in subset[m][:2]}
-    if any(x in claim and y in claim and claim[x] != claim[y] for x, y, _ in subset):
-        return CertificateCheck(False, NOT_DISPERSED)
+    claim: dict[int, int] = {}
+    for m in cert.dispersed:
+        x, y, _ = subset[m]
+        claim[x] = claim[y] = m
+    claimed = claim.get
+    for x, y, _ in subset:
+        m = claimed(x)
+        if m is not None and claimed(y, m) != m:
+            return CertificateCheck(False, NOT_DISPERSED)
     return _matched(cert, sum(subset[m][2] for m in cert.dispersed))
 
 

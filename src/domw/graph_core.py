@@ -103,17 +103,21 @@ class DominationFunction:
     values: dict[Vertex, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        # canonical form: drop zeros so equality is value equality
+        kept: dict[Vertex, int] = {}
         for v, x in self.values.items():
             if not isinstance(x, int) or x < 0:
                 raise ValueError(f"value at vertex {v} must be a nonnegative integer")
-        # canonical form: drop zeros so equality is value equality
-        object.__setattr__(self, "values", {v: x for v, x in self.values.items() if x > 0})
+            if x:
+                kept[v] = x
+        object.__setattr__(self, "values", kept)
 
     def __call__(self, v: Vertex) -> int:
         return self.values.get(v, 0)
 
-    @property
+    @cached_property
     def size(self) -> int:
+        # kept out of the fields, so equality and repr are unchanged; values is never mutated
         return sum(self.values.values())
 
     @property

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
 from .errors import (
@@ -259,7 +260,8 @@ class TreeEdgesInstance:
 
     f_edges are normalized to the host's edge order and orientation so that
     writing and reparsing reproduces the instance exactly; a selection already
-    in that order, as a parsed one always is, is kept as it is.
+    in that order is kept as it is.  The file reader builds its selection in
+    that order and skips the check through `_checked`.
     """
 
     host: HostTree
@@ -271,6 +273,15 @@ class TreeEdgesInstance:
         except ValueError as exc:
             raise InstanceSemanticError(str(exc)) from exc
         object.__setattr__(self, "f_edges", normalized)
+
+    @classmethod
+    def _checked(cls, host: HostTree, f_edges: tuple[FEdge, ...]) -> "TreeEdgesInstance":
+        """An instance whose selection the caller has already checked: a
+        subsequence of the host edges, in host orientation, every weight at least 1."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "host", host)
+        object.__setattr__(inst, "f_edges", f_edges)
+        return inst
 
 
 @dataclass(frozen=True)
@@ -428,6 +439,10 @@ def _parse_tree_edges(lines: _Lines) -> TreeEdgesInstance:
         if weight is not None:
             f_edges.append((u, v, weight))
     host = HostTree(nv, tuple(edges))
+    # the members are host edges as written, in file order; only a weight can be wrong,
+    # and the public constructor names the first weight below 1
+    if min(map(itemgetter(2), f_edges), default=1) >= 1:
+        return TreeEdgesInstance._checked(host, tuple(f_edges))
     return TreeEdgesInstance(host, tuple(f_edges))
 
 

@@ -12,8 +12,12 @@ dispersed set of edges whose weight matches the function size exactly.
 search per component: each vertex's edges and each edge's two ends.  Bottom-up
 and root adjustment keep A[v], f summed over v's out-edges; the peeling keeps
 each vertex's remaining mass, so a son (x, y) is paid exactly on its remaining
-neighborhood when mass[x] + mass[y] - g(son) == w(son), an O(1) test.  The
-public phase functions run the same code on dicts over one `RootedEdgeTree`.
+neighborhood when mass[x] + mass[y] - g(son) == w(son), an O(1) test.  A
+layer walks the edges at its roots, then those at its chosen edges' ends, in
+place; the loop that deletes them also sums the weight paid and the mass
+freed, which must match per layer, as their running sum must match the
+component's mass.  The public phase functions run the same code on dicts over
+one `RootedEdgeTree`.
 """
 
 from __future__ import annotations
@@ -188,10 +192,16 @@ def bottom_up_f(t: RootedEdgeTree) -> DominationFunction:
 
 def _root_gap(tb: _Tables, root: int, at: Any) -> tuple[int, int]:
     """The largest w(e) - f[A(root)] - f[A(child end)] over the root's edges, and its first edge by id."""
-    if not tb.touching[root]:  # a component always has at least one root edge
+    edges, weight, child = tb.touching[root], tb.weight, tb.child
+    if not edges:  # a component always has at least one root edge
         raise TheoremViolation("the root has no out-edge")
-    d, e0 = max((tb.weight[e] - at[root] - at[tb.child[e]], -e) for e in tb.touching[root])
-    return d, -e0
+    e0 = edges[0]
+    top = weight[e0] - at[child[e0]]
+    for e in edges:
+        gap = weight[e] - at[child[e]]
+        if gap > top or gap == top and e < e0:
+            top, e0 = gap, e
+    return top - at[root], e0
 
 
 def root_adjust(t: RootedEdgeTree, f: DominationFunction) -> tuple[DominationFunction, int, int | None]:
@@ -213,47 +223,61 @@ def _peel(
     """The (chosen, deleted) edges of each peeling layer of one component, on which
     mass starts at 0 and alive at true; mass[v] stays g summed over v's alive edges."""
     parent, child, weight, touching = tb
+    total = 0
     for e in edges:
-        mass[parent[e]] += g[e]
-        mass[child[e]] += g[e]
+        ge = g[e]
+        mass[parent[e]] += ge
+        mass[child[e]] += ge
+        total += ge
     if d > 0 and e0 is None:
         raise TheoremViolation("a positive root adjustment names no root edge")
     layers: list[tuple[list[int], list[int]]] = []
-    left = len(edges)
+    left, dispersed = len(edges), 0
     # A positive adjustment elects e0 alone in the first layer.  A layer
     # deletes every remaining out-edge of its roots, so the next layer's roots
     # are the child ends of the edges it deleted, and their parent edges are gone.
     chosen, roots = ([e0], []) if d > 0 else ([], [root])
     while left:
         deleted: list[int] = []
-        for e in [e for v in roots for e in touching[v] if alive[e]]:
-            if not g[e]:  # a zero root edge is no son in this layer and holds no mass
-                alive[e] = False
-                deleted.append(e)
-                continue
-            c = child[e]
-            best = -1  # the son paid exactly with the largest g, then the smallest id
-            for s in touching[c]:
-                if s != e and alive[s] and mass[c] + mass[child[s]] - g[s] == weight[s]:
-                    if best < 0 or g[s] > g[best]:
-                        best = s
-            if best < 0:
-                raise TheoremViolation(f"no candidate son pays for root edge {e} exactly")
-            chosen.append(best)
-        for e in [e for s in chosen for e in touching[parent[s]] + touching[child[s]]]:
-            if alive[e]:
-                alive[e] = False
-                deleted.append(e)
+        for v in roots:
+            for e in touching[v]:
+                if not alive[e]:
+                    continue
+                if not g[e]:  # a zero root edge is no son in this layer and holds no mass
+                    alive[e] = False
+                    deleted.append(e)
+                    continue
+                c = child[e]
+                at_c = mass[c]
+                best, top = -1, -1  # the son paid exactly with the largest g, then the smallest id
+                for s in touching[c]:
+                    if s != e and alive[s]:
+                        gs = g[s]
+                        if gs > top and at_c + mass[child[s]] - gs == weight[s]:
+                            best, top = s, gs
+                if best < 0:
+                    raise TheoremViolation(f"no candidate son pays for root edge {e} exactly")
+                chosen.append(best)
+        paid = freed = 0
+        for s in chosen:
+            paid += weight[s]
+            for x in (parent[s], child[s]):
+                for e in touching[x]:
+                    if alive[e]:
+                        alive[e] = False
+                        deleted.append(e)
+                        ge = g[e]
+                        mass[parent[e]] -= ge
+                        mass[child[e]] -= ge
+                        freed += ge
         # an empty layer would never end the peeling
-        if not deleted or sum(g[e] for e in deleted) != sum(weight[s] for s in chosen):
+        if not deleted or freed != paid:
             raise TheoremViolation("layer accounting failed: empty layer or deleted mass != chosen weight")
-        for e in deleted:
-            mass[parent[e]] -= g[e]
-            mass[child[e]] -= g[e]
         left -= len(deleted)
+        dispersed += paid
         layers.append((chosen, deleted))
-        chosen, roots = [], [child[e] for e in deleted]
-    if sum(weight[s] for picked, _ in layers for s in picked) != sum(g[e] for e in edges):
+        chosen, roots = [], map(child.__getitem__, deleted)
+    if dispersed != total:
         raise TheoremViolation("dispersed weight does not match the function size")
     return layers
 
@@ -303,7 +327,7 @@ def _solve_forest(n: int, subset: Sequence[FEdge]) -> Certificate:
         if d > 0:
             f[e0] += d
         dispersed += [s for chosen, _ in _peel(tb, root, d, e0, order, f, mass, alive) for s in chosen]
-    total = DominationFunction(dict(enumerate(f)))
+    total = DominationFunction({e: x for e, x in enumerate(f) if x})
     return self_check(check_tree_edges, subset, Certificate(total, frozenset(dispersed), total.size))
 
 

@@ -102,6 +102,23 @@ def test_domination_function_rejects_negative_values():
         DominationFunction({0: -1})
 
 
+@pytest.mark.parametrize("bad", [-1, 1.0, 0.0, "1", None])
+def test_domination_function_names_the_first_bad_value(bad):
+    """Checked in one pass with the zeros dropped: the first bad value in
+    order raises, zeros before it included."""
+    with pytest.raises(ValueError) as err:
+        DominationFunction({4: 0, 7: 2, 1: bad, 0: -3})
+    assert str(err.value) == "value at vertex 1 must be a nonnegative integer"
+
+
+def test_domination_function_size_is_no_field():
+    """The cached size changes neither equality nor repr."""
+    f, g = DominationFunction({0: 2, 3: 5}), DominationFunction({0: 2, 1: 0, 3: 5})
+    assert f.size == 7
+    assert f == g and repr(f) == repr(g) == "DominationFunction(values={0: 2, 3: 5})"
+    assert g.size == 7
+
+
 def test_is_w_dominating_checks_closed_neighborhood_sums():
     g = path(3, weights=(1, 3, 1))
     assert is_w_dominating(g, DominationFunction({1: 3}))
