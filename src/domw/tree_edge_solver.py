@@ -197,9 +197,9 @@ def _root_gap(tb: _Tables, root: int, at: Any) -> tuple[int, int]:
         raise TheoremViolation("the root has no out-edge")
     e0 = edges[0]
     top = weight[e0] - at[child[e0]]
-    for e in edges:
+    for e in edges:  # in id order, so only a strictly larger gap moves e0
         gap = weight[e] - at[child[e]]
-        if gap > top or gap == top and e < e0:
+        if gap > top:
             top, e0 = gap, e
     return top - at[root], e0
 
