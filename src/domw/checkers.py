@@ -81,7 +81,7 @@ def check_tree_edges(subset: Sequence[tuple[int, int, int]], cert: Certificate) 
         claim[x] = claim[y] = m
     claimed = claim.get
     for x, y, _ in subset:
-        m = claimed(x)
+        m = claimed(x)  # an unclaimed y reads as x's own claim
         if m is not None and claimed(y, m) != m:
             return CertificateCheck(False, NOT_DISPERSED)
     return _matched(cert, sum(subset[m][2] for m in cert.dispersed))
