@@ -1,5 +1,6 @@
 """Tests for the bottom-up solver on line graphs of tree edge subsets."""
 
+import hashlib
 from itertools import product
 
 import pytest
@@ -296,15 +297,20 @@ def test_deletion_layers_cover_every_edge_once(case):
         _assert_layers_cover_once(t, chosen, layers)
 
 
+def phase_cases():
+    """200 seeded hosts, then a star and a path with every edge selected."""
+    m = 300
+    for seed in range(200):
+        yield gen_tree(seed, 60, 5)
+    yield HostTree(m + 1, tuple((0, i) for i in range(1, m + 1))), [(0, i, 1 + 7 * i % 5) for i in range(1, m + 1)]
+    yield HostTree(m + 1, tuple((i, i + 1) for i in range(m))), [(i, i + 1, 1 + 7 * i % 5) for i in range(m)]
+
+
 def test_solve_tree_matches_the_public_phases():
     """solve_tree runs the phases on lists over the whole host, the public
-    phase functions on one component's dicts; both must give the same
+    phase functions one component at a time; both must give the same
     function and dispersed set on 200 seeded hosts, a star and a path."""
-    m = 300
-    cases = [gen_tree(seed, 60, 5) for seed in range(200)]
-    cases.append((HostTree(m + 1, tuple((0, i) for i in range(1, m + 1))), [(0, i, 1 + 7 * i % 5) for i in range(1, m + 1)]))
-    cases.append((HostTree(m + 1, tuple((i, i + 1) for i in range(m))), [(i, i + 1, 1 + 7 * i % 5) for i in range(m)]))
-    for host, subset in cases:
+    for host, subset in phase_cases():
         values: dict[int, int] = {}
         dispersed: set[int] = set()
         for t in reduce_to_full_tree(host, subset):
@@ -315,6 +321,34 @@ def test_solve_tree_matches_the_public_phases():
         cert = solve_tree(host, subset)
         assert cert.dominating == DominationFunction(values)
         assert cert.dispersed == dispersed
+
+
+def test_phases_match_their_pinned_digest():
+    """Each component's bottom-up f, (d, e0) and peeling layers in order, at
+    its own root and re-rooted at its largest vertex, byte for byte, as the
+    public phases gave them before they were moved onto the solver's tables."""
+    digest = hashlib.sha256()
+    count = 0
+    for host, subset in phase_cases():
+        for t in reduce_to_full_tree(host, subset):
+            for r in (t.root, max(t.vertices)):
+                rooted = rooted_at(t, r)
+                f = bottom_up_f(rooted)
+                g, d, e0 = root_adjust(rooted, f)
+                chosen, layers = extract_dispersed_tree(rooted, g, d, e0)
+                record = (
+                    r,
+                    sorted(f.items()),
+                    (d, e0),
+                    sorted(g.items()),
+                    [sorted(layer) for layer in layers.chosen],
+                    [sorted(layer) for layer in layers.deleted],
+                    sorted(chosen),
+                )
+                digest.update(repr(record).encode("ascii") + b"\n")
+                count += 1
+    assert count == 2864
+    assert digest.hexdigest() == "3f7c4430148130e7aaced8af833d6ac3c3acb48db668b30c466e13e2fddae53e"
 
 
 @pytest.mark.parametrize("seed", [1, 2])
