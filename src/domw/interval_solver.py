@@ -11,9 +11,10 @@ A family is three columns indexed by id: left ends, right ends and weights.
 All three phases read those columns and two orders of the ids, K_r = (right,
 left, id) and K_l = (left, right, id), which a family sorts once, each by one
 int key, and keeps; the self-check is `checkers.check_interval`, which sorts
-the endpoints on its own, so that it shares no code with the solver.  The
-solve keeps each pass's steps as three int columns (source, target, amount);
-the public passes run the same code and return them as a `GreedyTrace`.
+the endpoints on its own, so that it shares no code with the solver.  Each
+pass returns its steps as a `GreedyTrace` of three int columns (source, target,
+amount), which the extraction reads as they are; the solve is the three public
+phases and the self-check.
 """
 
 from __future__ import annotations
@@ -132,7 +133,16 @@ class GreedyStep:
 
 @dataclass(frozen=True)
 class GreedyTrace:
-    steps: tuple[GreedyStep, ...]
+    """A pass's steps as three columns, one slot per step."""
+
+    sources: tuple[int, ...]
+    targets: tuple[int, ...]
+    amounts: tuple[int, ...]
+
+    @property
+    def steps(self) -> tuple[GreedyStep, ...]:
+        """The steps as `GreedyStep`s, packed from the columns on each read."""
+        return tuple(map(GreedyStep, self.sources, self.targets, self.amounts))
 
 
 @dataclass(frozen=True)
@@ -173,11 +183,8 @@ def order_by_right_endpoint(fam: IntervalFamily) -> tuple[int, ...]:
     return fam._orders[0]
 
 
-def _greedy(
-    fam: IntervalFamily, forward: bool
-) -> tuple[DominationFunction, list[int], list[int], list[int]]:
-    """One pass: its function and its steps as three columns, source, target
-    and amount, one slot per step."""
+def _greedy(fam: IntervalFamily, forward: bool) -> tuple[DominationFunction, GreedyTrace]:
+    """One pass: its function and its steps."""
     # Both passes read the family's two orders.  The forward pass settles by
     # ascending K_r and pushes each shortfall onto the closed neighbor latest
     # in K_r: furthest right, on a tie the later interval, never the source
@@ -228,23 +235,17 @@ def _greedy(
         target_ends.append(target_hi)
         total += amount
         placed.append(total)
-    return DominationFunction(values), sources, targets, amounts
-
-
-def _traced(
-    f: DominationFunction, sources: list[int], targets: list[int], amounts: list[int]
-) -> tuple[DominationFunction, GreedyTrace]:
-    return f, GreedyTrace(tuple(map(GreedyStep, sources, targets, amounts)))
+    return DominationFunction(values), GreedyTrace(tuple(sources), tuple(targets), tuple(amounts))
 
 
 def forward_greedy(fam: IntervalFamily) -> tuple[DominationFunction, GreedyTrace]:
     """Minimum w-dominating function built left to right."""
-    return _traced(*_greedy(fam, forward=True))
+    return _greedy(fam, forward=True)
 
 
 def backward_greedy(fam: IntervalFamily) -> tuple[DominationFunction, GreedyTrace]:
     """The mirrored greedy: enumerate right to left, push mass leftward."""
-    return _traced(*_greedy(fam, forward=False))
+    return _greedy(fam, forward=False)
 
 
 def extract_dispersed(
@@ -260,18 +261,6 @@ def extract_dispersed(
     bug, not an unlucky instance.  Neighborhoods are read off the sorted
     endpoints; no graph is built.
     """
-    steps = gtrace.steps
-    return _extract(fam, f, g, [s.source for s in steps], [s.target for s in steps])
-
-
-def _extract(
-    fam: IntervalFamily,
-    f: DominationFunction,
-    g: DominationFunction,
-    sources: list[int],
-    targets: list[int],
-) -> tuple[frozenset[int], DispersedDecomposition]:
-    """`extract_dispersed` on the backward steps' sources and targets."""
     n, left, right, weight = fam.n, fam.left, fam.right, fam.weight
     order, by_left, position, pos_l = fam._orders
     lefts, rights = [left[i] for i in by_left], [right[v] for v in order]
@@ -290,7 +279,7 @@ def _extract(
     first = [by_left[p] for p in accumulate(map(pos_l.__getitem__, reversed(order)), min)][::-1]
     last = list(accumulate(map(position.__getitem__, by_left), max))
     pushed_by: dict[int, list[int]] = {}  # the sources of each target
-    for source, target in zip(sources, targets):
+    for source, target in zip(gtrace.sources, gtrace.targets):
         pushed_by.setdefault(target, []).append(source)
 
     blocks: list[tuple[int, ...]] = []
@@ -356,11 +345,10 @@ def solve_interval(fam: IntervalFamily) -> Certificate:
     """Certificate with gamma_w = rho_w on the interval graph of the family.
 
     Every phase and the self-check read the sorted endpoints; no graph is built.
-    The steps stay in columns: no `GreedyStep` is built.
     """
-    f, *_ = _greedy(fam, forward=True)
-    g, sources, targets, _ = _greedy(fam, forward=False)
+    f, _ = forward_greedy(fam)
+    g, gtrace = backward_greedy(fam)
     if f.size != g.size:
         raise TheoremViolation("forward and backward greedy disagree on the value")
-    dispersed, _ = _extract(fam, f, g, sources, targets)
+    dispersed, _ = extract_dispersed(fam, f, g, gtrace)
     return self_check(check_interval, fam, Certificate(f, dispersed, f.size))

@@ -16,14 +16,15 @@ neighborhood when mass[x] + mass[y] - g(son) == w(son), an O(1) test.  A
 layer walks the edges at its roots, then those at its chosen edges' ends, in
 place; the loop that deletes them also sums the weight paid and the mass
 freed, which must match per layer, as their running sum must match the
-component's mass.  The public phase functions run the same code on dicts over
-one `RootedEdgeTree`.
+component's mass.  A `RootedEdgeTree` is a view on those lists: a root and its
+component's edges in search order.  The public phase functions run the same
+code on the same lists, with their sums in dicts over the one component.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple, Sequence
 
 from .checkers import check_tree_edges, self_check
 from .errors import EmptyEdgeSet, TheoremViolation, UnknownVertex
@@ -37,19 +38,9 @@ from .graph_core import (
 
 # an F entry: (endpoint, endpoint, weight); its position is the edge id
 FEdge = tuple[int, int, int]
-
-
-@dataclass(frozen=True)
-class RootedEdgeTree:
-    """One component of the selected edges, oriented away from its root."""
-
-    root: int
-    vertices: frozenset[int]
-    edge_ids: tuple[int, ...]  # ids into the original F sequence
-    ends: Mapping[int, tuple[int, int]]  # edge id -> (parent side, child side)
-    weight: Mapping[int, int]
-    out_edges: Mapping[int, tuple[int, ...]]  # A(v), sorted by edge id
-    height: Mapping[int, int]  # longest edge path below the child end
+# phase state by edge id or vertex: lists over the whole host, or dicts over one component
+_Ints = list[int] | dict[int, int]
+_Flags = list[bool] | dict[int, bool]
 
 
 @dataclass(frozen=True)
@@ -61,15 +52,28 @@ class DeletionLayers:
 
 
 class _Tables(NamedTuple):
-    """An oriented forest, as lists over the host or dicts over one component."""
+    """An oriented forest, as lists over the selected edges and the host vertices."""
 
-    parent: Any  # edge -> parent end, -1 before orientation
-    child: Any  # edge -> child end, -1 before orientation
-    weight: Any
-    touching: Any  # vertex -> its edges by id: its parent edge, if any, and its out-edges
+    parent: list[int]  # edge -> parent end, -1 before orientation
+    child: list[int]  # edge -> child end, -1 before orientation
+    weight: list[int]
+    touching: list[list[int]]  # vertex -> its edges by id: its parent edge, if any, and its out-edges
 
 
-def _orient(tb: _Tables, other: Any, root: int) -> list[int]:
+@dataclass(frozen=True)
+class RootedEdgeTree:
+    """One component of the selected edges, oriented away from its root: a view on the forest's tables."""
+
+    root: int
+    order: tuple[int, ...]  # ids into the original F sequence, each after the edge above it
+    tables: _Tables = field(repr=False, compare=False)
+
+    @property
+    def vertices(self) -> frozenset[int]:
+        return frozenset((self.root, *map(self.tables.child.__getitem__, self.order)))
+
+
+def _orient(tb: _Tables, other: list[int], root: int) -> list[int]:
     """Orient root's component away from root, other[e] being the XOR of e's
     ends; returns its edges, each after the edge above it."""
     parent, child, _, touching = tb
@@ -98,34 +102,16 @@ def _forest(n: int, subset: Sequence[FEdge]) -> tuple[_Tables, list[tuple[int, l
     return tb, [(r, _orient(tb, other, r)) for r in range(n) if touching[r] and tb.child[touching[r][0]] < 0]
 
 
-def _view(tb: _Tables, root: int, order: Sequence[int]) -> RootedEdgeTree:
-    """The RootedEdgeTree of one oriented component, given its edges in `_orient` order."""
-    parent, child, weight, touching = tb
-    vertices = frozenset((root, *(child[e] for e in order)))
-    out = {v: tuple(e for e in touching[v] if parent[e] == v) for v in vertices}
-    # the reverse of the `_orient` order meets each edge after all the edges below it
-    height: dict[int, int] = {}
-    for e in reversed(order):
-        height[e] = 1 + max((height[s] for s in out[child[e]]), default=-1)
-    ends, weights = {e: (parent[e], child[e]) for e in order}, {e: weight[e] for e in order}
-    return RootedEdgeTree(root, vertices, tuple(sorted(order)), ends, weights, out, height)
-
-
-def _tables(t: RootedEdgeTree) -> _Tables:
-    """The tables of an oriented component, as dicts over its edges and vertices."""
-    touching: dict[int, list[int]] = {v: [] for v in t.vertices}
-    for e in t.edge_ids:
-        for x in t.ends[e]:
-            touching[x].append(e)
-    return _Tables({e: p for e, (p, _) in t.ends.items()}, {e: c for e, (_, c) in t.ends.items()}, t.weight, touching)
-
-
 def rooted_at(t: RootedEdgeTree, root: int) -> RootedEdgeTree:
-    """The same component re-oriented away from another root."""
+    """The same component re-oriented away from another root, on a copy of the orientation."""
     if root not in t.vertices:
         raise UnknownVertex(f"vertex {root} is not in this component")
-    tb = _tables(t)._replace(parent=dict.fromkeys(t.edge_ids, -1), child=dict.fromkeys(t.edge_ids, -1))
-    return _view(tb, root, _orient(tb, {e: p ^ c for e, (p, c) in t.ends.items()}, root))
+    parent, child, weight, touching = t.tables
+    other = [p ^ c for p, c in zip(parent, child)]
+    tb = _Tables(list(parent), list(child), weight, touching)
+    for e in t.order:
+        tb.child[e] = -1
+    return RootedEdgeTree(root, tuple(_orient(tb, other, root)), tb)
 
 
 def _normalized(host: HostTree, subset: Sequence[FEdge]) -> tuple[FEdge, ...]:
@@ -159,10 +145,10 @@ def reduce_to_full_tree(host: HostTree, subset: Sequence[FEdge]) -> tuple[Rooted
     """Drop unselected host edges and return each component, canonically rooted."""
     _normalized(host, subset)
     tb, components = _forest(host.n, subset)
-    return tuple(_view(tb, root, order) for root, order in components)
+    return tuple(RootedEdgeTree(root, tuple(order), tb) for root, order in components)
 
 
-def _bottom_up(tb: _Tables, upward: Iterable[int], f: Any, at: Any) -> None:
+def _bottom_up(tb: _Tables, upward: Iterable[int], f: _Ints, at: _Ints) -> None:
     """Charge f on the edges of upward, each listed after all the edges below it.
     f and at start at 0; at[v] stays f summed over v's out-edges."""
     parent, child, weight, touching = tb
@@ -181,16 +167,16 @@ def _bottom_up(tb: _Tables, upward: Iterable[int], f: Any, at: Any) -> None:
 def bottom_up_f(t: RootedEdgeTree) -> DominationFunction:
     """Charge each edge with the worst remaining deficit among its sons.
 
-    Processing by ascending height, an edge e = (u, v) receives
+    Processing each edge after the edges below it, an edge e = (u, v) receives
     max over sons e' = (v, x) of (w(e') - f[A(v)] - f[A(x)])^+, which makes
     f cover every edge except possibly those at the root.
     """
-    f = dict.fromkeys(t.edge_ids, 0)
-    _bottom_up(_tables(t), sorted(t.edge_ids, key=t.height.__getitem__), f, dict.fromkeys(t.vertices, 0))
+    f = dict.fromkeys(t.order, 0)
+    _bottom_up(t.tables, reversed(t.order), f, dict.fromkeys(t.vertices, 0))
     return DominationFunction(f)
 
 
-def _root_gap(tb: _Tables, root: int, at: Any) -> tuple[int, int]:
+def _root_gap(tb: _Tables, root: int, at: _Ints) -> tuple[int, int]:
     """The largest w(e) - f[A(root)] - f[A(child end)] over the root's edges, and its first edge by id."""
     edges, weight, child = tb.touching[root], tb.weight, tb.child
     if not edges:  # a component always has at least one root edge
@@ -210,15 +196,17 @@ def root_adjust(t: RootedEdgeTree, f: DominationFunction) -> tuple[DominationFun
     When d <= 0 the bottom-up function already dominates everything and is
     returned unchanged with no chosen edge.
     """
-    at = {v: sum(map(f, t.out_edges[v])) for v in t.vertices}
-    d, e0 = _root_gap(_tables(t), t.root, at)
+    at = dict.fromkeys(t.vertices, 0)
+    for e in t.order:
+        at[t.tables.parent[e]] += f(e)
+    d, e0 = _root_gap(t.tables, t.root, at)
     if d <= 0:
         return f, d, None
     return DominationFunction({**f.values, e0: f(e0) + d}), d, e0
 
 
 def _peel(
-    tb: _Tables, root: int, d: int, e0: int | None, edges: Sequence[int], g: Any, mass: Any, alive: Any
+    tb: _Tables, root: int, d: int, e0: int | None, edges: Sequence[int], g: _Ints, mass: _Ints, alive: _Flags
 ) -> list[tuple[list[int], list[int]]]:
     """The (chosen, deleted) edges of each peeling layer of one component, on which
     mass starts at 0 and alive at true; mass[v] stays g summed over v's alive edges."""
@@ -296,8 +284,8 @@ def extract_dispersed_tree(
     Per layer the deleted mass equals the weight of the elected edges, so the
     final set pays for all of g.
     """
-    g_at = {e: g(e) for e in t.edge_ids}
-    layers = _peel(_tables(t), t.root, d, e0, t.edge_ids, g_at, dict.fromkeys(t.vertices, 0), dict.fromkeys(g_at, True))
+    g_at = {e: g(e) for e in t.order}
+    layers = _peel(t.tables, t.root, d, e0, t.order, g_at, dict.fromkeys(t.vertices, 0), dict.fromkeys(g_at, True))
     chosen = tuple(frozenset(c) for c, _ in layers)
     return frozenset().union(*chosen), DeletionLayers(chosen, tuple(frozenset(x) for _, x in layers))
 

@@ -512,8 +512,8 @@ def test_a_solve_that_succeeds_loads_no_hashlib(interval_file):
 )
 def test_interval_self_check_failure_exits_two(witnesses, interval_file, replay_dir, capsys, monkeypatch):
     monkeypatch.setattr(
-        domw.interval_solver, "_extract",
-        lambda fam, f, g, sources, targets: (frozenset(witnesses(fam.n)), None),
+        domw.interval_solver, "extract_dispersed",
+        lambda fam, f, g, gtrace: (frozenset(witnesses(fam.n)), None),
     )
     code, out, err = invoke(capsys, "solve", interval_file)
     assert (code, out) == (2, "")

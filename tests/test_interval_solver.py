@@ -40,7 +40,7 @@ from domw.instances_io import (
     example_three_intervals,
     write_instance,
 )
-from domw.interval_solver import GreedyStep, GreedyTrace
+from domw.interval_solver import GreedyTrace
 
 from .strategies import corrupted, interval_families, outcome, seeded_corruptions
 
@@ -441,9 +441,13 @@ def test_extraction_takes_the_smallest_passing_source_as_the_witness():
     f, _ = forward_greedy(fam)
     g, gtrace = backward_greedy(fam)
     assert extract_dispersed(fam, f, g, gtrace)[0] == frozenset({1})
-    self_push = GreedyStep(0, 0, 1)
-    for steps in [(self_push, *gtrace.steps), (*gtrace.steps, self_push)]:
-        chosen, dec = extract_dispersed(fam, f, g, GreedyTrace(steps))
+    sources, targets, amounts = gtrace.sources, gtrace.targets, gtrace.amounts
+    # the self-push (0, 0, 1) first, then last
+    for trace in [
+        GreedyTrace((0, *sources), (0, *targets), (1, *amounts)),
+        GreedyTrace((*sources, 0), (*targets, 0), (*amounts, 1)),
+    ]:
+        chosen, dec = extract_dispersed(fam, f, g, trace)
         assert chosen == frozenset({0}) and dec.representatives == {0: 0}
 
 
@@ -464,7 +468,10 @@ def test_extraction_guards_fire_on_a_tampered_g_or_trace(g, steps, message):
     f, _ = forward_greedy(fam)
     own_g, own_trace = backward_greedy(fam)
     g = own_g if g is None else DominationFunction(g)
-    gtrace = own_trace if steps is None else GreedyTrace(tuple(GreedyStep(s, t, 1) for s, t in steps))
+    if steps is None:
+        gtrace = own_trace
+    else:
+        gtrace = GreedyTrace(tuple(s for s, _ in steps), tuple(t for _, t in steps), (1,) * len(steps))
     with pytest.raises(domw.TheoremViolation, match=f"^{message}$"):
         extract_dispersed(fam, f, g, gtrace)
 

@@ -4,7 +4,7 @@ import hashlib
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domw import (
@@ -84,7 +84,7 @@ def test_components_solve_independently():
     host = HostTree(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
     subset = ((0, 1, 2), (3, 4, 7))
     comps = reduce_to_full_tree(host, subset)
-    assert [(t.root, t.edge_ids) for t in comps] == [(0, (0,)), (3, (1,))]
+    assert [(t.root, t.order) for t in comps] == [(0, (0,)), (3, (1,))]
     cert = solve_tree(host, subset)
     assert cert.value == 9
     assert cert.dispersed == frozenset({0, 1})
@@ -146,10 +146,12 @@ def test_equal_root_gaps_elect_the_smallest_edge_id(host):
     smallest id reaching it, recomputed from bottom-up f by definition."""
     tied = 0
     for ws in product((1, 2, 3), repeat=len(host.edges)):
-        (t,) = reduce_to_full_tree(host, tuple((u, v, w) for (u, v), w in zip(host.edges, ws)))
+        subset = tuple((u, v, w) for (u, v), w in zip(host.edges, ws))
+        (t,) = reduce_to_full_tree(host, subset)
         f = bottom_up_f(t)
-        held = {x: sum(f(e) for e in t.out_edges[x]) for x in t.vertices}
-        gap = {e: t.weight[e] - held[t.root] - held[t.ends[e][1]] for e in t.out_edges[t.root]}
+        up = _parent_ends(subset, range(host.n), t.root)
+        held = {x: sum(f(e) for e in up if up[e] == x) for x in t.vertices}
+        gap = {e: w - held[t.root] - held[u + v - t.root] for e, (u, v, w) in enumerate(subset) if up[e] == t.root}
         d = max(gap.values())
         g, got_d, e0 = root_adjust(t, f)
         assert got_d == d
@@ -194,9 +196,9 @@ def test_value_is_root_independent_on_the_two_edge_path():
     assert values == {5}
 
 
-def _assert_rooted_by_definition(t, subset, vertices, root):
-    """Every field of t, recomputed from the edge list, the vertex set and the root."""
-    ids = sorted(eid for eid, (u, _, _) in enumerate(subset) if u in vertices)
+def _parent_ends(subset, vertices, root):
+    """Edge id -> the end nearer the root, for the selected edges inside vertices."""
+    ids = [eid for eid, (u, _, _) in enumerate(subset) if u in vertices]
     dist = {root: 0}
     queue = [root]
     for x in queue:
@@ -211,29 +213,34 @@ def _assert_rooted_by_definition(t, subset, vertices, root):
     for eid in ids:
         u, v, _ = subset[eid]
         parent_end[eid] = u if dist[u] < dist[v] else v
+    return parent_end
 
-    def height(eid):
-        u, v, _ = subset[eid]
-        child = v if parent_end[eid] == u else u
-        below = [height(e) for e in ids if parent_end[e] == child]
-        return 1 + max(below) if below else 0
 
+def _assert_rooted_by_definition(t, subset, vertices, root):
+    """t's root, vertices, edges and their order, and the tables it reads,
+    recomputed from the edge list, the vertex set and the root."""
+    parent_end = _parent_ends(subset, vertices, root)
+    ids = sorted(parent_end)
+    parent, child, weight, touching = t.tables
     assert t.root == root and t.vertices == vertices
-    assert t.edge_ids == tuple(ids)
+    assert sorted(t.order) == ids
     for eid in ids:
         u, v, w = subset[eid]
         p = parent_end[eid]
-        assert t.ends[eid] == (p, v if p == u else u)
-        assert t.weight[eid] == w
-        assert t.height[eid] == height(eid)
-    assert set(t.ends) == set(t.weight) == set(t.height) == set(ids)
-    assert t.out_edges == {
-        x: tuple(e for e in ids if parent_end[e] == x) for x in vertices
-    }
+        assert (parent[eid], child[eid]) == (p, v if p == u else u)
+        assert weight[eid] == w
+    # each edge comes after the edge above it, the one whose child end is its parent end
+    position = {eid: k for k, eid in enumerate(t.order)}
+    above = {child[eid]: eid for eid in ids}
+    assert all(position[above[parent[eid]]] < position[eid] for eid in ids if parent[eid] != root)
+    for x in vertices:
+        assert touching[x] == [eid for eid in ids if x in subset[eid][:2]]
 
 
 @settings(max_examples=150, deadline=None)
 @given(tree_edge_subsets(max_n=12))
+# host edge ids listed bottom-up, so that id order is not the order from the root
+@example((HostTree(5, ((2, 3), (2, 4), (1, 2), (0, 1))), ((2, 3, 1), (2, 4, 2), (1, 2, 1), (0, 1, 3))))
 def test_rooted_components_match_their_definitions(case):
     host, subset = case
     components: list[set[int]] = []
@@ -248,6 +255,8 @@ def test_rooted_components_match_their_definitions(case):
         _assert_rooted_by_definition(t, subset, vertices, min(vertices))
         for r in sorted(vertices):
             _assert_rooted_by_definition(rooted_at(t, r), subset, vertices, r)
+        # re-rooting orients a copy: the canonical view is left as it was
+        _assert_rooted_by_definition(t, subset, vertices, min(vertices))
 
 
 @settings(max_examples=120, deadline=None)
@@ -282,7 +291,7 @@ def _assert_layers_cover_once(t, chosen, layers):
         assert picked <= removed
         assert not (removed & seen)
         seen |= removed
-    assert seen == set(t.edge_ids)
+    assert seen == set(t.order)
     assert chosen == frozenset().union(*layers.chosen)
 
 
@@ -293,7 +302,7 @@ def test_deletion_layers_cover_every_edge_once(case):
     lg = edge_line_graph(host, subset)
     for t in reduce_to_full_tree(host, subset):
         g, chosen, layers = solve_rooted(t)
-        assert is_w_dominating(lg, g, u=t.edge_ids)
+        assert is_w_dominating(lg, g, u=t.order)
         _assert_layers_cover_once(t, chosen, layers)
 
 
