@@ -446,15 +446,15 @@ def _parse_tree_edges(lines: _Lines) -> TreeEdgesInstance:
     return TreeEdgesInstance(host, tuple(f_edges))
 
 
-def _split_vertex(line: int, text: str) -> tuple[int, bool, int]:
-    """A vertex line's id, side (True for A) and weight, checked field by field."""
+def _split_vertex(line: int, text: str) -> int:
+    """A vertex line's id, once its fields are checked one by one."""
     parts = text.split()
     if len(parts) != 3:
         raise InstanceSyntaxError(line, "vertex: expected `id side w`")
     if parts[1] not in ("A", "B"):
         raise InstanceSyntaxError(line, f"vertex: side must be A or B, got {parts[1]!r}")
-    ident, w = _ints(line, (parts[0], parts[2]), "vertex")
-    return ident, parts[1] == "A", w
+    ident, _ = _ints(line, (parts[0], parts[2]), "vertex")
+    return ident
 
 
 def _parse_split(lines: _Lines) -> SplitInstance:
@@ -472,8 +472,8 @@ def _parse_split(lines: _Lines) -> SplitInstance:
     on_a: list[bool] = []
     weights: list[int] = []
     for expect_id, (line, text) in enumerate(lines.take(nv, "vertex line")):
-        # the shape a writer emits; anything else, `+1` or `1_0` included,
-        # goes through the field-by-field checks
+        # every well-formed line with the expected id takes this path; the
+        # field-by-field checks after it only name what is wrong with another
         try:
             match text.split():
                 case [ident, "A" | "B" as side, w] if int(ident) == expect_id:
@@ -482,11 +482,8 @@ def _parse_split(lines: _Lines) -> SplitInstance:
                     continue
         except ValueError:
             pass
-        ident, side_a, w = _split_vertex(line, text)
-        if ident != expect_id:
-            raise InstanceSemanticError(f"vertex id {ident} out of order, expected {expect_id}")
-        weights.append(w)
-        on_a.append(side_a)
+        ident = _split_vertex(line, text)
+        raise InstanceSemanticError(f"vertex id {ident} out of order, expected {expect_id}")
     m = _count(lines, "edge count")
     nbrs: list[set[int]] = [set() for _ in range(nv)]
     stray: dict[tuple[int, int], tuple[int, int]] = {}  # ends out of range, in file order

@@ -55,6 +55,23 @@ def test_from_edges_rejects_nonpositive_weight():
         WeightedGraph.from_edges((1, 0), [])
 
 
+@pytest.mark.parametrize(
+    "adjacency, error, message",
+    [
+        ((frozenset({1}),), ValueError, "adjacency and weights disagree on vertex count"),
+        ((frozenset({2}), frozenset()), UnknownVertex, "vertex 2 out of range"),
+        ((frozenset({0}), frozenset()), ValueError, "self-loop at vertex 0"),
+        ((frozenset({1}), frozenset()), ValueError, "adjacency not symmetric at (0, 1)"),
+    ],
+    ids=["count", "range", "loop", "symmetry"],
+)
+def test_constructor_rejects_a_broken_adjacency(adjacency, error, message):
+    with pytest.raises(error) as err:
+        WeightedGraph((1, 1), adjacency)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 def test_closed_neighborhood_contains_the_vertex():
     g = path(4)
     assert closed_neighborhood(g, 0) == frozenset({0, 1})

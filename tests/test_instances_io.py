@@ -1,5 +1,7 @@
 """Tests for the instance file formats, generators, and the LCG."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 
@@ -77,6 +79,31 @@ def test_generator_parameter_validation():
         gen_interval(0, 0, 12, 5)
     with pytest.raises(ParameterOutOfRange):
         gen_split(0, 3, 4, 60, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LCG(-1), "seed must be nonnegative"),
+        (lambda: LCG(1).draw(0), "draw needs a positive modulus"),
+        (lambda: LCG(1).randint(2, 1), "empty range 2..1"),
+        (lambda: gen_split(0, 3, 4, -1, 5), "edge_prob_percent must lie in 0..100"),
+        (lambda: gen_split(0, 3, 4, 101, 5), "edge_prob_percent must lie in 0..100"),
+    ],
+    ids=["seed", "draw", "randint", "percent-low", "percent-high"],
+)
+def test_generator_rejections_name_the_parameter(call, message):
+    with pytest.raises(ParameterOutOfRange) as err:
+        call()
+    assert type(err.value) is ParameterOutOfRange
+    assert str(err.value) == message
+
+
+def test_instance_file_rejects_an_unknown_kind():
+    with pytest.raises(InstanceSemanticError) as err:
+        InstanceFile("matrix", None)
+    assert type(err.value) is InstanceSemanticError
+    assert str(err.value) == "unknown kind 'matrix'"
 
 
 def test_gen_split_leaves_no_isolated_b_vertex():
@@ -506,6 +533,34 @@ def test_split_parse_fault_class_message_and_line(body, error, message, line, ca
     assert str(err.value) == message
     assert getattr(err.value, "line", None) == line
     assert (None if err.value.__cause__ is None else type(err.value.__cause__)) is cause
+
+
+def test_split_vertex_lines_parse_exactly_when_well_formed():
+    """Every line of 0..4 fields over ten tokens, as vertex 1 of a two-vertex
+    file: it parses when it has an integer id, a side letter and an integer
+    weight, the id is 1 and the weight at least 1, and is then read as
+    written; a well-formed line with another id names it; any other raises."""
+    tokens = ("1", "0", "+1", "1_0", "-1", "3", "A", "B", "a", "x")
+    parsed = 0
+    for k in range(5):
+        for fields in product(tokens, repeat=k):
+            text = f"{SPLITS}2\n0 A 1\n{' '.join(fields)}\n0\n"
+            try:
+                ident, side, w = int(fields[0]), fields[1], int(fields[2])
+                well_formed = k == 3 and side in ("A", "B")
+            except (IndexError, ValueError):
+                well_formed = False
+            if well_formed and ident == 1 and w >= 1:
+                inst = parse_instance(text).payload
+                assert inst.graph.weights == (1, w)
+                assert inst.clique == ({0, 1} if side == "A" else {0})
+                parsed += 1
+                continue
+            with pytest.raises((InstanceSyntaxError, InstanceSemanticError)) as err:
+                parse_instance(text)
+            if well_formed and ident != 1:
+                assert str(err.value) == f"vertex id {ident} out of order, expected 1"
+    assert parsed == 2 * 2 * 4  # ids 1 and +1, two sides, weights 1, +1, 3 and 1_0
 
 
 _SPLIT_CANON = (
