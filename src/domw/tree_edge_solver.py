@@ -73,7 +73,7 @@ class RootedEdgeTree:
         return frozenset((self.root, *map(self.tables.child.__getitem__, self.order)))
 
 
-def _orient(tb: _Tables, other: list[int], root: int) -> list[int]:
+def _orient(tb: _Tables, other: _Ints, root: int) -> list[int]:
     """Orient root's component away from root, other[e] being the XOR of e's
     ends; returns its edges, each after the edge above it."""
     parent, child, _, touching = tb
@@ -107,9 +107,9 @@ def rooted_at(t: RootedEdgeTree, root: int) -> RootedEdgeTree:
     if root not in t.vertices:
         raise UnknownVertex(f"vertex {root} is not in this component")
     parent, child, weight, touching = t.tables
-    other = [p ^ c for p, c in zip(parent, child)]
+    other = {e: parent[e] ^ child[e] for e in t.order}
     tb = _Tables(list(parent), list(child), weight, touching)
-    for e in t.order:
+    for e in other:
         tb.child[e] = -1
     return RootedEdgeTree(root, tuple(_orient(tb, other, root)), tb)
 
