@@ -1,5 +1,6 @@
 """Tests for the brute-force oracles, the exact LP, and the matrix checks."""
 
+import hashlib
 import sys
 from fractions import Fraction
 from itertools import permutations, product
@@ -11,10 +12,15 @@ from hypothesis import strategies as st
 from domw import (
     LCG,
     WeightedGraph,
+    build_intersection_graph,
     brute_gamma,
     brute_gamma_i,
     brute_rho,
     det,
+    edge_line_graph,
+    gen_interval,
+    gen_subtrees,
+    gen_tree,
     has_consecutive_ones,
     is_dispersed,
     is_w_dominating,
@@ -181,6 +187,41 @@ def test_fractional_split_triangle():
     assert {v: x for v, x in sol.primal.items() if x} == {
         v: Fraction(1, 2) for v in range(3, 6)
     }
+
+
+def test_fractional_empty_graph():
+    assert solve_fractional(WeightedGraph((), ())) == oracles.FractionalSolution(0, 0, {}, {})
+
+
+def lp_graphs():
+    """1,000 seeded graphs of at most 10 vertices: 200 each of interval
+    graphs, tree-edge line graphs, split graphs, subtree intersection graphs
+    and random explicit graphs."""
+    for seed in range(200):
+        yield intersection_graph(gen_interval(seed, 1 + seed % 10, 12, 5))
+        yield edge_line_graph(*gen_tree(seed, 1 + seed % 10, 5))
+        yield gen_split(seed, 1 + seed % 4, 1 + (seed // 4) % 6, 60, 5).graph
+        yield build_intersection_graph(*gen_subtrees(seed, 3 + seed % 6, 1 + seed % 10, 5))
+        rng = LCG(seed)
+        n = rng.randint(1, 10)
+        weights = [rng.randint(1, 5) for _ in range(n)]
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.chance(40)]
+        yield WeightedGraph.from_edges(weights, edges)
+
+
+def test_fractional_optima_and_primal_match_their_pinned_digest():
+    """Both LP optima and the primal vector, byte for byte, as the two-phase
+    simplex that solved (P) and (D) separately gave them."""
+    digest = hashlib.sha256()
+    count = 0
+    for g in lp_graphs():
+        assert g.n <= 10
+        sol = solve_fractional(g)
+        record = (sol.gamma_star, sol.rho_star, sorted(sol.primal.items()))
+        digest.update(repr(record).encode("ascii") + b"\n")
+        count += 1
+    assert count == 1000
+    assert digest.hexdigest() == "9624a209fae024501785da5402d6ead7a5a827f6c6b3de27694aa53987f7e10f"
 
 
 def test_fractional_cap():
