@@ -139,6 +139,10 @@ class GreedyTrace:
     targets: tuple[int, ...]
     amounts: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        if not len(self.sources) == len(self.targets) == len(self.amounts):
+            raise ValueError("trace columns must have equal lengths")
+
     @property
     def steps(self) -> tuple[GreedyStep, ...]:
         """The steps as `GreedyStep`s, packed from the columns on each read."""

@@ -5,8 +5,11 @@ solvers so the two routes can disagree loudly in tests.  The branch and bound
 `min_dominating` is also the split solver's cover search; the split tests
 therefore keep a plain exhaustive reference that does not use it.  Its node
 state is a bitmask over the demands for each remaining deficit, and its
-packing bound reads one conflict mask per demand.  All arithmetic is exact:
-integer branch and bound, Fraction simplex, fraction-free determinants.
+packing bound reads one conflict mask per demand.  The LP oracle runs one
+single-phase simplex on the packing LP from the slack basis and reads the
+covering dual off its final cost row; both vectors are checked exactly.
+All arithmetic is exact: integer branch and bound, Fraction simplex,
+fraction-free determinants.
 """
 
 from __future__ import annotations
@@ -303,17 +306,12 @@ def _pivot(tableau: list[list[Fraction]], cost: list[Fraction], basis: list[int]
     basis[row] = col
 
 
-def _run_simplex(
-    tableau: list[list[Fraction]],
-    cost: list[Fraction],
-    basis: list[int],
-    allowed: Sequence[bool],
-) -> None:
+def _run_simplex(tableau: list[list[Fraction]], cost: list[Fraction], basis: list[int]) -> None:
     """Minimize with Bland's anti-cycling rule until no improving column."""
     while True:
         enter = None
-        for j in range(len(allowed)):
-            if allowed[j] and cost[j] < 0:
+        for j in range(len(cost) - 1):  # cost[-1] is the objective, not a column
+            if cost[j] < 0:
                 enter = j
                 break
         if enter is None:
@@ -334,110 +332,57 @@ def _run_simplex(
 
 
 def _solve_lp(
-    objective: Sequence[Fraction],
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    maximize: bool,
-) -> tuple[Fraction, list[Fraction]]:
-    """Two-phase exact simplex for max c x s.t. A x <= b, or min c x s.t.
-    A x >= b, with x >= 0 and b >= 0."""
+    objective: Sequence[int], rows: Sequence[Sequence[int]]
+) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+    """Exact single-phase simplex for max c x s.t. A x <= 1, x >= 0.
+
+    It starts from the slack basis, which is feasible as the right-hand side
+    is 1.  Returns the optimum, x, and y: the reduced costs of the slack
+    columns in the final cost row, which solve the dual, min sum y s.t.
+    A^T y >= c, y >= 0.
+    """
     n = len(objective)
     m = len(rows)
-    c = [Fraction(-x) if maximize else Fraction(x) for x in objective]
-    num_artificial = 0 if maximize else m
-    width = n + m + num_artificial
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
-    art_cols = range(n + m, width)
-    for i in range(m):
-        if rhs[i] < 0:
-            raise LPInternalError("negative right-hand side")
-        row = [Fraction(x) for x in rows[i]] + [Fraction(0)] * (m + num_artificial) + [Fraction(rhs[i])]
-        if maximize:
-            row[n + i] = Fraction(1)
-            basis.append(n + i)
-        else:
-            row[n + i] = Fraction(-1)
-            row[n + m + i] = Fraction(1)
-            basis.append(n + m + i)
-        tableau.append(row)
-
-    if art_cols:
-        cost1 = [Fraction(0)] * width + [Fraction(0)]
-        for col in art_cols:
-            cost1[col] = Fraction(1)
-        for i, b in enumerate(basis):
-            if cost1[b] != 0:
-                cost1 = [x - y for x, y in zip(cost1, tableau[i])]
-        allowed = [True] * width
-        _run_simplex(tableau, cost1, basis, allowed)
-        if -cost1[-1] != 0:
-            raise LPInternalError("phase one ended infeasible")
-        # drive leftover artificials out of the basis
-        for i in range(m):
-            if basis[i] in art_cols:
-                swap = next(
-                    (j for j in range(width) if j not in art_cols and tableau[i][j] != 0),
-                    None,
-                )
-                if swap is not None:
-                    _pivot(tableau, cost1, basis, i, swap)
-
-    cost2 = c + [Fraction(0)] * (m + num_artificial) + [Fraction(0)]
-    for i, b in enumerate(basis):
-        if b < len(cost2) - 1 and cost2[b] != 0:
-            cost2 = [x - y for x, y in zip(cost2, tableau[i])]
-    allowed = [j not in art_cols for j in range(width)]
-    _run_simplex(tableau, cost2, basis, allowed)
-    value = -cost2[-1]
+    tableau = [
+        [Fraction(x) for x in row] + [Fraction(1 if k == i else 0) for k in range(m)] + [Fraction(1)]
+        for i, row in enumerate(rows)
+    ]
+    basis = list(range(n, n + m))
+    # the slack columns cost nothing, so the basis needs no pricing out
+    cost = [Fraction(-x) for x in objective] + [Fraction(0)] * (m + 1)
+    _run_simplex(tableau, cost, basis)
     x = [Fraction(0)] * n
     for i, b in enumerate(basis):
         if b < n:
             x[b] = tableau[i][-1]
-    return (-value if maximize else value), x
+    return cost[-1], x, cost[n : n + m]
 
 
 def solve_fractional(g: WeightedGraph, cap: int = DEFAULT_CAP) -> FractionalSolution:
-    """Solve the packing LP and its covering dual exactly and independently.
+    """Solve the packing LP and its covering dual exactly, in one simplex run.
 
     (P)  max sum_v w(v) g(v)  s.t.  g[N(v)] <= 1,  g >= 0
     (D)  min sum_v f(v)       s.t.  f[N(v)] >= w(v),  f >= 0
 
-    The two optima must agree; any gap is an internal error, not a result.
+    g comes from the final tableau of (P) and f from its cost row.  Both are
+    checked exactly: each is feasible for its own side, g attains the
+    tableau's optimum and |f| equals it, which proves both optimal.  A
+    failed check is an internal error, not a result.
     """
     _check_cap(g, cap)
-    n = g.n
-    if n == 0:
-        zero = Fraction(0)
-        return FractionalSolution(zero, zero, {}, {})
-    nbhds = [closed_neighborhood(g, v) for v in g.vertices]
-    matrix = [
-        [Fraction(1) if u in nbhds[v] else Fraction(0) for u in g.vertices]
-        for v in g.vertices
-    ]
-    ones = [Fraction(1)] * n
-    weights = [Fraction(w) for w in g.weights]
-
-    rho_star, primal = _solve_lp(weights, matrix, ones, maximize=True)
-    gamma_star, dual = _solve_lp(ones, matrix, weights, maximize=False)
-
-    for v in g.vertices:
-        if primal[v] < 0 or sum(primal[u] for u in nbhds[v]) > 1:
+    rows = neighborhood_matrix(g).rows
+    rho_star, primal, dual = _solve_lp(g.weights, rows)
+    for v, row in enumerate(rows):
+        if primal[v] < 0 or sum(x for x, a in zip(primal, row) if a) > 1:
             raise LPInternalError("primal solution infeasible")
-        if dual[v] < 0 or sum(dual[u] for u in nbhds[v]) < g.weights[v]:
+        if dual[v] < 0 or sum(y for y, a in zip(dual, row) if a) < g.weights[v]:
             raise LPInternalError("dual solution infeasible")
-    if sum(weights[v] * primal[v] for v in g.vertices) != rho_star:
+    if sum(w * x for w, x in zip(g.weights, primal)) != rho_star:
         raise LPInternalError("primal objective mismatch")
-    if sum(dual) != gamma_star:
-        raise LPInternalError("dual objective mismatch")
+    gamma_star = sum(dual, Fraction(0))
     if gamma_star != rho_star:
         raise LPInternalError(f"duality gap: {gamma_star} != {rho_star}")
-    return FractionalSolution(
-        gamma_star,
-        rho_star,
-        {v: dual[v] for v in g.vertices},
-        {v: primal[v] for v in g.vertices},
-    )
+    return FractionalSolution(gamma_star, rho_star, dict(enumerate(dual)), dict(enumerate(primal)))
 
 
 # ---------------------------------------------------------------------------

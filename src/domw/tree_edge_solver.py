@@ -52,10 +52,11 @@ class DeletionLayers:
 
 
 class _Tables(NamedTuple):
-    """An oriented forest, as lists over the selected edges and the host vertices."""
+    """An oriented forest, as lists over the selected edges and the host vertices;
+    a re-rooted component keeps its ends in dicts over its own edges."""
 
-    parent: list[int]  # edge -> parent end, -1 before orientation
-    child: list[int]  # edge -> child end, -1 before orientation
+    parent: _Ints  # edge -> parent end, -1 before orientation
+    child: _Ints  # edge -> child end, -1 before orientation
     weight: list[int]
     touching: list[list[int]]  # vertex -> its edges by id: its parent edge, if any, and its out-edges
 
@@ -103,14 +104,13 @@ def _forest(n: int, subset: Sequence[FEdge]) -> tuple[_Tables, list[tuple[int, l
 
 
 def rooted_at(t: RootedEdgeTree, root: int) -> RootedEdgeTree:
-    """The same component re-oriented away from another root, on a copy of the orientation."""
+    """The same component re-oriented away from another root, on end tables over its edges only."""
     if root not in t.vertices:
         raise UnknownVertex(f"vertex {root} is not in this component")
     parent, child, weight, touching = t.tables
     other = {e: parent[e] ^ child[e] for e in t.order}
-    tb = _Tables(list(parent), list(child), weight, touching)
-    for e in other:
-        tb.child[e] = -1
+    # a vertex of the component touches only the component's edges
+    tb = _Tables(dict.fromkeys(other, -1), dict.fromkeys(other, -1), weight, touching)
     return RootedEdgeTree(root, tuple(_orient(tb, other, root)), tb)
 
 

@@ -73,6 +73,12 @@ def test_family_constructor_checks_every_slot_as_interval_does():
         assert str(err.value) == str(expected.value)
 
 
+def test_greedy_trace_rejects_columns_of_unequal_lengths():
+    with pytest.raises(ValueError) as info:
+        GreedyTrace((0, 1), (0,), (1, 1, 1))
+    assert str(info.value) == "trace columns must have equal lengths"
+
+
 def test_a_bool_endpoint_is_an_int_as_it_is_for_interval():
     assert Interval(True, 2, 1) == Interval(1, 2, 1)
     assert family((True, 2, True)) == family((1, 2, 1))

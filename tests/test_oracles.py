@@ -28,7 +28,7 @@ from domw import (
     solve_fractional,
 )
 from domw import oracles
-from domw.errors import BadPermutation, InstanceTooLarge
+from domw.errors import BadPermutation, InstanceTooLarge, LPInternalError
 from domw.instances_io import example_nontu_intervals, example_split_triangle, gen_split
 from domw.interval_solver import intersection_graph, order_by_right_endpoint
 
@@ -128,6 +128,12 @@ def test_cover_search_visits_its_pinned_number_of_nodes(monkeypatch, args, nodes
         oracles.min_dominating(g, demands, inst.clique)
 
 
+def test_cover_search_rejects_a_demand_with_no_supplier():
+    with pytest.raises(ValueError) as info:
+        oracles.min_dominating(path((1, 1, 1)), [2], [0])
+    assert str(info.value) == "demand at vertex 2 has no available supplier"
+
+
 @settings(max_examples=150, deadline=None)
 @given(weighted_graphs(max_n=5, max_w=3))
 def test_gamma_is_the_exhaustive_minimum(g: WeightedGraph):
@@ -187,6 +193,27 @@ def test_fractional_split_triangle():
     assert {v: x for v, x in sol.primal.items() if x} == {
         v: Fraction(1, 2) for v in range(3, 6)
     }
+
+
+FIVE_CYCLE = WeightedGraph.from_edges((1,) * 5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+THIRD, HALF = Fraction(1, 3), Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "rho, primal, dual, message",
+    [
+        (Fraction(5), [Fraction(1)] * 5, [THIRD] * 5, "primal solution infeasible"),
+        (Fraction(5, 3), [THIRD] * 5, [Fraction(0)] * 5, "dual solution infeasible"),
+        (Fraction(2), [THIRD] * 5, [Fraction(2, 5)] * 5, "primal objective mismatch"),
+        (Fraction(5, 3), [THIRD] * 5, [HALF] * 5, "duality gap: 5/2 != 5/3"),
+    ],
+)
+def test_fractional_rejects_a_simplex_result_that_fails_a_check(monkeypatch, rho, primal, dual, message):
+    """Each exact check of solve_fractional fires on a planted simplex result."""
+    monkeypatch.setattr(oracles, "_solve_lp", lambda objective, rows: (rho, primal, dual))
+    with pytest.raises(LPInternalError) as info:
+        solve_fractional(FIVE_CYCLE)
+    assert str(info.value) == message
 
 
 def test_fractional_empty_graph():
@@ -262,6 +289,13 @@ def test_det_hand_values():
     assert det([[1, 2], [3, 4]]) == -2
     assert det([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == 24
     assert det([[1, 2], [2, 4]]) == 0
+
+
+def test_det_rejects_a_non_square_matrix_and_takes_the_empty_one_as_one():
+    with pytest.raises(ValueError) as info:
+        det([[1, 2]])
+    assert str(info.value) == "determinant needs a square matrix"
+    assert det([]) == 1
 
 
 def test_nontu_witness_matrices():

@@ -90,6 +90,25 @@ def test_components_solve_independently():
     assert cert.dispersed == frozenset({0, 1})
 
 
+def test_rooted_at_holds_ends_for_its_own_component_only():
+    """Re-rooting keeps the parent and child ends of the component's edges
+    alone, so its cost follows the component, not the host."""
+    host = HostTree(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
+    for t in reduce_to_full_tree(host, ((0, 1, 2), (2, 3, 1), (3, 4, 7))):
+        for r in sorted(t.vertices):
+            rooted = rooted_at(t, r)
+            assert sorted(rooted.tables.parent.keys()) == sorted(t.order)
+            assert sorted(rooted.tables.child.keys()) == sorted(t.order)
+
+
+def test_rooted_at_rejects_a_vertex_outside_the_component():
+    host = HostTree(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
+    t, _ = reduce_to_full_tree(host, ((0, 1, 2), (3, 4, 7)))
+    with pytest.raises(UnknownVertex) as info:
+        rooted_at(t, 3)
+    assert str(info.value) == "vertex 3 is not in this component"
+
+
 def test_flipped_edge_orientation_is_accepted():
     cert = solve_tree(PATH3, ((1, 0, 5), (1, 2, 2)))
     assert cert.value == 5
