@@ -174,10 +174,14 @@ def test_sandwich_inequalities(g: WeightedGraph):
     assert brute_rho(g)[0] <= brute_gamma_i(g)[0] <= brute_gamma(g)[0]
 
 
+FIVE_CYCLE = WeightedGraph.from_edges((1,) * 5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+THIRD = Fraction(1, 3)
+
+
 def test_fractional_five_cycle():
     """On the unit 5-cycle every closed neighborhood has three vertices, so
     the symmetric third is optimal on both sides while gamma stays at 2."""
-    g = WeightedGraph.from_edges((1,) * 5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    g = FIVE_CYCLE
     sol = solve_fractional(g)
     assert sol.gamma_star == sol.rho_star == Fraction(5, 3)
     assert sol.dual == {v: Fraction(1, 3) for v in range(5)}
@@ -195,17 +199,13 @@ def test_fractional_split_triangle():
     }
 
 
-FIVE_CYCLE = WeightedGraph.from_edges((1,) * 5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-THIRD, HALF = Fraction(1, 3), Fraction(1, 2)
-
-
 @pytest.mark.parametrize(
     "rho, primal, dual, message",
     [
         (Fraction(5), [Fraction(1)] * 5, [THIRD] * 5, "primal solution infeasible"),
         (Fraction(5, 3), [THIRD] * 5, [Fraction(0)] * 5, "dual solution infeasible"),
         (Fraction(2), [THIRD] * 5, [Fraction(2, 5)] * 5, "primal objective mismatch"),
-        (Fraction(5, 3), [THIRD] * 5, [HALF] * 5, "duality gap: 5/2 != 5/3"),
+        (Fraction(5, 3), [THIRD] * 5, [Fraction(1, 2)] * 5, "duality gap: 5/2 != 5/3"),
     ],
 )
 def test_fractional_rejects_a_simplex_result_that_fails_a_check(monkeypatch, rho, primal, dual, message):
