@@ -4,6 +4,8 @@ import dataclasses
 import runpy
 from pathlib import Path
 
+import pytest
+
 from domw import solve_split
 from domw.instances_io import KINDS
 
@@ -34,3 +36,28 @@ def test_sweep_counts_a_dependent_split_witness(capsys, monkeypatch):
     assert captured.out.splitlines()[0].startswith("interval     10 instances, 0 mismatches")
     assert captured.out.splitlines()[1].startswith("split        10 instances, 10 mismatches")
     assert captured.err.count("MISMATCH split seed") == 10
+
+
+_SWEEP_PINS = [
+    (
+        ["--seeds", "100"],
+        "interval    100 instances, 0 mismatches; gamma - gamma*: max 0 (0.000), mean 0.000, integral on 100/100\n"
+        "tree        100 instances, 0 mismatches; gamma - gamma*: max 0 (0.000), mean 0.000, integral on 100/100\n"
+        "split       100 instances, 0 mismatches; gamma - gamma*: max 0 (0.000), mean 0.000, integral on 100/100\n"
+        "subtree     100 instances, 0 mismatches; gamma - gamma*: max 0 (0.000), mean 0.000, integral on 100/100\n",
+    ),
+    (
+        # seeds 519 and 599 have gamma - gamma* = 1/2
+        ["--classes", "split", "--seeds", "600"],
+        "split       600 instances, 0 mismatches; gamma - gamma*: max 1/2 (0.500), mean 0.002, integral on 598/600\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _SWEEP_PINS)
+def test_sweep_output_is_pinned(argv, expected, capsys):
+    sweep = runpy.run_path(str(SWEEP))
+    assert sweep["main"](argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
