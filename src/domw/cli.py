@@ -1,9 +1,10 @@
-"""Command line driver: solve, oracle, check, example, gen, verify, matrix.
+"""Command line driver: solve, oracle, check, example, gen, sweep, verify, matrix.
 
 Machine-readable payloads go to standard output, diagnostics to standard
-error.  Exit codes: 0 success, 1 invalid input or failed verification,
-2 internal assertion failure (a disproved theorem or an LP duality gap),
-3 instance too large for the requested oracle or over a search's node budget.
+error.  Exit codes: 0 success, 1 invalid input, failed verification or a
+sweep mismatch, 2 internal assertion failure (a disproved theorem or an LP
+duality gap), 3 instance too large for the requested oracle or over a
+search's node budget.
 When `solve` exits 2, it also keeps the instance text it read in the temp
 directory, in a file named by the text's SHA-256, and names that file on
 standard error.
@@ -75,6 +76,16 @@ _GENERATORS = {
     ),
 }
 
+# Each sweep class is a generated kind and its `gen` options as a function of
+# the seed, with max_w = 5 throughout.  Every instance has at most 9 vertices,
+# inside the oracles' default cap of 10, so every check runs the oracles.
+_SWEEPS = {
+    "interval": ("interval", lambda s: dict(n=1 + s % 8, max_coord=12)),
+    "tree": ("tree-edges", lambda s: dict(n_edges=1 + s % 9)),
+    "split": ("split", lambda s: dict(n_a=1 + s % 4, n_b=1 + (s // 4) % 5, edge_prob=60)),
+    "subtree": ("subtree-intersection", lambda s: dict(n_tree=3 + s % 6, n_subtrees=1 + s % 9)),
+}
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,6 +123,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--edge-prob", type=int, default=60, help="percent (split kind)")
     gen.add_argument("--n-tree", type=int, default=6, help="host vertices (subtree kind)")
     gen.add_argument("--n-subtrees", type=int, default=5)
+
+    sweep = sub.add_parser("sweep", help="check seeded instances of each class against the oracles")
+    sweep.add_argument("--seeds", type=int, default=200, help="instances per class")
+    sweep.add_argument("--classes", nargs="+", choices=tuple(_SWEEPS), default=list(_SWEEPS))
 
     verify = sub.add_parser("verify", help="re-check a solver result against an instance")
     verify.add_argument("instance")
@@ -271,6 +286,37 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def run_sweep(name: str, seeds: int) -> tuple[int, str]:
+    """Check `seeds` instances of one class; return the mismatch count and a summary line."""
+    kind, options = _SWEEPS[name]
+    mismatches, gaps = 0, []
+    for seed in range(seeds):
+        args = argparse.Namespace(seed=seed, max_w=5, **options(seed))
+        report = check_instance(InstanceFile(kind, _GENERATORS[kind](args)))
+        gaps.append(report.gamma - report.gamma_star)
+        if not report.ok:
+            mismatches += 1
+            print(f"MISMATCH {name} seed {seed}", file=sys.stderr)
+    line = f"{name:<9} {seeds:>5} instances, {mismatches} mismatches"
+    if gaps:
+        worst = max(gaps)
+        mean = sum(gaps, Fraction(0)) / len(gaps)
+        line += (
+            f"; gamma - gamma*: max {worst} ({float(worst):.3f}),"
+            f" mean {float(mean):.3f}, integral on {gaps.count(0)}/{len(gaps)}"
+        )
+    return mismatches, line
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    failed = 0
+    for name in args.classes:
+        mismatches, line = run_sweep(name, args.seeds)
+        print(line)
+        failed += mismatches
+    return 1 if failed else 0
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.instance))
     kind = KINDS[inst.kind]
@@ -307,6 +353,7 @@ _COMMANDS = {
     "check": _cmd_check,
     "example": _cmd_example,
     "gen": _cmd_gen,
+    "sweep": _cmd_sweep,
     "verify": _cmd_verify,
     "matrix": _cmd_matrix,
 }

@@ -211,16 +211,14 @@ def _peel(
     """The (chosen, deleted) edges of each peeling layer of one component, on which
     mass starts at 0 and alive at true; mass[v] stays g summed over v's alive edges."""
     parent, child, weight, touching = tb
-    total = 0
     for e in edges:
         ge = g[e]
         mass[parent[e]] += ge
         mass[child[e]] += ge
-        total += ge
     if d > 0 and e0 is None:
         raise TheoremViolation("a positive root adjustment names no root edge")
     layers: list[tuple[list[int], list[int]]] = []
-    left, dispersed = len(edges), 0
+    left = len(edges)
     # A positive adjustment elects e0 alone in the first layer.  A layer
     # deletes every remaining out-edge of its roots, so the next layer's roots
     # are the child ends of the edges it deleted, and their parent edges are gone.
@@ -262,11 +260,8 @@ def _peel(
         if not deleted or freed != paid:
             raise TheoremViolation("layer accounting failed: empty layer or deleted mass != chosen weight")
         left -= len(deleted)
-        dispersed += paid
         layers.append((chosen, deleted))
         chosen, roots = [], map(child.__getitem__, deleted)
-    if dispersed != total:
-        raise TheoremViolation("dispersed weight does not match the function size")
     return layers
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 import domw
 import domw.interval_solver
 import domw.tree_edge_solver
-from domw import DominationFunction, SplitResult, oracles, write_split_result
+from domw import DominationFunction, SplitResult, oracles, solve_split, write_split_result
 from domw.cli import run
 from domw.instances_io import KINDS, parse_instance
 
@@ -345,6 +346,55 @@ def test_gen_then_solve_round_trip(tmp_path, capsys):
     cert_path.write_text(out)
     code, out, _ = invoke(capsys, "verify", str(path), str(cert_path))
     assert code == 0
+
+
+def test_sweep_runs_clean_on_twenty_seeds(capsys):
+    code, out, _ = invoke(capsys, "sweep", "--seeds", "20")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 4
+    assert all("20 instances, 0 mismatches" in line for line in lines)
+
+
+_SWEEP_PINS = [
+    (
+        ["--seeds", "100"],
+        "interval    100 instances, 0 mismatches; gamma - gamma*: max 0 (0.000), mean 0.000, integral on 100/100\n"
+        "tree        100 instances, 0 mismatches; gamma - gamma*: max 0 (0.000), mean 0.000, integral on 100/100\n"
+        "split       100 instances, 0 mismatches; gamma - gamma*: max 0 (0.000), mean 0.000, integral on 100/100\n"
+        "subtree     100 instances, 0 mismatches; gamma - gamma*: max 0 (0.000), mean 0.000, integral on 100/100\n",
+    ),
+    (
+        # seeds 519 and 599 have gamma - gamma* = 1/2
+        ["--classes", "split", "--seeds", "600"],
+        "split       600 instances, 0 mismatches; gamma - gamma*: max 1/2 (0.500), mean 0.002, integral on 598/600\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _SWEEP_PINS, ids=["all-100", "split-600"])
+def test_sweep_output_is_pinned(argv, expected, capsys):
+    code, out, err = invoke(capsys, "sweep", *argv)
+    assert code == 0
+    assert out == expected
+    assert err == ""
+
+
+def test_sweep_counts_a_dependent_split_witness(capsys, monkeypatch):
+    """Value and function stay right, so only the witness check can object."""
+
+    def dependent_witness(inst):
+        result = solve_split(inst)
+        b = min(inst.independent)
+        a = min(inst.graph.adjacency[b])
+        return dataclasses.replace(result, witness_independent=frozenset({a, b}))
+
+    monkeypatch.setattr(KINDS["split"], "solve", dependent_witness)
+    code, out, err = invoke(capsys, "sweep", "--seeds", "10", "--classes", "interval", "split")
+    assert code == 1
+    assert out.splitlines()[0].startswith("interval     10 instances, 0 mismatches")
+    assert out.splitlines()[1].startswith("split        10 instances, 10 mismatches")
+    assert err.count("MISMATCH split seed") == 10
 
 
 def test_non_tu_star_certificate_verifies(tmp_path, capsys):

@@ -482,6 +482,36 @@ def test_extraction_guards_fire_on_a_tampered_g_or_trace(g, steps, message):
         extract_dispersed(fam, f, g, gtrace)
 
 
+@pytest.mark.parametrize(
+    "triples, by_right, by_left, message",
+    [
+        ([(1, 1, 2), (3, 3, 2)], (0, 1), (1, 0), "target 1 misses its source 0"),
+        ([(1, 2, 2), (3, 4, 2), (2, 3, 1)], (2, 0, 1), (0, 1, 2), "target 0 ends before the previous target"),
+    ],
+    ids=["misses-source", "ends-before-previous"],
+)
+def test_greedy_guards_fire_on_planted_orders(triples, by_right, by_left, message):
+    """The forward pass on two orders that no sort gives, planted in the family's cache."""
+    fam = IntervalFamily.of(triples)
+    pos_r, pos_l = [0] * fam.n, [0] * fam.n
+    for k, (r, l) in enumerate(zip(by_right, by_left)):
+        pos_r[r], pos_l[l] = k, k
+    fam.__dict__["_orders"] = (by_right, by_left, tuple(pos_r), tuple(pos_l))
+    with pytest.raises(domw.TheoremViolation) as info:
+        forward_greedy(fam)
+    assert str(info.value) == message
+
+
+def test_solve_rejects_passes_that_disagree_on_the_value(monkeypatch):
+    fam = family((1, 2, 1), (2, 5, 1), (3, 4, 1))
+    g, gtrace = backward_greedy(fam)
+    heavier = DominationFunction({**g.values, 0: g(0) + 1})
+    monkeypatch.setattr(domw.interval_solver, "backward_greedy", lambda fam: (heavier, gtrace))
+    with pytest.raises(domw.TheoremViolation) as info:
+        solve_interval(fam)
+    assert str(info.value) == "forward and backward greedy disagree on the value"
+
+
 @pytest.mark.parametrize("stray", [3, -1])
 def test_extraction_raises_on_mass_outside_the_family(stray):
     """Mass on an id the family lacks is never read as mass on one it has."""

@@ -216,6 +216,14 @@ def test_fractional_rejects_a_simplex_result_that_fails_a_check(monkeypatch, rho
     assert str(info.value) == message
 
 
+def test_simplex_raises_on_an_unbounded_column():
+    """The packing LP is bounded, so only a planted tableau reaches this guard:
+    column 0 improves the cost and no row bounds it."""
+    with pytest.raises(LPInternalError) as info:
+        oracles._run_simplex([[Fraction(-1), Fraction(1)]], [Fraction(-1), Fraction(0)], [1])
+    assert str(info.value) == "unbounded linear program"
+
+
 def test_fractional_empty_graph():
     assert solve_fractional(WeightedGraph((), ())) == oracles.FractionalSolution(0, 0, {}, {})
 
