@@ -1,5 +1,6 @@
 """Tests for the brute-force oracles, the exact LP, and the matrix checks."""
 
+import argparse
 import hashlib
 import sys
 from fractions import Fraction
@@ -27,9 +28,15 @@ from domw import (
     neighborhood_matrix,
     solve_fractional,
 )
-from domw import oracles
+from domw import cli, oracles
 from domw.errors import BadPermutation, InstanceTooLarge, LPInternalError
-from domw.instances_io import example_nontu_intervals, example_split_triangle, gen_split
+from domw.instances_io import (
+    InstanceFile,
+    example_nontu_intervals,
+    example_split_triangle,
+    gen_split,
+    instance_graph,
+)
 from domw.interval_solver import intersection_graph, order_by_right_endpoint
 
 from .strategies import weighted_graphs
@@ -126,6 +133,44 @@ def test_cover_search_visits_its_pinned_number_of_nodes(monkeypatch, args, nodes
     monkeypatch.setattr(oracles, "NODE_BUDGET", nodes - 1)
     with pytest.raises(InstanceTooLarge, match="budget"):
         oracles.min_dominating(g, demands, inst.clique)
+
+
+def _search_record(digest, size, f) -> None:
+    digest.update(repr((size, sorted(f.values.items()))).encode("ascii") + b"\n")
+
+
+def search_digests() -> tuple[str, str]:
+    """SHA-256 of min_dominating's (size, sorted f) over two sets: 3,000
+    seeded split covers of varied shape (cliques of 1-12, independent sides
+    of 1-30, edge chances of 10-89%, weights up to 1-6), and brute_gamma on
+    1,500 seeds each of the sweep's interval, tree-edge and subtree classes."""
+    split = hashlib.sha256()
+    for s in range(3000):
+        inst = gen_split(s, 1 + s % 12, 1 + (s // 12) % 30, 10 + s % 80, 1 + s % 6)
+        g = inst.graph
+        demands = {b for b in inst.independent if g.adjacency[b] & inst.clique}
+        _search_record(split, *oracles.min_dominating(g, demands, inst.clique))
+    brute = hashlib.sha256()
+    for name in ("interval", "tree", "subtree"):
+        kind, options = cli._SWEEPS[name]
+        for s in range(1500):
+            args = argparse.Namespace(seed=s, max_w=5, **options(s))
+            g = instance_graph(InstanceFile(kind, cli._GENERATORS[kind](args)))
+            _search_record(brute, *brute_gamma(g))
+    return split.hexdigest(), brute.hexdigest()
+
+
+SEARCH_DIGESTS = (
+    "45a92cd8a0e167634d97c9f44168c8971053050c45f8ee0266898a1d15db4c80",
+    "45e7d2ad8bb8015a8ba8bb74d776f3378715a1a1088beccf2841652a3e7e0f4d",
+)
+
+
+def test_cover_search_matches_its_pinned_digest():
+    """The value and the function the search returns, byte for byte: among
+    equal optima it keeps the first in depth-first order, so a new bound
+    may cut nodes but must not change a single result."""
+    assert search_digests() == SEARCH_DIGESTS
 
 
 def test_cover_search_rejects_a_demand_with_no_supplier():
