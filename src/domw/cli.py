@@ -286,13 +286,18 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def sweep_instance(name: str, seed: int) -> InstanceFile:
+    """Instance `seed` of sweep class `name`, built as `domw gen` builds it."""
+    kind, options = _SWEEPS[name]
+    args = argparse.Namespace(seed=seed, max_w=5, **options(seed))
+    return InstanceFile(kind, _GENERATORS[kind](args))
+
+
 def run_sweep(name: str, seeds: int) -> tuple[int, str]:
     """Check `seeds` instances of one class; return the mismatch count and a summary line."""
-    kind, options = _SWEEPS[name]
     mismatches, gaps = 0, []
     for seed in range(seeds):
-        args = argparse.Namespace(seed=seed, max_w=5, **options(seed))
-        report = check_instance(InstanceFile(kind, _GENERATORS[kind](args)))
+        report = check_instance(sweep_instance(name, seed))
         gaps.append(report.gamma - report.gamma_star)
         if not report.ok:
             mismatches += 1

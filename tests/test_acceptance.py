@@ -2,7 +2,8 @@
 
 The seeded instance sweeps are shared between criteria through memoized
 builders, so the final sandwich criterion revisits the exact instances the
-earlier sweeps solved.  Every expected value here is either a hand-checked
+earlier sweeps solved.  The interval, tree and split sweeps are the first
+1,000 seeds of `domw sweep`'s classes, built by the same table.  Every expected value here is either a hand-checked
 example or was frozen from the independent brute-force oracles.
 """
 
@@ -42,6 +43,7 @@ from domw.instances_io import (
     example_nontu_star,
     example_split_triangle,
 )
+from domw.cli import sweep_instance
 from domw.tree_edge_solver import edge_line_graph, reduce_to_full_tree, rooted_at, solve_rooted
 
 from .conftest import record
@@ -58,7 +60,7 @@ def _report(num: int, label: str, ok: bool) -> None:
 def interval_cases():
     out = []
     for seed in range(1000):
-        fam = gen_interval(seed, 1 + seed % 8, 12, 5)
+        fam = sweep_instance("interval", seed).payload
         out.append((fam, intersection_graph(fam)))
     return tuple(out)
 
@@ -67,16 +69,14 @@ def interval_cases():
 def tree_cases():
     out = []
     for seed in range(1000):
-        host, subset = gen_tree(seed, 1 + seed % 9, 5)
-        out.append((host, subset, edge_line_graph(host, subset)))
+        inst = sweep_instance("tree", seed).payload
+        out.append((inst.host, inst.f_edges, edge_line_graph(inst.host, inst.f_edges)))
     return tuple(out)
 
 
 @cache
 def split_cases():
-    return tuple(
-        gen_split(seed, 1 + seed % 4, 1 + (seed // 4) % 5, 60, 5) for seed in range(1000)
-    )
+    return tuple(sweep_instance("split", seed).payload for seed in range(1000))
 
 
 @cache
