@@ -5,7 +5,11 @@ solvers so the two routes can disagree loudly in tests.  The branch and bound
 `min_dominating` is also the split solver's cover search; the split tests
 therefore keep a plain exhaustive reference that does not use it.  Its node
 state is a bitmask over the demands for each remaining deficit, and its
-packing bound reads one conflict mask per demand.  The LP oracle runs one
+greedy packing bound reads one conflict mask per demand.  When its root
+branches it also computes an exact heaviest packing, demands whose supplier
+sets are pairwise disjoint, by a capped memoized search over masks of free
+suppliers: it stops once its incumbent weighs as much, and it prunes every
+node on what the packed demands still lack.  The LP oracle runs one
 single-phase simplex on the packing LP from the slack basis and reads the
 covering dual off its final cost row; both vectors are checked exactly.
 All arithmetic is exact: integer branch and bound, Fraction simplex,
@@ -28,15 +32,99 @@ from .graph_core import (
 
 DEFAULT_CAP = 10
 # Nodes one min_dominating search may visit before it raises InstanceTooLarge
-# (exit code 3) instead of running on.  The most any search has needed: 7,262
-# on the 18,000 split-search benchmark instances of workload seeds 0-9, 33,299
-# in the test suite, 127,372 (about 0.5 s) on gen_split(3, 18, 40, 50, 5).
+# (exit code 3) instead of running on.  The most any search has needed: 2,353
+# on the 18,000 split-search benchmark instances of workload seeds 0-9, 49,288
+# in the test suite (53,919 with the root packing capped off), 116,172 (about
+# 0.5 s) on gen_split(3, 18, 40, 50, 5), 522,863 on gen_split(4, 24, 40, 20, 5).
 NODE_BUDGET = 1_000_000
+# Masks of free suppliers the cover search's root packing may enter before it
+# gives up and the search runs with its greedy packing alone, as an exact
+# packing is itself exponential.  It recurses once per mask, so the cap also
+# keeps it inside Python's default recursion limit of 1,000.  The most a
+# packing has needed: 92 masks on the 18,000 split-search benchmark covers of
+# workload seeds 0-9, 110 on the test suite's 3,000 digest covers, 377 on
+# gen_split(4, 24, 40, 20, 5).  Covers that need more, such as
+# gen_split(2, 30, 40, 15, 5) at 1,379, are sparse ones whose search exceeds
+# NODE_BUDGET with or without it.
+PACKING_MASKS = 500
 
 
 def _check_cap(g: WeightedGraph, cap: int) -> None:
     if g.n > cap:
         raise InstanceTooLarge(f"{g.n} vertices exceeds the cap of {cap}")
+
+
+class _PackingTooLarge(Exception):
+    """The packing search reached PACKING_MASKS masks."""
+
+
+def _max_packing(supply: Sequence[int], weights: Sequence[int]) -> int:
+    """A heaviest set of items with pairwise disjoint masks, as a bitmask
+    over item positions; 0 when the search would enter more than
+    PACKING_MASKS masks.
+
+    Item i is the set of suppliers supply[i], of weight weights[i].  Of the
+    items with one mask only the heaviest, the lowest on a tie, is kept, and
+    an item is dropped when one of its suppliers alone carries an item at
+    least as heavy.  The search is memoized over masks of free suppliers.  At
+    a mask it leaves its lowest supplier unused or takes an item that starts
+    there and fits; a supplier that starts no fitting item is left unused at
+    once, so every mask it enters starts a fitting item.
+    """
+    heaviest: dict[int, int] = {}
+    for i, (mask, weight) in enumerate(zip(supply, weights)):
+        if mask not in heaviest or weight > weights[heaviest[mask]]:
+            heaviest[mask] = i
+    # alone[t]: the suppliers that alone carry an item of weight t or more
+    alone = [0] * (max(weights) + 1)
+    for mask, i in heaviest.items():
+        if not mask & (mask - 1):
+            for t in range(weights[i] + 1):
+                alone[t] |= mask
+    starting: dict[int, list[tuple[int, int, int]]] = {}  # lowest supplier -> items
+    union = 0
+    for mask, i in heaviest.items():
+        if mask & (mask - 1) and mask & alone[weights[i]]:
+            continue
+        starting.setdefault(mask & -mask, []).append((mask, weights[i], 1 << i))
+        union |= mask
+
+    def settle(free: int) -> int:
+        while free:
+            low = free & -free
+            for mask, _, _ in starting.get(low, ()):
+                if mask & free == mask:
+                    return free
+            free ^= low
+        return 0
+
+    # best[free]: the heaviest packing inside free, as its weight and items
+    best = {0: (0, 0)}
+    entered = 0
+
+    def search(free: int) -> tuple[int, int]:
+        # one call per mask entered, so the cap bounds the depth too
+        nonlocal entered
+        got = best.get(free)
+        if got is not None:
+            return got
+        entered += 1
+        if entered > PACKING_MASKS:
+            raise _PackingTooLarge
+        low = free & -free
+        top, chosen = search(settle(free ^ low))
+        for mask, weight, item in starting[low]:
+            if mask & free == mask:
+                rest, taken = search(settle(free & ~mask))
+                if weight + rest > top:
+                    top, chosen = weight + rest, taken | item
+        best[free] = top, chosen
+        return top, chosen
+
+    try:
+        return search(settle(union))[1]
+    except _PackingTooLarge:
+        return 0
 
 
 def min_dominating(
@@ -49,7 +137,8 @@ def min_dominating(
     Depth-first branch and bound on an explicit stack, one level per
     supplier, suppliers by falling degree.  When suppliers is given, only
     those vertices may carry mass.  A search that visits more than
-    NODE_BUDGET nodes raises InstanceTooLarge.
+    NODE_BUDGET nodes raises InstanceTooLarge.  Among equal optima the first
+    in depth-first order is returned.
 
     The node state is bit-parallel.  Demands are bits, at their positions in
     sorted order, and a node holds level[0..W], W the largest demand weight:
@@ -62,11 +151,19 @@ def min_dominating(
     levels down in O(W) mask operations, and the child gets the new levels as
     its own.
 
-    The lower bound packs demands with disjoint closed neighborhoods, which
-    need disjoint mass.  It walks the levels from W down, takes the lowest
-    free demand each time and blocks that demand's conflict mask, the
-    demands whose closed neighborhoods meet its own; it stops as soon as the
-    bound prunes.  The incumbent starts from a greedy cover.
+    Demands with disjoint supplier sets need disjoint mass, so two packings
+    bound each node.  When the root branches, the search computes P, a
+    heaviest such set of demands (_max_packing; none past its mask cap).  No
+    function is lighter than w(P), so the search stops as soon as its
+    incumbent weighs w(P).  Each node carries what P's demands still lack in
+    all; a supplier serves at most one of them, so placing a value lowers it
+    by at most that value.  A node is pruned when that is at least the gap to
+    the incumbent.  Then a greedy packing walks the levels from W down, takes
+    the lowest free demand each time and blocks that demand's conflict mask,
+    the demands whose closed neighborhoods meet its own; it stops as soon as
+    the bound prunes.  The incumbent starts from a greedy cover.  Neither
+    bound prunes a node that could beat the incumbent, so the result is the
+    one the search returns without them.
     """
     demand_list = sorted(set(demands))
     if not demand_list:
@@ -138,15 +235,30 @@ def min_dominating(
             level = place(level, covers[j], d)
         return values
 
+    def root_packing() -> int:
+        # supply[i]: the positions of demand i's suppliers, as a bitmask
+        supply = [0] * len(demand_list)
+        for j, cover in enumerate(covers):
+            while cover:
+                low = cover & -cover
+                supply[low.bit_length() - 1] |= 1 << j
+                cover ^= low
+        return _max_packing(supply, [w[u] for u in demand_list])
+
     best_values = greedy_seed()
     best_size = sum(best_values.values())
     path = [0] * len(variables)  # the value at each position above the node
     nodes = 0
+    packed = 0  # P, as a mask over the demands; 0 until the root branches
+    floor = 0  # w(P): no function is lighter
+    # frames[k]: a node on the current path, as its position, size, levels,
+    # what P's demands still lack in all and what the one its supplier
+    # serves lacks (P's supplier sets are disjoint), and the values it has
+    # yet to place
+    frames: list[tuple[int, int, list[int], int, int, Iterator[int]]] = []
 
-    def dfs(idx: int, size: int, level: list[int]) -> Iterator[tuple[int, int, list[int]]]:
-        # yields each child call instead of recursing, so the search depth
-        # (one level per supplier) is bounded by memory, not the call stack
-        nonlocal best_size, best_values, nodes
+    def visit(idx: int, size: int, level: list[int], need: int) -> None:
+        nonlocal best_size, best_values, nodes, packed, floor
         nodes += 1
         if nodes > NODE_BUDGET:
             raise InstanceTooLarge(f"the cover search exceeded its budget of {NODE_BUDGET} nodes")
@@ -156,9 +268,13 @@ def min_dominating(
             best_size = size
             best_values = {variables[j]: path[j] for j in range(idx) if path[j]}
             return
+        gap = best_size - size
+        # P's demands have disjoint supplier sets, each with a supplier at or
+        # after idx (the lasts invariant), so they need what they lack in all
+        if need >= gap:
+            return
         # demands with disjoint closed neighborhoods need disjoint mass; take
         # them neediest first, the lowest on a tie, until the bound prunes
-        gap = best_size - size
         blocked = 0
         for d in range(max_w, 0, -1):
             free = level[d] & ~blocked
@@ -169,6 +285,11 @@ def min_dominating(
                 i = (free & -free).bit_length() - 1
                 blocked |= conflict[i]
                 free &= ~conflict[i]
+        if not idx:
+            packed = root_packing()
+            floor = need = sum(w[u] for i, u in enumerate(demand_list) if packed >> i & 1)
+            if best_size <= floor:
+                return
         cover = covers[idx]
         top = max_w
         while top and not level[top] & cover:
@@ -177,17 +298,22 @@ def min_dominating(
         forced = top
         while forced and not level[forced] & mine:
             forced -= 1
-        for val in range(forced, top + 1):
-            path[idx] = val
-            yield idx + 1, size + val, place(level, cover, val) if val else level
+        served = cover & packed
+        lack = max_w if served else 0
+        while lack and not level[lack] & served:
+            lack -= 1
+        frames.append((idx, size, level, need, lack, iter(range(forced, top + 1))))
 
-    stack = [dfs(0, 0, start)]
-    while stack:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-        else:
-            stack.append(dfs(*child))
+    visit(0, 0, start, 0)
+    while frames and best_size > floor:
+        idx, size, level, need, lack, values = frames[-1]
+        val = next(values, None)
+        if val is None:
+            frames.pop()
+            continue
+        path[idx] = val
+        child = place(level, covers[idx], val) if val else level
+        visit(idx + 1, size + val, child, need - min(val, lack))
     result = DominationFunction(best_values)
     if not is_w_dominating(g, result, demand_list):
         raise TheoremViolation("branch and bound returned a function that misses a demand")

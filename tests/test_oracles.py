@@ -1,6 +1,5 @@
 """Tests for the brute-force oracles, the exact LP, and the matrix checks."""
 
-import argparse
 import hashlib
 import sys
 from fractions import Fraction
@@ -28,10 +27,10 @@ from domw import (
     neighborhood_matrix,
     solve_fractional,
 )
-from domw import cli, oracles
+from domw import oracles
+from domw.cli import sweep_instance
 from domw.errors import BadPermutation, InstanceTooLarge, LPInternalError
 from domw.instances_io import (
-    InstanceFile,
     example_nontu_intervals,
     example_split_triangle,
     gen_split,
@@ -116,15 +115,16 @@ def test_cover_search_deeper_than_the_call_stack_stops_at_its_budget(monkeypatch
     "args, nodes",
     [
         ((3, 5, 8, 60, 5), 53),
-        ((0, 9, 40, 30, 5), 33),
-        ((2, 16, 40, 50, 5), 18_426),
-        ((1, 14, 40, 50, 5), 33_299),
+        ((0, 9, 40, 30, 5), 10),
+        ((2, 16, 40, 50, 5), 3_527),
+        ((1, 14, 40, 50, 5), 25_555),
     ],
 )
 def test_cover_search_visits_its_pinned_number_of_nodes(monkeypatch, args, nodes):
     """The split cover search visits exactly this many nodes: a budget of
     that many passes and one fewer raises.  A change to the branching order,
-    the value range or either bound changes the count and must re-pin it."""
+    the value range, a bound or the stop rule changes the count and must
+    re-pin it."""
     inst = gen_split(*args)
     g = inst.graph
     demands = {b for b in inst.independent if g.adjacency[b] & inst.clique}
@@ -152,11 +152,8 @@ def search_digests() -> tuple[str, str]:
         _search_record(split, *oracles.min_dominating(g, demands, inst.clique))
     brute = hashlib.sha256()
     for name in ("interval", "tree", "subtree"):
-        kind, options = cli._SWEEPS[name]
         for s in range(1500):
-            args = argparse.Namespace(seed=s, max_w=5, **options(s))
-            g = instance_graph(InstanceFile(kind, cli._GENERATORS[kind](args)))
-            _search_record(brute, *brute_gamma(g))
+            _search_record(brute, *brute_gamma(instance_graph(sweep_instance(name, s))))
     return split.hexdigest(), brute.hexdigest()
 
 
@@ -171,6 +168,84 @@ def test_cover_search_matches_its_pinned_digest():
     equal optima it keeps the first in depth-first order, so a new bound
     may cut nodes but must not change a single result."""
     assert search_digests() == SEARCH_DIGESTS
+
+
+def test_cover_search_falls_back_exactly_past_the_packing_cap(monkeypatch):
+    """With no room for the root packing the search runs on its greedy
+    packing alone, and every result is still the same."""
+    monkeypatch.setattr(oracles, "PACKING_MASKS", 1)
+    inst = gen_split(3, 18, 40, 50, 5)
+    supply, weights = cover_items(inst)
+    assert oracles._max_packing(supply, weights) == 0
+    assert search_digests() == SEARCH_DIGESTS
+
+
+def cover_items(inst):
+    """The demands of a split cover as packing items: each one's clique
+    neighbors as a mask over the clique in sorted order, and its weight."""
+    g = inst.graph
+    position = {a: j for j, a in enumerate(sorted(inst.clique))}
+    demands = sorted(b for b in inst.independent if g.adjacency[b] & inst.clique)
+    supply = [sum(1 << position[a] for a in g.adjacency[b]) for b in demands]
+    return supply, [g.weights[b] for b in demands]
+
+
+def packing_weight(weights, packed):
+    return sum(weight for i, weight in enumerate(weights) if packed >> i & 1)
+
+
+def test_root_packing_is_disjoint_and_no_heavier_than_the_optimum(monkeypatch):
+    """The packing the search computes when its root branches: one mask per
+    demand holding its suppliers, pairwise disjoint on the packed demands,
+    whose weight bounds the search's value from below."""
+    seen = []
+    real = oracles._max_packing
+
+    def spy(supply, weights):
+        packed = real(supply, weights)
+        seen.append((supply, weights, packed))
+        return packed
+
+    monkeypatch.setattr(oracles, "_max_packing", spy)
+    checked = 0
+    for s in range(1200):
+        inst = gen_split(s, 1 + s % 12, 1 + (s // 12) % 30, 10 + s % 80, 1 + s % 6)
+        g = inst.graph
+        demands = sorted(b for b in inst.independent if g.adjacency[b] & inst.clique)
+        value = oracles.min_dominating(g, demands, inst.clique)[0]
+        if not seen:
+            continue
+        (supply, weights, packed), = seen
+        seen.clear()
+        checked += 1
+        assert [mask.bit_count() for mask in supply] == [len(g.adjacency[b] & inst.clique) for b in demands]
+        assert weights == [g.weights[b] for b in demands]
+        union = 0
+        for i, mask in enumerate(supply):
+            if packed >> i & 1:
+                assert not mask & union
+                union |= mask
+        assert 0 < packing_weight(weights, packed) <= value
+    assert checked >= 500
+
+
+def test_root_packing_is_a_heaviest_packing():
+    """On covers of at most 12 demands, against every set of demands."""
+    for s in range(600):
+        inst = gen_split(s, 1 + s % 12, 1 + (s // 12) % 12, 10 + s % 80, 1 + s % 6)
+        supply, weights = cover_items(inst)
+        # union[m] and weight[m] of each subset m of the demands, -1 when two overlap
+        union = [0] * (1 << len(supply))
+        weight = [0] * (1 << len(supply))
+        for m in range(1, 1 << len(supply)):
+            i = (m & -m).bit_length() - 1
+            rest = m & (m - 1)
+            if weight[rest] >= 0 and not union[rest] & supply[i]:
+                union[m] = union[rest] | supply[i]
+                weight[m] = weight[rest] + weights[i]
+            else:
+                weight[m] = -1
+        assert packing_weight(weights, oracles._max_packing(supply, weights)) == max(weight)
 
 
 def test_cover_search_rejects_a_demand_with_no_supplier():
