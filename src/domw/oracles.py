@@ -37,11 +37,11 @@ DEFAULT_CAP = 10
 # in the test suite (53,919 with the root packing capped off), 116,172 (about
 # 0.5 s) on gen_split(3, 18, 40, 50, 5), 522,863 on gen_split(4, 24, 40, 20, 5).
 NODE_BUDGET = 1_000_000
-# Masks of free suppliers the cover search's root packing may enter before it
-# gives up and the search runs with its greedy packing alone, as an exact
-# packing is itself exponential.  It recurses once per mask, so the cap also
-# keeps it inside Python's default recursion limit of 1,000.  The most a
-# packing has needed: 92 masks on the 18,000 split-search benchmark covers of
+# Masks of free suppliers the cover search's root packing may hold, solved or
+# still open, before it gives up and the search runs with its greedy packing
+# alone, as an exact packing is itself exponential.  Each open mask is one
+# level of recursion, so the cap also keeps it inside Python's default
+# recursion limit of 1,000.  The most a packing has needed: 92 masks on the 18,000 split-search benchmark covers of
 # workload seeds 0-9, 110 on the test suite's 3,000 digest covers, 377 on
 # gen_split(4, 24, 40, 20, 5).  Covers that need more, such as
 # gen_split(2, 30, 40, 15, 5) at 1,379, are sparse ones whose search exceeds
@@ -58,9 +58,45 @@ class _PackingTooLarge(Exception):
     """The packing search reached PACKING_MASKS masks."""
 
 
+def _settle(free: int, starting: Mapping[int, list[tuple[int, int, int]]]) -> int:
+    """free without its lowest suppliers that start no item inside it."""
+    while free:
+        low = free & -free
+        for mask, _, _ in starting.get(low, ()):
+            if mask & free == mask:
+                return free
+        free ^= low
+    return 0
+
+
+def _packing_search(
+    free: int,
+    depth: int,
+    starting: Mapping[int, list[tuple[int, int, int]]],
+    best: dict[int, tuple[int, int]],
+) -> tuple[int, int]:
+    """The heaviest packing inside free, as its weight and items; best holds
+    the masks already solved.  Raises _PackingTooLarge when those and the
+    masks open above it exceed PACKING_MASKS, which bounds the depth too."""
+    got = best.get(free)
+    if got is not None:
+        return got
+    if len(best) + depth > PACKING_MASKS:
+        raise _PackingTooLarge
+    low = free & -free
+    top, chosen = _packing_search(_settle(free ^ low, starting), depth + 1, starting, best)
+    for mask, weight, item in starting[low]:
+        if mask & free == mask:
+            rest, taken = _packing_search(_settle(free & ~mask, starting), depth + 1, starting, best)
+            if weight + rest > top:
+                top, chosen = weight + rest, taken | item
+    best[free] = top, chosen
+    return top, chosen
+
+
 def _max_packing(supply: Sequence[int], weights: Sequence[int]) -> int:
     """A heaviest set of items with pairwise disjoint masks, as a bitmask
-    over item positions; 0 when the search would enter more than
+    over item positions; 0 when the search would hold more than
     PACKING_MASKS masks.
 
     Item i is the set of suppliers supply[i], of weight weights[i].  Of the
@@ -88,41 +124,8 @@ def _max_packing(supply: Sequence[int], weights: Sequence[int]) -> int:
             continue
         starting.setdefault(mask & -mask, []).append((mask, weights[i], 1 << i))
         union |= mask
-
-    def settle(free: int) -> int:
-        while free:
-            low = free & -free
-            for mask, _, _ in starting.get(low, ()):
-                if mask & free == mask:
-                    return free
-            free ^= low
-        return 0
-
-    # best[free]: the heaviest packing inside free, as its weight and items
-    best = {0: (0, 0)}
-    entered = 0
-
-    def search(free: int) -> tuple[int, int]:
-        # one call per mask entered, so the cap bounds the depth too
-        nonlocal entered
-        got = best.get(free)
-        if got is not None:
-            return got
-        entered += 1
-        if entered > PACKING_MASKS:
-            raise _PackingTooLarge
-        low = free & -free
-        top, chosen = search(settle(free ^ low))
-        for mask, weight, item in starting[low]:
-            if mask & free == mask:
-                rest, taken = search(settle(free & ~mask))
-                if weight + rest > top:
-                    top, chosen = weight + rest, taken | item
-        best[free] = top, chosen
-        return top, chosen
-
     try:
-        return search(settle(union))[1]
+        return _packing_search(_settle(union, starting), 0, starting, {0: (0, 0)})[1]
     except _PackingTooLarge:
         return 0
 
