@@ -170,16 +170,6 @@ def test_cover_search_matches_its_pinned_digest():
     assert search_digests() == SEARCH_DIGESTS
 
 
-def test_cover_search_falls_back_exactly_past_the_packing_cap(monkeypatch):
-    """With no room for the root packing the search runs on its greedy
-    packing alone, and every result is still the same."""
-    monkeypatch.setattr(oracles, "PACKING_MASKS", 1)
-    inst = gen_split(3, 18, 40, 50, 5)
-    supply, weights = cover_items(inst)
-    assert oracles._max_packing(supply, weights) == 0
-    assert search_digests() == SEARCH_DIGESTS
-
-
 def cover_items(inst):
     """The demands of a split cover as packing items: each one's clique
     neighbors as a mask over the clique in sorted order, and its weight."""
@@ -192,6 +182,16 @@ def cover_items(inst):
 
 def packing_weight(weights, packed):
     return sum(weight for i, weight in enumerate(weights) if packed >> i & 1)
+
+
+def test_cover_search_falls_back_exactly_past_the_packing_cap(monkeypatch):
+    """With no room for the root packing the search runs on its greedy
+    packing alone, and every result is still the same."""
+    monkeypatch.setattr(oracles, "PACKING_MASKS", 1)
+    inst = gen_split(3, 18, 40, 50, 5)
+    supply, weights = cover_items(inst)
+    assert oracles._max_packing(supply, weights) == 0
+    assert search_digests() == SEARCH_DIGESTS
 
 
 def test_root_packing_is_disjoint_and_no_heavier_than_the_optimum(monkeypatch):
@@ -218,7 +218,8 @@ def test_root_packing_is_disjoint_and_no_heavier_than_the_optimum(monkeypatch):
         (supply, weights, packed), = seen
         seen.clear()
         checked += 1
-        assert [mask.bit_count() for mask in supply] == [len(g.adjacency[b] & inst.clique) for b in demands]
+        suppliers = [len(g.adjacency[b] & inst.clique) for b in demands]
+        assert [mask.bit_count() for mask in supply] == suppliers
         assert weights == [g.weights[b] for b in demands]
         union = 0
         for i, mask in enumerate(supply):
@@ -230,7 +231,8 @@ def test_root_packing_is_disjoint_and_no_heavier_than_the_optimum(monkeypatch):
 
 
 def test_root_packing_is_a_heaviest_packing():
-    """On covers of at most 12 demands, against every set of demands."""
+    """On covers of at most 12 demands, against every set of demands: the
+    packing is one of them (no two overlap) and none is heavier."""
     for s in range(600):
         inst = gen_split(s, 1 + s % 12, 1 + (s // 12) % 12, 10 + s % 80, 1 + s % 6)
         supply, weights = cover_items(inst)
@@ -245,7 +247,7 @@ def test_root_packing_is_a_heaviest_packing():
                 weight[m] = weight[rest] + weights[i]
             else:
                 weight[m] = -1
-        assert packing_weight(weights, oracles._max_packing(supply, weights)) == max(weight)
+        assert weight[oracles._max_packing(supply, weights)] == max(weight)
 
 
 def test_cover_search_rejects_a_demand_with_no_supplier():
