@@ -41,11 +41,11 @@ NODE_BUDGET = 1_000_000
 # still open, before it gives up and the search runs with its greedy packing
 # alone, as an exact packing is itself exponential.  Each open mask is one
 # level of recursion, so the cap also keeps it inside Python's default
-# recursion limit of 1,000.  The most a packing has needed: 92 masks on the 18,000 split-search benchmark covers of
-# workload seeds 0-9, 110 on the test suite's 3,000 digest covers, 377 on
-# gen_split(4, 24, 40, 20, 5).  Covers that need more, such as
-# gen_split(2, 30, 40, 15, 5) at 1,379, are sparse ones whose search exceeds
-# NODE_BUDGET with or without it.
+# recursion limit of 1,000.  The most a packing has needed: 92 masks on the
+# 18,000 split-search benchmark covers of workload seeds 0-9, 110 on the test
+# suite's 3,000 digest covers, 377 on gen_split(4, 24, 40, 20, 5).  Covers
+# that need more, such as gen_split(2, 30, 40, 15, 5) at 1,379, are sparse
+# ones whose search exceeds NODE_BUDGET with or without it.
 PACKING_MASKS = 500
 
 
@@ -84,10 +84,11 @@ def _packing_search(
     if len(best) + depth > PACKING_MASKS:
         raise _PackingTooLarge
     low = free & -free
-    top, chosen = _packing_search(_settle(free ^ low, starting), depth + 1, starting, best)
+    depth += 1
+    top, chosen = _packing_search(_settle(free ^ low, starting), depth, starting, best)
     for mask, weight, item in starting[low]:
         if mask & free == mask:
-            rest, taken = _packing_search(_settle(free & ~mask, starting), depth + 1, starting, best)
+            rest, taken = _packing_search(_settle(free & ~mask, starting), depth, starting, best)
             if weight + rest > top:
                 top, chosen = weight + rest, taken | item
     best[free] = top, chosen
@@ -257,7 +258,8 @@ def min_dominating(
     # frames[k]: a node on the current path, as its position, size, levels,
     # what P's demands still lack in all and what the one its supplier
     # serves lacks (P's supplier sets are disjoint), and the values it has
-    # yet to place
+    # yet to place.  The path lives in this list, not on the call stack, so
+    # the search depth (one level per supplier) is bounded by memory.
     frames: list[tuple[int, int, list[int], int, int, Iterator[int]]] = []
 
     def visit(idx: int, size: int, level: list[int], need: int) -> None:
