@@ -8,8 +8,11 @@ state is a bitmask over the demands for each remaining deficit, and its
 greedy packing bound reads one conflict mask per demand.  When its root
 branches it also computes an exact heaviest packing, demands whose supplier
 sets are pairwise disjoint, by a capped memoized search over masks of free
-suppliers: it stops once its incumbent weighs as much, and it prunes every
-node on what the packed demands still lack.  The LP oracle runs one
+suppliers, and prunes every node on what the packed demands still lack.
+Then it searches one target value at a time, from the packing's weight up
+to just below its greedy seed, as iterative deepening on the objective
+(Korf 1985): each pass prunes every node that cannot reach a cover of the
+target and stops at its first cover.  The LP oracle runs one
 single-phase simplex on the packing LP from the slack basis and reads the
 covering dual off its final cost row; both vectors are checked exactly.
 All arithmetic is exact: integer branch and bound, Fraction simplex,
@@ -32,10 +35,11 @@ from .graph_core import (
 
 DEFAULT_CAP = 10
 # Nodes one min_dominating search may visit before it raises InstanceTooLarge
-# (exit code 3) instead of running on.  The most any search has needed: 2,353
-# on the 18,000 split-search benchmark instances of workload seeds 0-9, 49,288
-# in the test suite (53,919 with the root packing capped off), 116,172 (about
-# 0.5 s) on gen_split(3, 18, 40, 50, 5), 522,863 on gen_split(4, 24, 40, 20, 5).
+# (exit code 3) instead of running on, counted over all its target passes.
+# The most any search has needed: 2,563 on the 18,000 split-search benchmark
+# instances of workload seeds 0-9, 46,698 in the test suite (61,911 with the
+# root packing capped off), 124,914 (about 0.5 s) on gen_split(3, 18, 40, 50,
+# 5), 403,586 on gen_split(4, 24, 40, 20, 5).
 NODE_BUDGET = 1_000_000
 # Masks of free suppliers the cover search's root packing may hold, solved or
 # still open, before it gives up and the search runs with its greedy packing
@@ -141,8 +145,9 @@ def min_dominating(
     Depth-first branch and bound on an explicit stack, one level per
     supplier, suppliers by falling degree.  When suppliers is given, only
     those vertices may carry mass.  A search that visits more than
-    NODE_BUDGET nodes raises InstanceTooLarge.  Among equal optima the first
-    in depth-first order is returned.
+    NODE_BUDGET nodes, over all its passes, raises InstanceTooLarge.  Among
+    equal optima the greedy seed (below) is returned when it is optimal, and
+    otherwise the first optimum in depth-first order.
 
     The node state is bit-parallel.  Demands are bits, at their positions in
     sorted order, and a node holds level[0..W], W the largest demand weight:
@@ -158,16 +163,23 @@ def min_dominating(
     Demands with disjoint supplier sets need disjoint mass, so two packings
     bound each node.  When the root branches, the search computes P, a
     heaviest such set of demands (_max_packing; none past its mask cap).  No
-    function is lighter than w(P), so the search stops as soon as its
-    incumbent weighs w(P).  Each node carries what P's demands still lack in
-    all; a supplier serves at most one of them, so placing a value lowers it
-    by at most that value.  A node is pruned when that is at least the gap to
-    the incumbent.  Then a greedy packing walks the levels from W down, takes
-    the lowest free demand each time and blocks that demand's conflict mask,
-    the demands whose closed neighborhoods meet its own; it stops as soon as
-    the bound prunes.  The incumbent starts from a greedy cover.  Neither
-    bound prunes a node that could beat the incumbent, so the result is the
-    one the search returns without them.
+    function is lighter than w(P).  Each node carries what P's demands still
+    lack in all; a supplier serves at most one of them, so placing a value
+    lowers it by at most that value.  A node is pruned when that is at least
+    the gap to the incumbent.  Then a greedy packing walks the levels from W
+    down, takes the lowest free demand each time and blocks that demand's
+    conflict mask, the demands whose closed neighborhoods meet its own; it
+    stops as soon as the bound prunes.  Neither bound prunes a node that
+    could beat the incumbent.
+
+    The incumbent starts as a greedy cover, the seed.  If the root branches,
+    the search below it runs in passes with targets T = w(P), w(P) + 1, ...
+    up to the seed's size less one.  A pass bounds every node by T + 1, so
+    it prunes each node that cannot reach a cover of size T or less, and it
+    stops at its first cover.  A pass that finds none proves the optimum
+    above T; the passes before it proved it at least T, so the first cover
+    weighs T and is the first optimum in depth-first order.  If every target
+    fails, the seed is optimal and is returned.
     """
     demand_list = sorted(set(demands))
     if not demand_list:
@@ -293,8 +305,6 @@ def min_dominating(
         if not idx:
             packed = root_packing()
             floor = need = sum(w[u] for i, u in enumerate(demand_list) if packed >> i & 1)
-            if best_size <= floor:
-                return
         cover = covers[idx]
         top = max_w
         while top and not level[top] & cover:
@@ -310,15 +320,27 @@ def min_dominating(
         frames.append((idx, size, level, need, lack, iter(range(forced, top + 1))))
 
     visit(0, 0, start, 0)
-    while frames and best_size > floor:
-        idx, size, level, need, lack, values = frames[-1]
-        val = next(values, None)
-        if val is None:
-            frames.pop()
-            continue
-        path[idx] = val
-        child = place(level, covers[idx], val) if val else level
-        visit(idx + 1, size + val, child, need - min(val, lack))
+    if frames:
+        *root, values = frames.pop()
+        root_values = list(values)
+        # one pass per target: only a cover of size at most target beats the
+        # bound target + 1, and the passes below it failed, so the first
+        # cover a pass finds weighs target; when every target below the seed
+        # fails, best_size ends at the seed's size with its values untouched
+        for target in range(floor, best_size):
+            best_size = target + 1
+            frames.append((*root, iter(root_values)))
+            while frames and best_size > target:
+                idx, size, level, need, lack, values = frames[-1]
+                val = next(values, None)
+                if val is None:
+                    frames.pop()
+                    continue
+                path[idx] = val
+                child = place(level, covers[idx], val) if val else level
+                visit(idx + 1, size + val, child, need - min(val, lack))
+            if best_size == target:
+                break
     result = DominationFunction(best_values)
     if not is_w_dominating(g, result, demand_list):
         raise TheoremViolation("branch and bound returned a function that misses a demand")

@@ -452,7 +452,7 @@ def test_oversized_instance_exits_three(tmp_path, capsys):
 
 
 def test_cover_search_over_its_node_budget_exits_three(tmp_path, capsys, monkeypatch):
-    # the cover search of this instance visits 53 nodes
+    # the cover search of this instance visits 55 nodes over two target passes
     _, text, _ = invoke(capsys, "gen", "split", "--seed", "3", "--n-a", "5", "--n-b", "8")
     path = tmp_path / "sp.domw"
     path.write_text(text)

@@ -114,17 +114,23 @@ def test_cover_search_deeper_than_the_call_stack_stops_at_its_budget(monkeypatch
 @pytest.mark.parametrize(
     "args, nodes",
     [
-        ((3, 5, 8, 60, 5), 53),
-        ((0, 9, 40, 30, 5), 10),
-        ((2, 16, 40, 50, 5), 3_527),
-        ((1, 14, 40, 50, 5), 25_555),
+        pytest.param((94, 11, 8, 24, 5), 1, id="root-94"),
+        pytest.param((0, 9, 40, 30, 5), 10, id="packing-bound-0"),
+        pytest.param((2, 16, 40, 50, 5), 1_342, id="packing-bound-2"),
+        pytest.param((3, 5, 8, 60, 5), 55, id="later-target-3"),
+        pytest.param((1, 14, 40, 50, 5), 30_927, id="later-target-1"),
+        pytest.param((514, 11, 13, 44, 5), 315, id="greedy-seed-514"),
     ],
 )
 def test_cover_search_visits_its_pinned_number_of_nodes(monkeypatch, args, nodes):
-    """The split cover search visits exactly this many nodes: a budget of
-    that many passes and one fewer raises.  A change to the branching order,
-    the value range, a bound or the stop rule changes the count and must
-    re-pin it."""
+    """The split cover search visits exactly this many nodes, counted over
+    all its target passes: a budget of that many suffices and one fewer
+    raises.  The id names where the search ends: at the root (here the
+    packing weighs as much as the greedy seed), in the pass at the packing's
+    weight, in a later pass (later-target-1 fails three passes first), or on
+    the greedy seed once every target below it fails (four passes).  A
+    change to the branching order, the value range, a bound, the stop rule
+    or the passes changes the count and must re-pin it."""
     inst = gen_split(*args)
     g = inst.graph
     demands = {b for b in inst.independent if g.adjacency[b] & inst.clique}
@@ -165,8 +171,9 @@ SEARCH_DIGESTS = (
 
 def test_cover_search_matches_its_pinned_digest():
     """The value and the function the search returns, byte for byte: among
-    equal optima it keeps the first in depth-first order, so a new bound
-    may cut nodes but must not change a single result."""
+    equal optima it returns the greedy seed when that is optimal and
+    otherwise the first optimum in depth-first order, so a new bound may cut
+    nodes but must not change a single result."""
     assert search_digests() == SEARCH_DIGESTS
 
 
