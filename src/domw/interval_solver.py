@@ -10,8 +10,9 @@ optimality of both sides at once.
 A family is three columns indexed by id: left ends, right ends and weights.
 All three phases read those columns and two orders of the ids, K_r = (right,
 left, id) and K_l = (left, right, id), which a family sorts once, each by one
-int key, and keeps; the self-check is `checkers.check_interval`, which sorts
-the endpoints on its own, so that it shares no code with the solver.  Each
+int key, and keeps; the self-check is `checkers.check_interval`, which shares
+no code with the solver: it sorts only f's support and the witnesses, by
+each end, on its own, and reads the columns in id order.  Each
 pass returns its steps as a `GreedyTrace` of three int columns (source, target,
 amount), which the extraction reads as they are; the solve is the three public
 phases and the self-check.
@@ -119,8 +120,10 @@ class IntervalFamily:
         by_right = tuple(sorted(ids, key=k_r.__getitem__))
         by_left = tuple(sorted(ids, key=k_l.__getitem__))
         pos_r, pos_l = [0] * n, [0] * n
-        for k, (r, l) in enumerate(zip(by_right, by_left)):
-            pos_r[r], pos_l[l] = k, k
+        for k, i in enumerate(by_right):
+            pos_r[i] = k
+        for k, i in enumerate(by_left):
+            pos_l[i] = k
         return by_right, by_left, tuple(pos_r), tuple(pos_l)
 
 

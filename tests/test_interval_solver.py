@@ -439,6 +439,20 @@ def test_interval_checker_agrees_with_verify_certificate_on_seeded_corruptions()
     assert checked == 440
 
 
+def test_interval_checker_agrees_with_verify_certificate_on_dense_families():
+    """440 certificates on 40 dense families of 30 to 149 intervals on
+    1..600: small supports and long nested intervals, where one interval
+    can meet two witnesses that it does not contain."""
+    checked = 0
+    for seed in range(40):
+        fam = gen_interval(seed, 30 + seed % 120, 600, 5)
+        graph = intersection_graph(fam)
+        for cert in seeded_corruptions(solve_interval(fam), graph, seed):
+            assert outcome(check_interval, fam, cert) == outcome(verify_certificate, graph, cert)
+            checked += 1
+    assert checked == 440
+
+
 def test_extraction_takes_the_smallest_passing_source_as_the_witness():
     """Twin intervals: a trace that also has the first twin push onto itself
     gives the block two sources that pass, and either order of the steps
@@ -487,11 +501,14 @@ def test_extraction_guards_fire_on_a_tampered_g_or_trace(g, steps, message):
     [
         ([(1, 1, 2), (3, 3, 2)], (0, 1), (1, 0), "target 1 misses its source 0"),
         ([(1, 2, 2), (3, 4, 2), (2, 3, 1)], (2, 0, 1), (0, 1, 2), "target 0 ends before the previous target"),
+        ([(1, 2, 1), (3, 4, 1), (5, 6, 1)], (0, 2, 1), (0, 1, 2), "target 1 misses its source 2"),
+        ([(1, 5, 1), (2, 3, 2), (4, 6, 1)], (0, 1, 2), (0, 1, 2), "target 1 ends before the previous target"),
     ],
-    ids=["misses-source", "ends-before-previous"],
+    ids=["misses-source", "ends-before-previous", "k_r-swapped-misses-source", "k_r-unsorted-ends-before"],
 )
 def test_greedy_guards_fire_on_planted_orders(triples, by_right, by_left, message):
-    """The forward pass on two orders that no sort gives, planted in the family's cache."""
+    """The forward pass on two orders that no sort gives, planted in the family's cache;
+    the same family with its own sorted orders solves."""
     fam = IntervalFamily.of(triples)
     pos_r, pos_l = [0] * fam.n, [0] * fam.n
     for k, (r, l) in enumerate(zip(by_right, by_left)):
@@ -500,6 +517,8 @@ def test_greedy_guards_fire_on_planted_orders(triples, by_right, by_left, messag
     with pytest.raises(domw.TheoremViolation) as info:
         forward_greedy(fam)
     assert str(info.value) == message
+    untampered = IntervalFamily.of(triples)
+    assert verify_certificate(intersection_graph(untampered), solve_interval(untampered)).ok
 
 
 def test_solve_rejects_passes_that_disagree_on_the_value(monkeypatch):
@@ -540,15 +559,17 @@ def test_interval_checker_rejects_ids_outside_the_family():
 
 def test_each_family_sorts_its_two_orders_once(monkeypatch):
     """The passes and the extraction share the family's K_r and K_l orders,
-    sorted on first use: two sorts per family, while the self-check keeps
-    its own three.  Before a solve the family holds its three columns only;
-    the cached orders leave its value alone."""
+    sorted on first use: two sorts of all n ids per family.  The self-check
+    sorts nothing of length n: only f's support, by each end, and the
+    witnesses' two ends.  Before a solve the family holds its three columns
+    only; the cached orders leave its value alone."""
     calls = []
 
     def counting(module):
-        def counting_sorted(*args, **kwargs):
-            calls.append(module)
-            return sorted(*args, **kwargs)
+        def counting_sorted(items, *args, **kwargs):
+            items = list(items)
+            calls.append((module, len(items)))
+            return sorted(items, *args, **kwargs)
 
         return counting_sorted
 
@@ -560,7 +581,10 @@ def test_each_family_sorts_its_two_orders_once(monkeypatch):
     for module in (domw.interval_solver, domw.checkers):
         monkeypatch.setattr(module, "sorted", counting(module), raising=False)
     cert = solve_interval(fam)
-    assert calls == [domw.interval_solver] * 2 + [domw.checkers] * 3
+    support, witnesses = len(cert.dominating.values), len(cert.dispersed)
+    assert 60 not in (support, witnesses)
+    checker_sorts = [(domw.checkers, size) for size in (support, support, witnesses, witnesses)]
+    assert calls == [(domw.interval_solver, 60)] * 2 + checker_sorts
     assert vars(fam) != columns
     calls.clear()
     f, _ = forward_greedy(fam)
@@ -568,7 +592,7 @@ def test_each_family_sorts_its_two_orders_once(monkeypatch):
     extract_dispersed(fam, f, g, gtrace)
     assert len(calls) == 0
     assert check_interval(fam, cert).ok
-    assert calls == [domw.checkers] * 3
+    assert calls == checker_sorts
     monkeypatch.undo()
     assert fam == fresh and hash(fam) == hash(fresh) and repr(fam) == repr(fresh)
     assert write_instance(InstanceFile("interval", fam)) == write_instance(InstanceFile("interval", fresh))
