@@ -278,10 +278,10 @@ def extract_dispersed(
             if 0 <= v < n:
                 column[v] = x
     # N[z] is the first hi intervals by left minus the first lo by right (those
-    # end before z starts), so prefix sums in both orders give h[N[z]].  From lo
+    # end before z starts), so prefix sums in both orders give g[N[z]].  From lo
     # on, the enumeration holds z, so its K_l-least member starts by z.right;
     # the latest in it of the first hi by left ends at or after z: both are in N[z].
-    f_l, g_l = ([0, *accumulate(map(h.__getitem__, by_left))] for h in (fv, gv))
+    g_l = [0, *accumulate(map(gv.__getitem__, by_left))]
     f_r, g_r = ([0, *accumulate(map(h.__getitem__, order))] for h in (fv, gv))
     first = [by_left[p] for p in accumulate(map(pos_l.__getitem__, reversed(order)), min)][::-1]
     last = list(accumulate(map(position.__getitem__, by_left), max))
@@ -311,28 +311,23 @@ def extract_dispersed(
         # with weights 1..2 and of up to three with weights 1..3 (196,352),
         # and 53,000 seeded random and short-interval ones.  So none is
         # done: a missing witness raises, it never yields a wrong answer.
-        z = lo = hi = None
+        z = hi = None
         for s in pushed_by.get(v, ()):
             s_lo, s_hi = bisect_left(rights, left[s]), bisect_right(lefts, right[s])
             # v must be the furthest-left-reaching closed neighbor of s, and
             # the mass g places on N(s) must pay for w(s) exactly
             if v == first[s_lo] and g_l[s_hi] - g_r[s_lo] == weight[s] and (z is None or s < z):
-                z, lo, hi = s, s_lo, s_hi
+                z, hi = s, s_hi
         if z is None:
             raise TheoremViolation(f"no witness interval for {v}")
         end = last[hi - 1] + 1
         block = order[pos:end]
         wz = weight[z]
-        # Block members end no earlier than v, so they meet z when they start
-        # by z.right.  The other neighbors of z sit in earlier blocks and are
-        # properly contained in v (z reaches no further left than v does), so
-        # they carry no mass.
-        near = [u for u in block if left[u] <= right[z]]
-        if (
-            sum(map(fv.__getitem__, near)) != f_l[hi] - f_r[lo]
-            or sum(map(gv.__getitem__, near)) != wz
-        ):
-            raise TheoremViolation(f"witness {z} has a neighbor with mass in an earlier block")
+        # The block holds every neighbor of z from v on.  The others lie inside
+        # v, in earlier blocks, and carry no mass: each is a zero block, as one
+        # heading a J-block would have v, K_l-earlier, in its witness's
+        # neighborhood, and one inside a J-block would lie inside the interval
+        # that stretches that block, which starts before v and meets z.
         if f_r[end] - f_r[pos] != wz or g_r[end] - g_r[pos] != wz:
             raise TheoremViolation(f"block of witness {z} does not pay for it exactly")
         blocks.append(block)

@@ -1,22 +1,23 @@
 """Independent ground-truth oracles: brute force, exact rational LP, matrix tests.
 
 Everything here is deliberately separate from the interval and tree-edge
-solvers so the two routes can disagree loudly in tests.  The branch and bound
-`min_dominating` is also the split solver's cover search; the split tests
-therefore keep a plain exhaustive reference that does not use it.  Its node
-state is a bitmask over the demands for each remaining deficit, and its
-greedy packing bound reads one conflict mask per demand.  When its root
-branches it also computes an exact heaviest packing, demands whose supplier
-sets are pairwise disjoint, by a capped memoized search over masks of free
-suppliers, and prunes every node on what the packed demands still lack.
-Then it searches one target value at a time, from the packing's weight up
-to just below its greedy seed, as iterative deepening on the objective
-(Korf 1985): each pass prunes every node that cannot reach a cover of the
-target and stops at its first cover.  The LP oracle runs one
-single-phase simplex on the packing LP from the slack basis and reads the
-covering dual off its final cost row; both vectors are checked exactly.
-All arithmetic is exact: integer branch and bound, Fraction simplex,
-fraction-free determinants.
+solvers so the two routes can disagree loudly in tests.  One capped,
+memoized search finds a heaviest packing, items with pairwise disjoint
+masks: rho_w is one, with the closed neighborhoods as masks, and the cover
+search bounds its value by one, with the demands' supplier sets as masks.
+The branch and bound `min_dominating` is also the split solver's cover
+search; the split tests therefore keep a plain exhaustive reference that
+does not use it.  Its node state is a bitmask over the demands for each
+remaining deficit, and its greedy packing bound reads one conflict mask per
+demand.  Before its first pass it computes the exact packing and prunes
+every node on what the packed demands still lack.  It searches one target
+value at a time, from the packing's weight up to just below its greedy
+seed, as iterative deepening on the objective (Korf 1985): each pass
+prunes every node that cannot reach a cover of the target and stops at its
+first cover.  The LP oracle runs one single-phase simplex on the packing
+LP from the slack basis and reads the covering dual off its final cost
+row; both vectors are checked exactly.  All arithmetic is exact: integer
+branch and bound, Fraction simplex, fraction-free determinants.
 """
 
 from __future__ import annotations
@@ -41,11 +42,12 @@ DEFAULT_CAP = 10
 # root packing capped off), 124,914 (about 0.5 s) on gen_split(3, 18, 40, 50,
 # 5), 403,586 on gen_split(4, 24, 40, 20, 5).
 NODE_BUDGET = 1_000_000
-# Masks of free suppliers the cover search's root packing may hold, solved or
-# still open, before it gives up and the search runs with its greedy packing
-# alone, as an exact packing is itself exponential.  Each open mask is one
-# level of recursion, so the cap also keeps it inside Python's default
-# recursion limit of 1,000.  The most a packing has needed: 92 masks on the
+# Masks of free suppliers one packing search may hold, solved or still open,
+# before it gives up, as an exact packing is itself exponential: the cover
+# search then runs with its greedy packing alone, and brute_rho raises
+# InstanceTooLarge (exit code 3).  Each open mask is one level of recursion,
+# so the cap also keeps it inside Python's default recursion limit of 1,000.
+# The most a cover search's packing has needed: 92 masks on the
 # 18,000 split-search benchmark covers of workload seeds 0-9, 110 on the test
 # suite's 3,000 digest covers, 377 on gen_split(4, 24, 40, 20, 5).  Covers
 # that need more, such as gen_split(2, 30, 40, 15, 5) at 1,379, are sparse
@@ -104,13 +106,14 @@ def _max_packing(supply: Sequence[int], weights: Sequence[int]) -> int:
     over item positions; 0 when the search would hold more than
     PACKING_MASKS masks.
 
-    Item i is the set of suppliers supply[i], of weight weights[i].  Of the
-    items with one mask only the heaviest, the lowest on a tie, is kept, and
-    an item is dropped when one of its suppliers alone carries an item at
-    least as heavy.  The search is memoized over masks of free suppliers.  At
-    a mask it leaves its lowest supplier unused or takes an item that starts
-    there and fits; a supplier that starts no fitting item is left unused at
-    once, so every mask it enters starts a fitting item.
+    Item i is the mask supply[i], of weight weights[i]; a mask's bits are
+    called suppliers, as in the cover search, and are vertices for rho_w.
+    Of the items with one mask only the heaviest, the lowest on a tie, is
+    kept, and an item is dropped when one of its suppliers alone carries an
+    item at least as heavy.  The search is memoized over masks of free
+    suppliers.  At a mask it leaves its lowest supplier unused or takes an
+    item that starts there and fits; a supplier that starts no fitting item
+    is left unused at once, so every mask it enters starts a fitting item.
     """
     heaviest: dict[int, int] = {}
     for i, (mask, weight) in enumerate(zip(supply, weights)):
@@ -161,7 +164,7 @@ def min_dominating(
     its own.
 
     Demands with disjoint supplier sets need disjoint mass, so two packings
-    bound each node.  When the root branches, the search computes P, a
+    bound each node.  Before its first pass, the search computes P, a
     heaviest such set of demands (_max_packing; none past its mask cap).  No
     function is lighter than w(P).  Each node carries what P's demands still
     lack in all; a supplier serves at most one of them, so placing a value
@@ -172,10 +175,10 @@ def min_dominating(
     stops as soon as the bound prunes.  Neither bound prunes a node that
     could beat the incumbent.
 
-    The incumbent starts as a greedy cover, the seed.  If the root branches,
-    the search below it runs in passes with targets T = w(P), w(P) + 1, ...
-    up to the seed's size less one.  A pass bounds every node by T + 1, so
-    it prunes each node that cannot reach a cover of size T or less, and it
+    The incumbent starts as a greedy cover, the seed.  The search then runs
+    in passes with targets T = w(P), w(P) + 1, ... up to the seed's size
+    less one, each from the root.  A pass bounds every node by T + 1, so it
+    prunes each node that cannot reach a cover of size T or less, and it
     stops at its first cover.  A pass that finds none proves the optimum
     above T; the passes before it proved it at least T, so the first cover
     weighs T and is the first optimum in depth-first order.  If every target
@@ -251,22 +254,19 @@ def min_dominating(
             level = place(level, covers[j], d)
         return values
 
-    def root_packing() -> int:
-        # supply[i]: the positions of demand i's suppliers, as a bitmask
-        supply = [0] * len(demand_list)
-        for j, cover in enumerate(covers):
-            while cover:
-                low = cover & -cover
-                supply[low.bit_length() - 1] |= 1 << j
-                cover ^= low
-        return _max_packing(supply, [w[u] for u in demand_list])
-
     best_values = greedy_seed()
     best_size = sum(best_values.values())
+    # supply[i]: the positions of demand i's suppliers, as a bitmask
+    supply = [0] * len(demand_list)
+    for j, cover in enumerate(covers):
+        while cover:
+            low = cover & -cover
+            supply[low.bit_length() - 1] |= 1 << j
+            cover ^= low
+    packed = _max_packing(supply, [w[u] for u in demand_list])  # P, over the demands
+    floor = sum(w[u] for i, u in enumerate(demand_list) if packed >> i & 1)  # w(P)
     path = [0] * len(variables)  # the value at each position above the node
     nodes = 0
-    packed = 0  # P, as a mask over the demands; 0 until the root branches
-    floor = 0  # w(P): no function is lighter
     # frames[k]: a node on the current path, as its position, size, levels,
     # what P's demands still lack in all and what the one its supplier
     # serves lacks (P's supplier sets are disjoint), and the values it has
@@ -275,7 +275,7 @@ def min_dominating(
     frames: list[tuple[int, int, list[int], int, int, Iterator[int]]] = []
 
     def visit(idx: int, size: int, level: list[int], need: int) -> None:
-        nonlocal best_size, best_values, nodes, packed, floor
+        nonlocal best_size, best_values, nodes
         nodes += 1
         if nodes > NODE_BUDGET:
             raise InstanceTooLarge(f"the cover search exceeded its budget of {NODE_BUDGET} nodes")
@@ -302,9 +302,6 @@ def min_dominating(
                 i = (free & -free).bit_length() - 1
                 blocked |= conflict[i]
                 free &= ~conflict[i]
-        if not idx:
-            packed = root_packing()
-            floor = need = sum(w[u] for i, u in enumerate(demand_list) if packed >> i & 1)
         cover = covers[idx]
         top = max_w
         while top and not level[top] & cover:
@@ -319,28 +316,24 @@ def min_dominating(
             lack -= 1
         frames.append((idx, size, level, need, lack, iter(range(forced, top + 1))))
 
-    visit(0, 0, start, 0)
-    if frames:
-        *root, values = frames.pop()
-        root_values = list(values)
-        # one pass per target: only a cover of size at most target beats the
-        # bound target + 1, and the passes below it failed, so the first
-        # cover a pass finds weighs target; when every target below the seed
-        # fails, best_size ends at the seed's size with its values untouched
-        for target in range(floor, best_size):
-            best_size = target + 1
-            frames.append((*root, iter(root_values)))
-            while frames and best_size > target:
-                idx, size, level, need, lack, values = frames[-1]
-                val = next(values, None)
-                if val is None:
-                    frames.pop()
-                    continue
-                path[idx] = val
-                child = place(level, covers[idx], val) if val else level
-                visit(idx + 1, size + val, child, need - min(val, lack))
-            if best_size == target:
-                break
+    # one pass per target: only a cover of size at most target beats the
+    # bound target + 1, and the passes below it failed, so the first cover a
+    # pass finds weighs target; when every target below the seed fails,
+    # best_size ends at the seed's size with its values untouched
+    for target in range(floor, best_size):
+        best_size = target + 1
+        visit(0, 0, start, floor)
+        while frames and best_size > target:
+            idx, size, level, need, lack, values = frames[-1]
+            val = next(values, None)
+            if val is None:
+                frames.pop()
+                continue
+            path[idx] = val
+            child = place(level, covers[idx], val) if val else level
+            visit(idx + 1, size + val, child, need - min(val, lack))
+        if best_size == target:
+            break
     result = DominationFunction(best_values)
     if not is_w_dominating(g, result, demand_list):
         raise TheoremViolation("branch and bound returned a function that misses a demand")
@@ -351,17 +344,6 @@ def brute_gamma(g: WeightedGraph, cap: int = DEFAULT_CAP) -> tuple[int, Dominati
     """Exact gamma_w by branch and bound."""
     _check_cap(g, cap)
     return min_dominating(g, g.vertices)
-
-
-def _near2_masks(g: WeightedGraph) -> list[int]:
-    adj = [sum(1 << u for u in g.adjacency[v]) for v in g.vertices]
-    out = []
-    for v in g.vertices:
-        m = adj[v]
-        for u in g.adjacency[v]:
-            m |= adj[u]
-        out.append(m & ~(1 << v))
-    return out
 
 
 def _mask_members(mask: int) -> frozenset[int]:
@@ -376,27 +358,22 @@ def _mask_members(mask: int) -> frozenset[int]:
 
 
 def brute_rho(g: WeightedGraph, cap: int = DEFAULT_CAP) -> tuple[int, frozenset[int]]:
-    """Exact rho_w: maximum-weight set with pairwise distance at least 3.
+    """Exact rho_w: a heaviest set of vertices at pairwise distance 3 or more.
 
-    Dispersed sets are exactly the independent sets of the distance-<=2
-    graph, enumerated over bitmasks.
+    Such a set is dispersed exactly when its closed neighborhoods are
+    pairwise disjoint, so it is a heaviest packing of the items N[v] of
+    weight w(v) (_max_packing).  A packing past PACKING_MASKS masks raises
+    InstanceTooLarge.
     """
     _check_cap(g, cap)
-    near2 = _near2_masks(g)
-    size = 1 << g.n
-    valid = bytearray(size)
-    weight = [0] * size
-    valid[0] = 1
-    best_val, best_mask = 0, 0
-    for m in range(1, size):
-        v = (m & -m).bit_length() - 1
-        rest = m & (m - 1)
-        if valid[rest] and not (near2[v] & rest):
-            valid[m] = 1
-            weight[m] = weight[rest] + g.weights[v]
-            if weight[m] > best_val:
-                best_val, best_mask = weight[m], m
-    return best_val, _mask_members(best_mask)
+    if not g.n:
+        return 0, frozenset()
+    items = [sum(1 << u for u in g.adjacency[v]) | 1 << v for v in g.vertices]
+    packed = _max_packing(items, g.weights)
+    if not packed:
+        raise InstanceTooLarge(f"the packing search exceeded its cap of {PACKING_MASKS} masks")
+    chosen = _mask_members(packed)
+    return sum(g.weights[v] for v in chosen), chosen
 
 
 def brute_gamma_i(
@@ -412,24 +389,23 @@ def brute_gamma_i(
     size = 1 << g.n
     valid = bytearray(size)
     valid[0] = 1
-    best: tuple[int, frozenset[int], DominationFunction] | None = None
-    for m in range(size):
-        if m:
-            v = (m & -m).bit_length() - 1
-            rest = m & (m - 1)
-            if not (valid[rest] and not (adj[v] & rest)):
-                continue
-            valid[m] = 1
-        maximal = all(m >> v & 1 or adj[v] & m for v in g.vertices)
-        if not maximal:
-            continue
-        members = _mask_members(m)
-        cost, func = min_dominating(g, members)
-        if best is None or cost > best[0]:
-            best = (cost, members, func)
-    if best is None:  # every graph, the empty one too, has a maximal independent set
-        raise TheoremViolation("no maximal independent set was priced")
-    return best
+
+    def priced() -> Iterator[tuple[int, frozenset[int], DominationFunction]]:
+        for m in range(size):
+            if m:
+                v = (m & -m).bit_length() - 1
+                rest = m & (m - 1)
+                if not (valid[rest] and not (adj[v] & rest)):
+                    continue
+                valid[m] = 1
+            if all(m >> v & 1 or adj[v] & m for v in g.vertices):
+                members = _mask_members(m)
+                cost, func = min_dominating(g, members)
+                yield cost, members, func
+
+    # every graph, the empty one too, has a maximal independent set; max
+    # keeps the first of equal costs in mask order
+    return max(priced(), key=lambda p: p[0])
 
 
 # ---------------------------------------------------------------------------

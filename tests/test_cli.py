@@ -451,8 +451,23 @@ def test_oversized_instance_exits_three(tmp_path, capsys):
     assert code == 0
 
 
+def test_rho_oracle_past_its_packing_cap_exits_three(tmp_path, capsys, monkeypatch):
+    """A path of five unit vertices: its packing search needs more than one
+    mask, so with room for one brute_rho gives up instead of guessing."""
+    monkeypatch.setattr(oracles, "PACKING_MASKS", 1)
+    edges = [(i, i + 1) for i in range(4)]
+    with pytest.raises(domw.InstanceTooLarge, match="packing"):
+        oracles.brute_rho(domw.WeightedGraph.from_edges((1,) * 5, edges))
+    path = tmp_path / "p5.domw"
+    lines = ["domw 1", "kind explicit", "5", *(f"{i} 1" for i in range(5)), "4"]
+    path.write_text("\n".join(lines + [f"{u} {v}" for u, v in edges]) + "\n")
+    for command in ("oracle", "rho"), ("check",):
+        code, out, err = invoke(capsys, *command, str(path))
+        assert code == 3 and "packing" in err
+
+
 def test_cover_search_over_its_node_budget_exits_three(tmp_path, capsys, monkeypatch):
-    # the cover search of this instance visits 55 nodes over two target passes
+    # the cover search of this instance visits 56 nodes over two target passes
     _, text, _ = invoke(capsys, "gen", "split", "--seed", "3", "--n-a", "5", "--n-b", "8")
     path = tmp_path / "sp.domw"
     path.write_text(text)

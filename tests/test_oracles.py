@@ -114,19 +114,20 @@ def test_cover_search_deeper_than_the_call_stack_stops_at_its_budget(monkeypatch
 @pytest.mark.parametrize(
     "args, nodes",
     [
-        pytest.param((94, 11, 8, 24, 5), 1, id="root-94"),
+        pytest.param((94, 11, 8, 24, 5), 0, id="root-94"),
         pytest.param((0, 9, 40, 30, 5), 10, id="packing-bound-0"),
         pytest.param((2, 16, 40, 50, 5), 1_342, id="packing-bound-2"),
-        pytest.param((3, 5, 8, 60, 5), 55, id="later-target-3"),
-        pytest.param((1, 14, 40, 50, 5), 30_927, id="later-target-1"),
-        pytest.param((514, 11, 13, 44, 5), 315, id="greedy-seed-514"),
+        pytest.param((3, 5, 8, 60, 5), 56, id="later-target-3"),
+        pytest.param((1, 14, 40, 50, 5), 30_930, id="later-target-1"),
+        pytest.param((514, 11, 13, 44, 5), 318, id="greedy-seed-514"),
     ],
 )
 def test_cover_search_visits_its_pinned_number_of_nodes(monkeypatch, args, nodes):
     """The split cover search visits exactly this many nodes, counted over
-    all its target passes: a budget of that many suffices and one fewer
-    raises.  The id names where the search ends: at the root (here the
-    packing weighs as much as the greedy seed), in the pass at the packing's
+    all its target passes (each visits the root): a budget of that many
+    suffices and one fewer raises.  The id names where the search ends:
+    before any pass (here the packing weighs as much as the greedy seed, so
+    the seed is returned with no node visited), in the pass at the packing's
     weight, in a later pass (later-target-1 fails three passes first), or on
     the greedy seed once every target below it fails (four passes).  A
     change to the branching order, the value range, a bound, the stop rule
@@ -135,7 +136,11 @@ def test_cover_search_visits_its_pinned_number_of_nodes(monkeypatch, args, nodes
     g = inst.graph
     demands = {b for b in inst.independent if g.adjacency[b] & inst.clique}
     monkeypatch.setattr(oracles, "NODE_BUDGET", nodes)
-    oracles.min_dominating(g, demands, inst.clique)
+    value = oracles.min_dominating(g, demands, inst.clique)[0]
+    if not nodes:
+        supply, weights = cover_items(inst)
+        assert value == packing_weight(weights, oracles._max_packing(supply, weights))
+        return
     monkeypatch.setattr(oracles, "NODE_BUDGET", nodes - 1)
     with pytest.raises(InstanceTooLarge, match="budget"):
         oracles.min_dominating(g, demands, inst.clique)
@@ -202,7 +207,7 @@ def test_cover_search_falls_back_exactly_past_the_packing_cap(monkeypatch):
 
 
 def test_root_packing_is_disjoint_and_no_heavier_than_the_optimum(monkeypatch):
-    """The packing the search computes when its root branches: one mask per
+    """The packing the search computes before its first pass: one mask per
     demand holding its suppliers, pairwise disjoint on the packed demands,
     whose weight bounds the search's value from below."""
     seen = []
@@ -295,6 +300,44 @@ def test_oracle_witnesses_are_genuine(g: WeightedGraph):
         assert not (g.adjacency[u] & chosen)
     for u in g.vertices:
         assert u in chosen or (g.adjacency[u] & chosen)
+
+
+def table_rho(g: WeightedGraph) -> int:
+    """rho_w by walking every vertex mask with two 2^n tables: a mask is
+    dispersed when its lowest vertex is at distance 3 or more from the rest
+    and the rest is dispersed."""
+    closed = [sum(1 << u for u in g.adjacency[v]) | 1 << v for v in g.vertices]
+    near2 = [0] * g.n  # the vertices within distance 2, v itself left out
+    for v in g.vertices:
+        for u in g.adjacency[v] | {v}:
+            near2[v] |= closed[u]
+        near2[v] &= ~(1 << v)
+    valid = bytearray(1 << g.n)
+    weight = [0] * (1 << g.n)
+    valid[0] = 1
+    for m in range(1, 1 << g.n):
+        v = (m & -m).bit_length() - 1
+        rest = m & (m - 1)
+        if valid[rest] and not near2[v] & rest:
+            valid[m] = 1
+            weight[m] = weight[rest] + g.weights[v]
+    return max(weight)
+
+
+def test_rho_is_the_exhaustive_maximum():
+    """brute_rho against the 2^n table walk on 2,000 seeded graphs of 1-12
+    vertices, edge chances 5-94% and weights up to 1-6: equal values, and
+    the set it returns is dispersed with that weight."""
+    for s in range(2000):
+        rng = LCG(s)
+        n, chance, max_w = 1 + s % 12, rng.randint(5, 94), rng.randint(1, 6)
+        weights = [rng.randint(1, max_w) for _ in range(n)]
+        edges = [(u, v) for v in range(n) for u in range(v) if rng.chance(chance)]
+        g = WeightedGraph.from_edges(weights, edges)
+        rho, dispersed = brute_rho(g, cap=12)
+        assert rho == table_rho(g)
+        assert is_dispersed(g, dispersed)
+        assert sum(g.weights[v] for v in dispersed) == rho
 
 
 @settings(max_examples=120, deadline=None)
