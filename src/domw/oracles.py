@@ -37,10 +37,11 @@ from .graph_core import (
 DEFAULT_CAP = 10
 # Nodes one min_dominating search may visit before it raises InstanceTooLarge
 # (exit code 3) instead of running on, counted over all its target passes.
-# The most any search has needed: 2,563 on the 18,000 split-search benchmark
-# instances of workload seeds 0-9, 46,698 in the test suite (61,911 with the
-# root packing capped off), 124,914 (about 0.5 s) on gen_split(3, 18, 40, 50,
-# 5), 403,586 on gen_split(4, 24, 40, 20, 5).
+# The most any search has needed: 1,594 on the 18,000 split-search benchmark
+# instances of workload seeds 0-9, 23,407 in the test suite (61,811 with the
+# root packing capped off), 63,312 (about 0.2 s) on gen_split(3, 18, 40, 50,
+# 5), 194,787 on gen_split(4, 24, 40, 20, 5), 229,521 on gen_split(3, 24, 60,
+# 50, 5).
 NODE_BUDGET = 1_000_000
 # Masks of free suppliers one packing search may hold, solved or still open,
 # before it gives up, as an exact packing is itself exponential: the cover
@@ -168,12 +169,15 @@ def min_dominating(
     heaviest such set of demands (_max_packing; none past its mask cap).  No
     function is lighter than w(P).  Each node carries what P's demands still
     lack in all; a supplier serves at most one of them, so placing a value
-    lowers it by at most that value.  A node is pruned when that is at least
-    the gap to the incumbent.  Then a greedy packing walks the levels from W
-    down, takes the lowest free demand each time and blocks that demand's
-    conflict mask, the demands whose closed neighborhoods meet its own; it
-    stops as soon as the bound prunes.  Neither bound prunes a node that
-    could beat the incumbent.
+    lowers it by at most that value.  A child is pruned before it is built
+    when what it would carry is at least its gap to the incumbent; its
+    gap falls by one per unit of value and what it carries by at most one,
+    so the larger values of its node are pruned with it.  At each node that
+    is built, a greedy packing walks the levels from W down, takes the
+    lowest free demand each time and blocks that demand's conflict mask, the
+    demands whose closed neighborhoods meet its own; it stops as soon as the
+    bound prunes.  Neither bound prunes a node that could beat the
+    incumbent.
 
     The incumbent starts as a greedy cover, the seed.  The search then runs
     in passes with targets T = w(P), w(P) + 1, ... up to the seed's size
@@ -279,17 +283,14 @@ def min_dominating(
         nodes += 1
         if nodes > NODE_BUDGET:
             raise InstanceTooLarge(f"the cover search exceeded its budget of {NODE_BUDGET} nodes")
-        if size >= best_size:
-            return
+        # No node here is as heavy as the incumbent, nor do P's demands need
+        # its gap: the root has size 0 and need w(P) <= target, and the pass
+        # loop visits a child only when 0 <= need < best_size - size.
         if level[0] == full:
             best_size = size
             best_values = {variables[j]: path[j] for j in range(idx) if path[j]}
             return
         gap = best_size - size
-        # P's demands have disjoint supplier sets, each with a supplier at or
-        # after idx (the lasts invariant), so they need what they lack in all
-        if need >= gap:
-            return
         # demands with disjoint closed neighborhoods need disjoint mass; take
         # them neediest first, the lowest on a tie, until the bound prunes
         blocked = 0
@@ -326,12 +327,17 @@ def min_dominating(
         while frames and best_size > target:
             idx, size, level, need, lack, values = frames[-1]
             val = next(values, None)
-            if val is None:
+            # P's demands have disjoint supplier sets, so below the child they
+            # need rest more, what they still lack in all, and the child is
+            # pruned when that fills its gap to the incumbent.  One more unit
+            # of val lowers rest by at most 1 and the gap by exactly 1, so
+            # every later value of the frame is pruned too: the frame ends.
+            if val is None or (rest := need - min(val, lack)) >= best_size - size - val:
                 frames.pop()
                 continue
             path[idx] = val
             child = place(level, covers[idx], val) if val else level
-            visit(idx + 1, size + val, child, need - min(val, lack))
+            visit(idx + 1, size + val, child, rest)
         if best_size == target:
             break
     result = DominationFunction(best_values)

@@ -467,7 +467,7 @@ def test_rho_oracle_past_its_packing_cap_exits_three(tmp_path, capsys, monkeypat
 
 
 def test_cover_search_over_its_node_budget_exits_three(tmp_path, capsys, monkeypatch):
-    # the cover search of this instance visits 56 nodes over two target passes
+    # the cover search of this instance visits 23 nodes over two target passes
     _, text, _ = invoke(capsys, "gen", "split", "--seed", "3", "--n-a", "5", "--n-b", "8")
     path = tmp_path / "sp.domw"
     path.write_text(text)
@@ -514,6 +514,21 @@ def test_internal_error_exits_two(interval_file, replay_dir, capsys, monkeypatch
     assert (code, out) == (2, "")
     assert err.startswith("internal error:")
     assert_replays(err, interval_file, replay_dir)
+
+
+def test_an_internal_error_in_check_exits_two_without_a_replay(
+    interval_file, replay_dir, capsys, monkeypatch
+):
+    """`run` itself turns an internal error into exit 2 for every command
+    but `solve`, which catches its own and keeps a replay file."""
+    def broken(_payload):
+        raise domw.TheoremViolation("planted failure")
+
+    monkeypatch.setattr(KINDS["interval"], "solve", broken)
+    code, out, err = invoke(capsys, "check", interval_file)
+    assert (code, out) == (2, "")
+    assert err.startswith("internal error: planted failure\n")
+    assert list(replay_dir.iterdir()) == []
 
 
 def test_an_lp_failure_exits_two_with_a_replay(interval_file, replay_dir, capsys, monkeypatch):

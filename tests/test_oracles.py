@@ -116,10 +116,10 @@ def test_cover_search_deeper_than_the_call_stack_stops_at_its_budget(monkeypatch
     [
         pytest.param((94, 11, 8, 24, 5), 0, id="root-94"),
         pytest.param((0, 9, 40, 30, 5), 10, id="packing-bound-0"),
-        pytest.param((2, 16, 40, 50, 5), 1_342, id="packing-bound-2"),
-        pytest.param((3, 5, 8, 60, 5), 56, id="later-target-3"),
-        pytest.param((1, 14, 40, 50, 5), 30_930, id="later-target-1"),
-        pytest.param((514, 11, 13, 44, 5), 318, id="greedy-seed-514"),
+        pytest.param((2, 16, 40, 50, 5), 646, id="packing-bound-2"),
+        pytest.param((3, 5, 8, 60, 5), 23, id="later-target-3"),
+        pytest.param((1, 14, 40, 50, 5), 15_302, id="later-target-1"),
+        pytest.param((514, 11, 13, 44, 5), 238, id="greedy-seed-514"),
     ],
 )
 def test_cover_search_visits_its_pinned_number_of_nodes(monkeypatch, args, nodes):
