@@ -194,7 +194,7 @@ def order_by_right_endpoint(fam: IntervalFamily) -> tuple[int, ...]:
 # The running extrema compare inline and index in the loop: for 150 ints,
 # accumulate(map(rank.__getitem__, ids), max) takes 37 us, as it calls the
 # builtin once per item, and these loops 8 us (CPython 3.11, 2-core x86).
-# Its four uses took about a tenth of an interval-dense solve.
+# In that form the four of a solve took about a tenth of an interval-dense one.
 
 
 def _running_max(rank: Sequence[int], ids: Iterable[int]) -> list[int]:

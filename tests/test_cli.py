@@ -521,6 +521,7 @@ def test_an_internal_error_in_check_exits_two_without_a_replay(
 ):
     """`run` itself turns an internal error into exit 2 for every command
     but `solve`, which catches its own and keeps a replay file."""
+
     def broken(_payload):
         raise domw.TheoremViolation("planted failure")
 
