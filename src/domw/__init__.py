@@ -13,7 +13,6 @@ from .errors import (
     InstanceSemanticError,
     InstanceSyntaxError,
     InstanceTooLarge,
-    IsolatedBVertex,
     LPInternalError,
     NotAClique,
     NotAPartition,
@@ -59,7 +58,6 @@ from .tree_edge_solver import (
 from .split_solver import (
     SplitInstance,
     SplitResult,
-    min_cover_B,
     solve_split,
     validate_split,
 )

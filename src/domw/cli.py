@@ -21,7 +21,7 @@ import tempfile
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import InstanceTooLarge, LPInternalError, TheoremViolation
+from .errors import InstanceTooLarge, LPInternalError, ParameterOutOfRange, TheoremViolation
 from .graph_core import verify_certificate
 from .instances_io import (
     CERT_HEADER,
@@ -102,11 +102,11 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="print a brute-force or LP optimum with witness")
     oracle.add_argument("which", choices=("gamma", "rho", "gammai", "frac"))
     oracle.add_argument("file")
-    oracle.add_argument("--cap", type=int, default=10, help="largest vertex count accepted")
+    oracle.add_argument("--cap", type=int, default=DEFAULT_CAP, help="largest vertex count accepted")
 
     check = sub.add_parser("check", help="run solver and oracles, print PASS/FAIL per invariant")
     check.add_argument("file")
-    check.add_argument("--cap", type=int, default=10)
+    check.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     example = sub.add_parser("example", help="write a built-in instance to standard output")
     example.add_argument("name", choices=tuple(_EXAMPLES))
@@ -314,6 +314,8 @@ def run_sweep(name: str, seeds: int) -> tuple[int, str]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.seeds < 0:
+        raise ParameterOutOfRange(f"--seeds must be nonnegative, got {args.seeds}")
     failed = 0
     for name in args.classes:
         mismatches, line = run_sweep(name, args.seeds)

@@ -36,10 +36,6 @@ class LPInternalError(RuntimeError):
     """The exact simplex produced an inconsistent or infeasible result."""
 
 
-class IsolatedBVertex(ValueError):
-    """A positive-weight independent-side vertex has no clique neighbor."""
-
-
 class NotAClique(ValueError):
     """Two supposed clique vertices are not adjacent."""
 

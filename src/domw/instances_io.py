@@ -695,14 +695,18 @@ def parse_result(text: str, headers: Sequence[str]) -> tuple[str, Certificate]:
         values[v] = x
     if parts[0] != "I":
         raise InstanceSyntaxError(line, f"expected an `I` line, got {row!r}")
-    chosen = frozenset(_ints(line, parts[1:], "I line"))
+    chosen: set[int] = set()
+    for v in _ints(line, parts[1:], "I line"):
+        if v in chosen:
+            raise InstanceSemanticError(f"vertex {v} listed twice on the I line")
+        chosen.add(v)
     line, row = lines.next("value line")
     parts = row.split()
     if len(parts) != 2 or parts[0] != "value":
         raise InstanceSyntaxError(line, "expected `value n`")
     (value,) = _ints(line, parts[1:], "value line")
     lines.done()
-    return header, Certificate(DominationFunction(values), chosen, value)
+    return header, Certificate(DominationFunction(values), frozenset(chosen), value)
 
 
 def parse_certificate(text: str) -> Certificate:

@@ -5,6 +5,8 @@ solvers so the two routes can disagree loudly in tests.  One capped,
 memoized search finds a heaviest packing, items with pairwise disjoint
 masks: rho_w is one, with the closed neighborhoods as masks, and the cover
 search bounds its value by one, with the demands' supplier sets as masks.
+gamma_i_w prices the maximal independent sets, which a Bron-Kerbosch
+enumeration on an explicit stack lists without a 2^n table.
 The branch and bound `min_dominating` is also the split solver's cover
 search; the split tests therefore keep a plain exhaustive reference that
 does not use it.  Its node state is a bitmask over the demands for each
@@ -41,7 +43,8 @@ DEFAULT_CAP = 10
 # instances of workload seeds 0-9, 23,407 in the test suite (61,811 with the
 # root packing capped off), 63,312 (about 0.2 s) on gen_split(3, 18, 40, 50,
 # 5), 194,787 on gen_split(4, 24, 40, 20, 5), 229,521 on gen_split(3, 24, 60,
-# 50, 5).
+# 50, 5).  brute_gamma_i's enumeration has a budget of its own, as large:
+# it takes 2,379 nodes on CI's 40-interval file.
 NODE_BUDGET = 1_000_000
 # Masks of free suppliers one packing search may hold, solved or still open,
 # before it gives up, as an exact packing is itself exponential: the cover
@@ -353,14 +356,7 @@ def brute_gamma(g: WeightedGraph, cap: int = DEFAULT_CAP) -> tuple[int, Dominati
 
 
 def _mask_members(mask: int) -> frozenset[int]:
-    out = set()
-    v = 0
-    while mask:
-        if mask & 1:
-            out.add(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def brute_rho(g: WeightedGraph, cap: int = DEFAULT_CAP) -> tuple[int, frozenset[int]]:
@@ -387,31 +383,42 @@ def brute_gamma_i(
 ) -> tuple[int, frozenset[int], DominationFunction]:
     """Exact gamma_i_w: the costliest-to-dominate independent set.
 
-    Domination cost is monotone in the demand set, so only maximal
-    independent sets need to be priced.
+    Domination cost is monotone in the demand set, so only the maximal
+    independent sets are priced, with min_dominating; of equal costs the
+    lowest vertex mask wins.  They are the maximal cliques of the complement,
+    which Bron and Kerbosch (1973) enumerate, here on an explicit stack of
+    (chosen, candidates, excluded) masks.  A node branches on the candidates
+    in N[p] alone, p its lowest candidate or excluded vertex, as each maximal
+    extension holds p or a neighbor of p (Tomita, Tanaka and Takahashi 2006).
+    An enumeration past NODE_BUDGET nodes raises InstanceTooLarge.
     """
     _check_cap(g, cap)
     adj = [sum(1 << u for u in g.adjacency[v]) for v in g.vertices]
-    size = 1 << g.n
-    valid = bytearray(size)
-    valid[0] = 1
-
-    def priced() -> Iterator[tuple[int, frozenset[int], DominationFunction]]:
-        for m in range(size):
-            if m:
-                v = (m & -m).bit_length() - 1
-                rest = m & (m - 1)
-                if not (valid[rest] and not (adj[v] & rest)):
-                    continue
-                valid[m] = 1
-            if all(m >> v & 1 or adj[v] & m for v in g.vertices):
-                members = _mask_members(m)
-                cost, func = min_dominating(g, members)
-                yield cost, members, func
-
-    # every graph, the empty one too, has a maximal independent set; max
-    # keeps the first of equal costs in mask order
-    return max(priced(), key=lambda p: p[0])
+    best: tuple[int, int, DominationFunction | None] = (-1, 0, None)  # cost, -mask, function
+    stack = [(0, (1 << g.n) - 1, 0)]
+    nodes = 0
+    while stack:
+        nodes += 1
+        if nodes > NODE_BUDGET:
+            raise InstanceTooLarge(f"the independent set enumeration exceeded its budget of {NODE_BUDGET} nodes")
+        chosen, cand, excl = stack.pop()
+        if not cand | excl:  # chosen is maximal
+            cost, func = min_dominating(g, _mask_members(chosen))
+            if (cost, -chosen) > best[:2]:
+                best = cost, -chosen, func
+            continue
+        p = (cand | excl) & -(cand | excl)
+        branch = cand & (adj[p.bit_length() - 1] | p)
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            v = bit.bit_length() - 1
+            stack.append((chosen | bit, cand & ~adj[v] & ~bit, excl & ~adj[v]))
+            cand ^= bit  # v moves from the candidates to the excluded
+            excl |= bit
+    # every graph, the empty one too, has a maximal independent set
+    cost, minus, func = best
+    return cost, _mask_members(-minus), func
 
 
 # ---------------------------------------------------------------------------

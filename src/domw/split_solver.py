@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IsolatedBVertex, NotAClique, NotAPartition, NotIndependent
+from .errors import NotAClique, NotAPartition, NotIndependent
 from .graph_core import DominationFunction, WeightedGraph
 from .oracles import min_dominating
 
@@ -52,18 +52,6 @@ def validate_split(graph: WeightedGraph, clique: frozenset[int], independent: fr
             if v in independent and u < v:
                 raise NotIndependent(f"independent vertices {u} and {v} are adjacent")
     return SplitInstance(graph, frozenset(clique), frozenset(independent))
-
-
-def min_cover_B(inst: SplitInstance) -> DominationFunction:
-    """Exact minimum function supported on the clique that dominates B.
-
-    Mass on a B vertex can always be shifted onto a clique neighbor, so the
-    restricted support loses nothing; an isolated B vertex raises IsolatedBVertex.
-    """
-    for b in sorted(inst.independent):
-        if not inst.graph.adjacency[b] & inst.clique:
-            raise IsolatedBVertex(f"vertex {b} has positive weight and no clique neighbor")
-    return min_dominating(inst.graph, inst.independent, inst.clique)[1]
 
 
 def solve_split(inst: SplitInstance) -> SplitResult:

@@ -129,10 +129,15 @@ def test_verify_rejects_a_faulty_split_block(values, witness, failing, tmp_path,
         (_EDGE, "domw-cert 1\nf 0 1\nI 1\nvalue 1\n", (0, "PASS value 1\n")),
         (_EDGE, "domw-cert 1\nI 1\nvalue 0\n", (1, "FAIL NotDominating\n")),
         (_EDGE, "domw-cert 1\nf 2 1\nI 1\nvalue 1\n", (1, "")),
+        # a witness listed twice is refused as it is read, not read as one
+        (_EDGE, "domw-cert 1\nf 0 1\nI 1 1\nvalue 1\n", (1, "")),
         # every dispersed set of the triangle is one vertex, of weight at most 5 < 6
         (None, "domw-cert 1\nf 0 2\nf 1 2\nf 2 2\nI 0\nvalue 6\n", (1, "FAIL ValueMismatch\n")),
     ],
-    ids=["explicit-pass", "explicit-not-dominating", "explicit-unknown-vertex", "split"],
+    ids=[
+        "explicit-pass", "explicit-not-dominating", "explicit-unknown-vertex",
+        "explicit-repeated-witness", "split",
+    ],
 )
 def test_verify_checks_a_certificate_of_another_kind_on_its_graph(instance, block, expected, tmp_path, capsys):
     """Kinds with no checker of their own: the explicit-graph route."""
@@ -356,6 +361,12 @@ def test_sweep_runs_clean_on_twenty_seeds(capsys):
     assert all("20 instances, 0 mismatches" in line for line in lines)
 
 
+def test_sweep_refuses_a_negative_count(capsys):
+    code, out, err = invoke(capsys, "sweep", "--seeds", "-5")
+    assert (code, out) == (1, "")
+    assert err == "error: --seeds must be nonnegative, got -5\n"
+
+
 _SWEEP_PINS = [
     (
         ["--seeds", "100"],
@@ -464,6 +475,21 @@ def test_rho_oracle_past_its_packing_cap_exits_three(tmp_path, capsys, monkeypat
     for command in ("oracle", "rho"), ("check",):
         code, out, err = invoke(capsys, *command, str(path))
         assert code == 3 and "packing" in err
+
+
+def test_gamma_i_enumeration_over_its_node_budget_exits_three(tmp_path, capsys, monkeypatch):
+    """Three vertices and no edge: the enumeration visits 4 nodes, one per
+    vertex added and the maximal set, and pricing that set visits none, as
+    its packing already weighs as much as the greedy seed."""
+    path = tmp_path / "edgeless.domw"
+    path.write_text("domw 1\nkind explicit\n3\n0 1\n1 2\n2 3\n0\n")
+    monkeypatch.setattr(oracles, "NODE_BUDGET", 3)
+    code, out, err = invoke(capsys, "oracle", "gammai", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: the independent set enumeration exceeded its budget of 3 nodes\n"
+    monkeypatch.setattr(oracles, "NODE_BUDGET", 4)
+    code, out, _ = invoke(capsys, "oracle", "gammai", str(path))
+    assert (code, out) == (0, "value 6\nI 0 1 2\nf 0 1\nf 1 2\nf 2 3\n")
 
 
 def test_cover_search_over_its_node_budget_exits_three(tmp_path, capsys, monkeypatch):

@@ -326,6 +326,8 @@ def test_certificate_parse_failures():
         parse_certificate("nope\n")
     with pytest.raises(InstanceSyntaxError):
         parse_certificate("domw-cert 1\nf 0 1\nI 0\n")
+    with pytest.raises(InstanceSemanticError, match="vertex 2 listed twice on the I line"):
+        parse_certificate("domw-cert 1\nf 2 1\nI 2 2\nvalue 1\n")
 
 
 def test_split_result_block():

@@ -12,12 +12,12 @@ from domw import (
     brute_gamma_i,
     brute_rho,
     is_w_dominating,
-    min_cover_B,
     solve_split,
     validate_split,
 )
-from domw.errors import IsolatedBVertex, NotAClique, NotAPartition, NotIndependent
+from domw.errors import NotAClique, NotAPartition, NotIndependent
 from domw.instances_io import example_split_triangle
+from domw.oracles import min_dominating
 
 from .strategies import split_instances
 
@@ -105,13 +105,13 @@ def test_isolated_b_vertex_is_rejected():
     """The clique alone cannot dominate an isolated B vertex, so the bare
     cover search refuses it; solve_split handles it before the search."""
     inst = tiny_split((3, 2, 4, 5), [(0, 2)])
-    with pytest.raises(IsolatedBVertex):
-        min_cover_B(inst)
+    with pytest.raises(ValueError, match="demand at vertex 3 has no available supplier"):
+        min_dominating(inst.graph, inst.independent, inst.clique)
 
 
 def test_min_cover_b_against_exhaustive_search():
     inst = example_split_triangle()
-    cover = min_cover_B(inst)
+    cover = min_dominating(inst.graph, inst.independent, inst.clique)[1]
     assert dict(cover.items()) == {0: 2, 1: 2, 2: 2}
 
 
@@ -121,8 +121,9 @@ def test_min_cover_b_is_exact(inst: SplitInstance):
     """Cross-check the cover search against brute enumeration of all
     integer assignments on the clique."""
     g = inst.graph
+    # an isolated B demand has no supplier on the clique: the search raises
     assume(all(g.adjacency[b] for b in inst.independent))
-    cover = min_cover_B(inst)
+    cover = min_dominating(g, inst.independent, inst.clique)[1]
     clique = sorted(inst.clique)
     demands = sorted(inst.independent)
     assert all(v in inst.clique for v in cover.support)
