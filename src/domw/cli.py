@@ -46,6 +46,7 @@ from .instances_io import (
 from .interval_solver import order_by_right_endpoint
 from .oracles import (
     DEFAULT_CAP,
+    _check_cap,
     brute_gamma,
     brute_gamma_i,
     brute_rho,
@@ -187,7 +188,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    g = instance_graph(parse_instance(_read(args.file)))
+    inst = parse_instance(_read(args.file))
+    kind = KINDS[inst.kind]
+    _check_cap(kind.vertex_count(inst.payload), args.cap)  # before a graph that may not fit in memory
+    g = kind.graph(inst.payload)
     if args.which == "gamma":
         value, f = brute_gamma(g, args.cap)
         print(f"value {value}")
@@ -314,8 +318,6 @@ def run_sweep(name: str, seeds: int) -> tuple[int, str]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.seeds < 0:
-        raise ParameterOutOfRange(f"--seeds must be nonnegative, got {args.seeds}")
     failed = 0
     for name in args.classes:
         mismatches, line = run_sweep(name, args.seeds)
@@ -373,6 +375,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
+        for option in ("cap", "seeds"):  # the counts a command takes, where it takes one
+            value = getattr(args, option, 0)
+            if value < 0:
+                raise ParameterOutOfRange(f"--{option} must be nonnegative, got {value}")
         return _COMMANDS[args.command](args)
     except InstanceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)

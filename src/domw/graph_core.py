@@ -157,16 +157,34 @@ class CertificateCheck:
         return self.ok
 
 
+def _search(n: int, edges: Sequence[tuple[Vertex, Vertex]]) -> list[Vertex] | None:
+    """Each vertex's parent in a search from 0 (-1 at 0), or None when an
+    edge is out of range or a loop, or when a vertex is left unreached."""
+    nbrs: list[list[Vertex]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            return None
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    parent = [-1] + [None] * (n - 1)  # None: not reached yet
+    reached = [0]
+    for x in reached:
+        for y in nbrs[x]:
+            if parent[y] is None:
+                parent[y] = x
+                reached.append(y)
+    return parent if len(reached) == n else None
+
+
 @dataclass(frozen=True)
 class HostTree:
     """A tree on vertices 0..n-1, the host for subtree intersection graphs.
 
-    Construction checks each edge's range and self-loop, then runs one search
-    from 0 over list adjacency: n - 1 edges that reach every vertex form a
-    tree.  A repeated edge always leaves a vertex unreached, so repeats are
-    looked for only when the search fails, and reported ahead of `not
-    connected`.  The neighbor sets and depths that the subtree graphs read
-    are built on first use.
+    Construction checks the edge count and runs one search from 0: n - 1
+    edges in range and without loops that reach every vertex form a tree.
+    A repeated edge always leaves a vertex unreached, so repeats are looked
+    for only when the search fails, and reported ahead of `not connected`.
+    The subtree checks read the search's parent table, built on first use.
     """
 
     n: int
@@ -178,50 +196,22 @@ class HostTree:
             raise ValueError("host tree needs at least one vertex")
         if len(self.edges) != n - 1:
             raise ValueError("a tree on n vertices has exactly n-1 edges")
-        nbrs: list[list[Vertex]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                break
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        else:
-            seen = [False] * n
-            seen[0] = True
-            reached = [0]
-            for x in reached:
-                for y in nbrs[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        reached.append(y)
-            if len(reached) == n:
-                return
-        _raise_host_fault(n, self.edges)
+        if _search(n, self.edges) is None:
+            _raise_host_fault(n, self.edges)
 
     @cached_property
-    def _adj(self) -> list[set[Vertex]]:
-        # kept out of the fields, so equality is unchanged; never mutated,
-        # adjacency() hands out copies
+    def _parent(self) -> list[Vertex]:
+        # kept out of the fields, so equality is unchanged; never mutated, and
+        # never None, as construction has checked the tree
+        return _search(self.n, self.edges)
+
+    def adjacency(self) -> list[set[Vertex]]:
+        """A fresh, mutable list of the neighbor sets, indexed by vertex."""
         adj: list[set[Vertex]] = [set() for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
         return adj
-
-    @cached_property
-    def _depth(self) -> dict[Vertex, int]:
-        depth = {0: 0}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for y in self._adj[x]:
-                if y not in depth:
-                    depth[y] = depth[x] + 1
-                    queue.append(y)
-        return depth
-
-    def adjacency(self) -> list[set[Vertex]]:
-        """A fresh, mutable copy of the neighbor sets, indexed by vertex."""
-        return [set(a) for a in self._adj]
 
 
 def _raise_host_fault(n: int, edges: Sequence[tuple[Vertex, Vertex]]) -> NoReturn:
@@ -336,23 +326,28 @@ def verify_certificate(g: WeightedGraph, cert: Certificate) -> CertificateCheck:
     return CertificateCheck(True)
 
 
-def _checked_subtrees(host: HostTree, subtrees: Sequence[Iterable[Vertex]]) -> list[frozenset[Vertex]]:
-    """The subtrees as vertex sets, each checked to be a nonempty connected
-    set of host vertices."""
-    adj = host._adj
-    sets: list[frozenset[Vertex]] = []
+def _checked_subtrees(
+    host: HostTree, subtrees: Sequence[Iterable[Vertex]]
+) -> list[tuple[frozenset[Vertex], Vertex]]:
+    """Each subtree as its vertex set and its top, checked to be a nonempty
+    connected set of host vertices.  With the host rooted at 0, each
+    component of a set S has one member whose parent lies outside S, its
+    highest vertex, as any other member's parent is the next vertex on its
+    path to that one; so S is connected exactly when it has one such top."""
+    n, parent = host.n, host._parent
+    checked: list[tuple[frozenset[Vertex], Vertex]] = []
     for i, raw in enumerate(subtrees):
         s = frozenset(raw)
         if not s:
             raise EmptySubtree(f"subtree {i} is empty")
         for v in s:
-            if not 0 <= v < host.n:
+            if not 0 <= v < n:
                 raise UnknownVertex(f"subtree {i} uses vertex {v} outside the host tree")
-        # s induces a forest, which is connected exactly when it has |s| - 1 edges
-        if sum(len(adj[v] & s) for v in s) != 2 * (len(s) - 1):
+        tops = [v for v in s if parent[v] not in s]
+        if len(tops) != 1:
             raise DisconnectedSubtree(f"subtree {i} is not connected in the host tree")
-        sets.append(s)
-    return sets
+        checked.append((s, tops[0]))
+    return checked
 
 
 def build_intersection_graph(
@@ -363,22 +358,17 @@ def build_intersection_graph(
     """Intersection graph of connected vertex sets of the host tree.
 
     One graph vertex per subtree, in input order; two are adjacent when the
-    subtrees share a host vertex.  With the host rooted at 0, each subtree has
-    one highest vertex, and two subtrees meet exactly when one of them holds
-    the other's highest vertex; so the edges are read off the host-vertex to
-    subtree incidence lists at the highest vertices, in O(n + sizes + edges).
+    subtrees share a host vertex.  Two subtrees meet exactly when one of them
+    holds the other's top (_checked_subtrees), its highest vertex with the
+    host rooted at 0; so the edges are read off the host-vertex to subtree
+    incidence lists at the tops, in O(n + sizes + edges).
     """
     if len(subtrees) != len(weights):
         raise ValueError("one weight per subtree is required")
-    sets = _checked_subtrees(host, subtrees)
+    checked = _checked_subtrees(host, subtrees)
     holders: list[list[int]] = [[] for _ in range(host.n)]
-    for i, s in enumerate(sets):
+    for i, (s, _) in enumerate(checked):
         for v in s:
             holders[v].append(i)
-    edges = [
-        (i, j)
-        for i, s in enumerate(sets)
-        for j in holders[min(s, key=host._depth.__getitem__)]
-        if j != i
-    ]
+    edges = [(i, j) for i, (_, top) in enumerate(checked) for j in holders[top] if j != i]
     return WeightedGraph.from_edges(list(weights), edges)

@@ -53,15 +53,18 @@ NODE_BUDGET = 1_000_000
 # so the cap also keeps it inside Python's default recursion limit of 1,000.
 # The most a cover search's packing has needed: 92 masks on the
 # 18,000 split-search benchmark covers of workload seeds 0-9, 110 on the test
-# suite's 3,000 digest covers, 377 on gen_split(4, 24, 40, 20, 5).  Covers
-# that need more, such as gen_split(2, 30, 40, 15, 5) at 1,379, are sparse
-# ones whose search exceeds NODE_BUDGET with or without it.
+# suite's 3,000 digest covers, 377 on gen_split(4, 24, 40, 20, 5).  Sparse
+# covers need more, and many still solve through the fallback: of the 405
+# files gen_split(seed 0-2, n_a 14-30 even, n_b 20/40/60, edge_prob
+# 8/12/15/20/30, 5), 73 needed more than 500 masks and 48 of those solved
+# within NODE_BUDGET, such as gen_split(1, 28, 40, 12, 5) at 767 masks
+# (value 32) and gen_split(1, 30, 40, 8, 5) at 1,353 (value 45).
 PACKING_MASKS = 500
 
 
-def _check_cap(g: WeightedGraph, cap: int) -> None:
-    if g.n > cap:
-        raise InstanceTooLarge(f"{g.n} vertices exceeds the cap of {cap}")
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise InstanceTooLarge(f"{n} vertices exceeds the cap of {cap}")
 
 
 class _PackingTooLarge(Exception):
@@ -351,7 +354,7 @@ def min_dominating(
 
 def brute_gamma(g: WeightedGraph, cap: int = DEFAULT_CAP) -> tuple[int, DominationFunction]:
     """Exact gamma_w by branch and bound."""
-    _check_cap(g, cap)
+    _check_cap(g.n, cap)
     return min_dominating(g, g.vertices)
 
 
@@ -367,7 +370,7 @@ def brute_rho(g: WeightedGraph, cap: int = DEFAULT_CAP) -> tuple[int, frozenset[
     weight w(v) (_max_packing).  A packing past PACKING_MASKS masks raises
     InstanceTooLarge.
     """
-    _check_cap(g, cap)
+    _check_cap(g.n, cap)
     if not g.n:
         return 0, frozenset()
     items = [sum(1 << u for u in g.adjacency[v]) | 1 << v for v in g.vertices]
@@ -392,7 +395,7 @@ def brute_gamma_i(
     extension holds p or a neighbor of p (Tomita, Tanaka and Takahashi 2006).
     An enumeration past NODE_BUDGET nodes raises InstanceTooLarge.
     """
-    _check_cap(g, cap)
+    _check_cap(g.n, cap)
     adj = [sum(1 << u for u in g.adjacency[v]) for v in g.vertices]
     best: tuple[int, int, DominationFunction | None] = (-1, 0, None)  # cost, -mask, function
     stack = [(0, (1 << g.n) - 1, 0)]
@@ -511,7 +514,7 @@ def solve_fractional(g: WeightedGraph, cap: int = DEFAULT_CAP) -> FractionalSolu
     tableau's optimum and |f| equals it, which proves both optimal.  A
     failed check is an internal error, not a result.
     """
-    _check_cap(g, cap)
+    _check_cap(g.n, cap)
     rows = neighborhood_matrix(g).rows
     rho_star, primal, dual = _solve_lp(g.weights, rows)
     for v, row in enumerate(rows):

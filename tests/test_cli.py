@@ -367,6 +367,15 @@ def test_sweep_refuses_a_negative_count(capsys):
     assert err == "error: --seeds must be nonnegative, got -5\n"
 
 
+@pytest.mark.parametrize("command", [("oracle", "gamma"), ("check",)], ids=["oracle", "check"])
+def test_a_negative_cap_is_invalid_input(command, tmp_path, capsys):
+    _, text, _ = invoke(capsys, "example", "split-triangle")
+    path = tmp_path / "triangle.domw"
+    path.write_text(text)
+    code, out, err = invoke(capsys, *command, str(path), "--cap", "-1")
+    assert (code, out, err) == (1, "", "error: --cap must be nonnegative, got -1\n")
+
+
 _SWEEP_PINS = [
     (
         ["--seeds", "100"],
@@ -452,12 +461,19 @@ def test_split_with_an_isolated_b_vertex_is_solved(tmp_path, capsys):
     assert out and all(line.startswith("PASS ") for line in out.splitlines())
 
 
-def test_oversized_instance_exits_three(tmp_path, capsys):
+def test_oversized_instance_exits_three(tmp_path, capsys, monkeypatch):
+    """Over the cap the oracle refuses the file before it builds the graph."""
     _, text, _ = invoke(capsys, "gen", "interval", "--seed", "1", "--n", "12")
     path = tmp_path / "big.domw"
     path.write_text(text)
-    code, _, err = invoke(capsys, "oracle", "gamma", str(path))
-    assert code == 3
+
+    def no_graph(payload):
+        raise AssertionError("graph built")
+
+    monkeypatch.setattr(KINDS["interval"], "graph", no_graph)
+    code, out, err = invoke(capsys, "oracle", "gamma", str(path))
+    assert (code, out, err) == (3, "", "error: 12 vertices exceeds the cap of 10\n")
+    monkeypatch.undo()
     code, _, _ = invoke(capsys, "oracle", "gamma", str(path), "--cap", "12")
     assert code == 0
 

@@ -179,24 +179,26 @@ def test_host_tree_validation():
 
 
 def test_lazy_host_tables_match_a_search_of_the_edges():
-    """The neighbor sets and depths a host builds on first use, against a BFS
-    from 0 over its edge list and the pairwise subtree intersections."""
+    """The neighbor sets and the parent table a host builds on first use,
+    against a BFS from 0 over its edge list and the pairwise subtree
+    intersections."""
     for seed in range(200):
         host, subtrees, weights = gen_subtrees(seed, 1 + seed % 13, 1 + seed % 7, 4)
         nbrs: list[set[int]] = [set() for _ in range(host.n)]
         for u, v in host.edges:
             nbrs[u].add(v)
             nbrs[v].add(u)
-        depth, frontier = {0: 0}, [0]
+        parent, frontier = {0: -1}, [0]
         for x in frontier:
             for y in nbrs[x]:
-                if y not in depth:
-                    depth[y] = depth[x] + 1
+                if y not in parent:
+                    parent[y] = x
                     frontier.append(y)
-        host = HostTree(host.n, host.edges)  # gen_subtrees has read the sets already
-        assert not {"_adj", "_depth"} & vars(host).keys()
+        host = HostTree(host.n, host.edges)  # fresh, so no earlier call has built its parent table
+        assert "_parent" not in vars(host)
         assert host.adjacency() == nbrs
-        assert host._depth == depth
+        assert host._parent == [parent[v] for v in range(host.n)]
+        assert "_parent" in vars(host)
         pairs = [(i, j) for j in range(len(subtrees)) for i in range(j) if subtrees[i] & subtrees[j]]
         expected = WeightedGraph.from_edges(weights, pairs)
         assert build_intersection_graph(host, subtrees, weights) == expected

@@ -27,6 +27,7 @@ from domw import (
     is_w_dominating,
     neighborhood_matrix,
     solve_fractional,
+    solve_split,
 )
 from domw import oracles
 from domw.cli import sweep_instance
@@ -207,6 +208,21 @@ def test_cover_search_falls_back_exactly_past_the_packing_cap(monkeypatch):
     assert search_digests() == SEARCH_DIGESTS
 
 
+def test_cover_search_falls_back_at_the_real_packing_cap(monkeypatch):
+    """A sparse cover whose packing needs 767 masks, past PACKING_MASKS: the
+    search gives its packing up and still reaches the optimum."""
+    returned = []
+    real = oracles._max_packing
+
+    def spy(supply, weights):
+        returned.append(real(supply, weights))
+        return returned[-1]
+
+    monkeypatch.setattr(oracles, "_max_packing", spy)
+    assert solve_split(gen_split(1, 28, 40, 12, 5)).value == 32
+    assert returned == [0]
+
+
 def test_root_packing_is_disjoint_and_no_heavier_than_the_optimum(monkeypatch):
     """The packing the search computes before its first pass: one mask per
     demand holding its suppliers, pairwise disjoint on the packed demands,
@@ -379,8 +395,10 @@ def test_gamma_i_is_the_exhaustive_maximum():
 
 
 def test_gamma_i_of_the_empty_graph():
-    """Its one maximal independent set is empty and costs nothing."""
+    """Its one maximal independent set is empty and costs nothing, and its
+    heaviest dispersed set is empty too."""
     assert brute_gamma_i(WeightedGraph((), ())) == (0, frozenset(), DominationFunction.zero())
+    assert brute_rho(WeightedGraph((), ())) == (0, frozenset())
 
 
 @settings(max_examples=120, deadline=None)

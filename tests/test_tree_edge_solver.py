@@ -21,6 +21,7 @@ from domw.checkers import check_tree_edges
 from domw.errors import EmptyEdgeSet, TheoremViolation, UnknownVertex
 from domw.instances_io import example_nontu_star, gen_tree
 from domw.tree_edge_solver import (
+    RootedEdgeTree,
     _normalized,
     bottom_up_f,
     edge_line_graph,
@@ -182,7 +183,8 @@ def test_equal_root_gaps_elect_the_smallest_edge_id(host):
 def test_peel_guards_fire_on_a_tampered_adjustment():
     """The peeling's guards, reached through the public phase with a crafted
     g: a positive d with no edge, a positive root edge that no son pays for
-    exactly, and a layer whose deleted mass is not the chosen weight."""
+    exactly, and a layer whose deleted mass is not the chosen weight; and
+    the root adjustment's guard, on a planted root with no edge."""
     (t,) = reduce_to_full_tree(PATH3, ((0, 1, 5), (1, 2, 2)))
     f = bottom_up_f(t)  # {0: 2}, and root_adjust gives (d, e0) = (3, 0)
     with pytest.raises(TheoremViolation, match=r"^a positive root adjustment names no root edge$"):
@@ -201,6 +203,9 @@ def test_peel_guards_fire_on_a_tampered_adjustment():
     # an elected edge paid more than its weight
     with pytest.raises(TheoremViolation, match=layer):
         extract_dispersed_tree(leaf, DominationFunction({0: 3}), 1, 0)
+    # host vertex 0 touches no selected edge of leaf
+    with pytest.raises(TheoremViolation, match=r"^the root has no out-edge$"):
+        root_adjust(RootedEdgeTree(0, (), leaf.tables), DominationFunction.zero())
     # the untampered phases pass
     g, d, e0 = root_adjust(t, f)
     assert extract_dispersed_tree(t, g, d, e0)[0] == frozenset({0})
