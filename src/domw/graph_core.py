@@ -18,7 +18,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import ge
+from operator import ge, itemgetter, lt
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .errors import (
@@ -176,15 +176,36 @@ def _search(n: int, edges: Sequence[tuple[Vertex, Vertex]]) -> list[Vertex] | No
     return parent if len(reached) == n else None
 
 
+def _parent_order(n: int, edges: Sequence[tuple[Vertex, Vertex]]) -> list[Vertex] | None:
+    """The parent table of edges in parent order, [-1, u_1, ..., u_(n-1)] when
+    edge i - 1 is the int pair (u_i, i) with 0 <= u_i < i; None for any other
+    edge list, which `_search` then checks."""
+    if not {*map(type, edges)} <= {tuple} or not {*map(len, edges)} <= {2}:
+        return None
+    us = list(map(itemgetter(0), edges))
+    vs = list(map(itemgetter(1), edges))
+    # a float equals an int but indexes no list, so `_search` rejects it
+    if not {*map(type, us), *map(type, vs)} <= {int}:
+        return None
+    if vs != list(range(1, n)) or min(us, default=0) < 0 or not all(map(lt, us, vs)):
+        return None
+    return [-1, *us]
+
+
 @dataclass(frozen=True)
 class HostTree:
     """A tree on vertices 0..n-1, the host for subtree intersection graphs.
 
-    Construction checks the edge count and runs one search from 0: n - 1
-    edges in range and without loops that reach every vertex form a tree.
-    A repeated edge always leaves a vertex unreached, so repeats are looked
-    for only when the search fails, and reported ahead of `not connected`.
-    The subtree checks read the search's parent table, built on first use.
+    Construction checks the edge count, then the edges.  Edges in parent
+    order, edge i - 1 joining some u < i to i, form a tree with no search:
+    each vertex's chain of strictly smaller parents ends at 0, so the graph
+    is connected, and a connected graph on n vertices with n - 1 edges is a
+    tree.  `gen_tree` and `gen_subtrees` write their hosts in this order.
+    Any other edge list gets one search from 0: n - 1 edges in range and
+    without loops that reach every vertex form a tree.  A repeated edge
+    always leaves a vertex unreached, so repeats are looked for only when
+    the search fails, and reported ahead of `not connected`.  The subtree
+    checks read the parent table, built on first use.
     """
 
     n: int
@@ -196,14 +217,14 @@ class HostTree:
             raise ValueError("host tree needs at least one vertex")
         if len(self.edges) != n - 1:
             raise ValueError("a tree on n vertices has exactly n-1 edges")
-        if _search(n, self.edges) is None:
+        if _parent_order(n, self.edges) is None and _search(n, self.edges) is None:
             _raise_host_fault(n, self.edges)
 
     @cached_property
     def _parent(self) -> list[Vertex]:
         # kept out of the fields, so equality is unchanged; never mutated, and
         # never None, as construction has checked the tree
-        return _search(self.n, self.edges)
+        return _parent_order(self.n, self.edges) or _search(self.n, self.edges)
 
     def adjacency(self) -> list[set[Vertex]]:
         """A fresh, mutable list of the neighbor sets, indexed by vertex."""
@@ -365,8 +386,15 @@ def build_intersection_graph(
     """
     if len(subtrees) != len(weights):
         raise ValueError("one weight per subtree is required")
-    checked = _checked_subtrees(host, subtrees)
-    holders: list[list[int]] = [[] for _ in range(host.n)]
+    return _intersection_graph(host.n, _checked_subtrees(host, subtrees), weights)
+
+
+def _intersection_graph(
+    n: int, checked: Sequence[tuple[frozenset[Vertex], Vertex]], weights: Sequence[int]
+) -> WeightedGraph:
+    """`build_intersection_graph` of subtrees already checked on a host of n
+    vertices, one weight each."""
+    holders: list[list[int]] = [[] for _ in range(n)]
     for i, (s, _) in enumerate(checked):
         for v in s:
             holders[v].append(i)

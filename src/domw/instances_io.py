@@ -7,14 +7,19 @@ an instance is a pure function of its parameters, reproducible anywhere:
     draw(m) = (state' >> 33) mod m        (advance first, then reduce)
 
 File formats are line oriented ASCII: one record per line, full-line '#'
-comments, an explicit version header.  parse(write(x)) == x.
+comments, an explicit version header.  parse(write(x)) == x.  A solver kind's
+file in the exact shape `write_instance` emits is read in one pass over its
+text; any other file goes through the line reader, which names the first
+fault and its line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
-from operator import itemgetter
+from operator import eq, itemgetter, le
 from typing import Any, Callable, Iterator, Sequence
 
 from .errors import (
@@ -30,8 +35,8 @@ from .graph_core import (
     HostTree,
     WeightedGraph,
     _check_weights,
-    build_intersection_graph,
     _checked_subtrees,
+    _intersection_graph,
     is_w_dominating,
 )
 from .interval_solver import IntervalFamily, _fault, intersection_graph, solve_interval
@@ -286,11 +291,24 @@ class TreeEdgesInstance:
 
 @dataclass(frozen=True)
 class SubtreeInstance:
-    """Host tree with a family of connected vertex sets and their weights."""
+    """Host tree with a family of connected vertex sets and their weights.
+
+    The file reader leaves the subtrees unchecked; they are checked on first
+    use, once per instance, for the vertex count and the graph alike.
+    """
 
     host: HostTree
     subtrees: tuple[frozenset[int], ...]
     weights: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.subtrees) != len(self.weights):
+            raise ValueError("one weight per subtree is required")
+
+    @cached_property
+    def _checked_subtrees(self) -> list[tuple[frozenset[int], int]]:
+        # kept out of the fields, so equality is unchanged; never mutated
+        return _checked_subtrees(self.host, self.subtrees)
 
 
 @dataclass(frozen=True)
@@ -420,20 +438,6 @@ def _parse_tree_edges(lines: _Lines) -> TreeEdgesInstance:
     edges = []
     f_edges = []
     for line, text in lines.take(nv - 1, "edge line"):
-        # the two shapes a writer emits; anything else, flags such as `00` or
-        # `+1` included, goes through the field-by-field checks
-        try:
-            match text.split():
-                case [u, v, "0"]:
-                    edges.append((int(u), int(v)))
-                    continue
-                case [u, v, "1", w]:
-                    member = (int(u), int(v), int(w))
-                    edges.append(member[:2])
-                    f_edges.append(member)
-                    continue
-        except ValueError:
-            pass
         u, v, weight = _tree_edge(line, text)
         edges.append((u, v))
         if weight is not None:
@@ -446,15 +450,16 @@ def _parse_tree_edges(lines: _Lines) -> TreeEdgesInstance:
     return TreeEdgesInstance(host, tuple(f_edges))
 
 
-def _split_vertex(line: int, text: str) -> int:
-    """A vertex line's id, once its fields are checked one by one."""
+def _split_vertex(line: int, text: str) -> tuple[int, bool, int]:
+    """A vertex line's id, whether it is on the A side, and its weight,
+    checked field by field."""
     parts = text.split()
     if len(parts) != 3:
         raise InstanceSyntaxError(line, "vertex: expected `id side w`")
     if parts[1] not in ("A", "B"):
         raise InstanceSyntaxError(line, f"vertex: side must be A or B, got {parts[1]!r}")
-    ident, _ = _ints(line, (parts[0], parts[2]), "vertex")
-    return ident
+    ident, w = _ints(line, (parts[0], parts[2]), "vertex")
+    return ident, parts[1] == "A", w
 
 
 def _parse_split(lines: _Lines) -> SplitInstance:
@@ -472,27 +477,16 @@ def _parse_split(lines: _Lines) -> SplitInstance:
     on_a: list[bool] = []
     weights: list[int] = []
     for expect_id, (line, text) in enumerate(lines.take(nv, "vertex line")):
-        # every well-formed line with the expected id takes this path; the
-        # field-by-field checks after it only name what is wrong with another
-        try:
-            match text.split():
-                case [ident, "A" | "B" as side, w] if int(ident) == expect_id:
-                    weights.append(int(w))
-                    on_a.append(side == "A")
-                    continue
-        except ValueError:
-            pass
-        ident = _split_vertex(line, text)
-        raise InstanceSemanticError(f"vertex id {ident} out of order, expected {expect_id}")
+        ident, side_a, w = _split_vertex(line, text)
+        if ident != expect_id:
+            raise InstanceSemanticError(f"vertex id {ident} out of order, expected {expect_id}")
+        on_a.append(side_a)
+        weights.append(w)
     m = _count(lines, "edge count")
     nbrs: list[set[int]] = [set() for _ in range(nv)]
     stray: dict[tuple[int, int], tuple[int, int]] = {}  # ends out of range, in file order
     for line, text in lines.take(m, "edge line"):
-        try:  # the shape a writer emits, two integers; any other line raises here
-            x, y = text.split()
-            u, v = int(x), int(y)
-        except ValueError:
-            u, v = _int_fields(line, text, 2, "edge")
+        u, v = _int_fields(line, text, 2, "edge")
         if 0 <= u < nv and 0 <= v < nv:
             if on_a[u] == on_a[v]:
                 raise InstanceSemanticError(f"edge {u} {v} must join the A side to the B side")
@@ -513,12 +507,19 @@ def _parse_split(lines: _Lines) -> SplitInstance:
         u, v = next(iter(stray.values()))
         raise UnknownVertex(f"edge ({u}, {v}) out of range")
     _check_weights(weights)
-    clique = frozenset(compress(range(nv), on_a))
+    return _split_instance(weights, on_a, nbrs)
+
+
+def _split_instance(weights: list[int], on_a: list[bool], nbrs: list[set[int]]) -> SplitInstance:
+    """The split instance of checked weights, sides and crossing edges (as
+    symmetric neighbor sets); the A side is joined into a clique here."""
+    vertices = range(len(weights))
+    clique = frozenset(compress(vertices, on_a))
     for a in clique:
         nbrs[a] |= clique
         nbrs[a].discard(a)
     graph = WeightedGraph._checked(tuple(weights), tuple(map(frozenset, nbrs)))
-    return SplitInstance(graph, clique, frozenset(range(nv)) - clique)
+    return SplitInstance(graph, clique, frozenset(vertices) - clique)
 
 
 def _parse_subtrees(lines: _Lines) -> SubtreeInstance:
@@ -564,7 +565,90 @@ def _parse_explicit(lines: _Lines) -> WeightedGraph:
     return WeightedGraph.from_edges(weights, edges)
 
 
+# The whole-text readers, one per solver kind, take the count from the head
+# of the file and the text after the count line.  Each reads only the exact
+# shape `write_instance` emits and returns None for any other text or any
+# fault, which the line reader then names with its line.  Fields are matched
+# with [0-9], as \d also takes the digits of other scripts.
+_HEAD = re.compile(r"domw 1\nkind ([a-z-]+)\n([1-9][0-9]{0,8})\n")
+# a coordinate may be negative; `[0-9-]` costs half the time of `-?`, and a
+# lone `-` fails in `int`
+_INTERVAL_BODY = re.compile(r"(?:[0-9]+ [0-9-][0-9]* [0-9-][0-9]* [0-9]+\n)*")
+# a member's weight has no leading zero, so ` 0\n` ends only the lines `u v 0`
+_TREE_BODY = re.compile(r"(?:[0-9]+ [0-9]+ (?:0|1 [1-9][0-9]*)\n)*")
+_SPLIT_BODY = re.compile(r"((?:[0-9]+ [AB] [0-9]+\n)*)([0-9]+)\n((?:[0-9]+ [0-9]+\n)*)")
+
+
+def _read_interval(n: int, body: str) -> IntervalFamily | None:
+    if not _INTERVAL_BODY.fullmatch(body):
+        return None
+    fields = list(map(int, body.split()))
+    left, right, weight = fields[1::4], fields[2::4], fields[3::4]
+    # four fields a line, so the ids are range(n) only if there are n lines
+    if fields[0::4] != list(range(n)) or min(weight) < 1 or not all(map(le, left, right)):
+        return None
+    return IntervalFamily._checked(tuple(left), tuple(right), tuple(weight))
+
+
+def _read_tree_edges(nv: int, body: str) -> TreeEdgesInstance | None:
+    if not _TREE_BODY.fullmatch(body):
+        return None
+    # a weight 0 on each line `u v 0` gives every line four fields
+    fields = body.replace(" 0\n", " 0 0\n").split()
+    us, vs = list(map(int, fields[0::4])), list(map(int, fields[1::4]))
+    member = list(map("1".__eq__, fields[2::4]))
+    weights = map(int, compress(fields[3::4], member))
+    # `tuple` over an iterator grows its result by resizing, and each resize
+    # puts it back in the collector's youngest generation, to be scanned
+    # again; building a list first took half the time at 10^5 edges
+    f_edges = tuple(list(zip(compress(us, member), compress(vs, member), weights)))
+    # a host fault, a wrong line count included, raises, and the line reader names it
+    return TreeEdgesInstance._checked(HostTree(nv, tuple(list(zip(us, vs)))), f_edges)
+
+
+def _read_split(nv: int, body: str) -> SplitInstance | None:
+    shape = _SPLIT_BODY.fullmatch(body)
+    if shape is None:
+        return None
+    vertex_fields, ends = shape[1].split(), list(map(int, shape[3].split()))
+    weights = list(map(int, vertex_fields[2::3]))
+    on_a = list(map("A".__eq__, vertex_fields[1::3]))
+    m, us, vs = int(shape[2]), ends[0::2], ends[1::2]
+    if (
+        list(map(int, vertex_fields[0::3])) != list(range(nv))  # nv lines, ids in order
+        or len(us) != m
+        or min(weights) < 1
+        or max(ends, default=0) >= nv
+        or any(map(eq, map(on_a.__getitem__, us), map(on_a.__getitem__, vs)))  # inside one side
+    ):
+        return None
+    nbrs: list[set[int]] = [set() for _ in range(nv)]
+    for u, v in zip(us, vs):
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    if sum(map(len, nbrs)) != 2 * m:  # a repeated edge adds no neighbor
+        return None
+    return _split_instance(weights, on_a, nbrs)
+
+
 def parse_instance(text: str) -> InstanceFile:
+    """An instance file, read by its kind's whole-text reader when it has one
+    and the text is in the written shape, and by the line reader otherwise."""
+    head = _HEAD.match(text)
+    read = KINDS[head[1]].read if head and head[1] in KINDS else None
+    if read is not None:
+        try:
+            payload = read(int(head[2]), text[head.end() :])
+        except ValueError:  # a fault, which the line reader names
+            payload = None
+        if payload is not None:
+            return InstanceFile(head[1], payload)
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> InstanceFile:
+    """The line reader: any instance file, checked line by line, its first
+    fault named with its line."""
     lines = _Lines(text)
     line, header = lines.next("header")
     if header != "domw 1":
@@ -742,16 +826,19 @@ class Kind:
 
     Every kind parses and writes its file section and denotes one weighted
     graph, whose vertex count `domw check` compares with its cap before it
-    builds the graph.  A kind with an exact solver also writes the solver's
-    result under `result_header`, names the checks of the payload a block
-    under that header must pass, and names the oracle values (gamma_w, rho_w,
-    gamma_i_w) the solver value must equal and those it must bound from above.
+    builds the graph.  A kind with an exact solver also reads its section
+    as `write` emits it in one pass over the text (`read`, tried before the
+    line reader `parse`), writes the solver's result under `result_header`,
+    names the checks of the payload a block under that header must pass,
+    and names the oracle values (gamma_w, rho_w, gamma_i_w) the solver
+    value must equal and those it must bound from above.
     """
 
     parse: Callable[[_Lines], Any]
     write: Callable[[Any], list[str]]
     graph: Callable[[Any], WeightedGraph]
     vertex_count: Callable[[Any], int]
+    read: Callable[[int, str], Any] | None = None
     solve: Callable[[Any], Any] | None = None
     write_result: Callable[[Any], str] = write_certificate
     result_header: str = CERT_HEADER
@@ -762,26 +849,25 @@ class Kind:
 
 KINDS: dict[str, Kind] = {
     "interval": Kind(
-        _parse_interval, _write_interval, intersection_graph, lambda p: p.n,
+        _parse_interval, _write_interval, intersection_graph, lambda p: p.n, read=_read_interval,
         solve=solve_interval, check_result=lambda p, cert: _certified(check_interval(p, cert)),
         equals=("gamma_w", "rho_w"),
     ),
     "tree-edges": Kind(
         _parse_tree_edges, _write_tree_edges, lambda p: edge_line_graph(p.host, p.f_edges),
-        lambda p: len(p.f_edges),
+        lambda p: len(p.f_edges), read=_read_tree_edges,
         solve=lambda p: _solve_forest(p.host.n, p.f_edges),
         check_result=lambda p, cert: _certified(check_tree_edges(p.f_edges, cert)), equals=("gamma_w", "rho_w"),
     ),
     "split": Kind(
-        _parse_split, _write_split, lambda p: p.graph, lambda p: p.graph.n,
+        _parse_split, _write_split, lambda p: p.graph, lambda p: p.graph.n, read=_read_split,
         solve=solve_split, write_result=write_split_result, result_header=SPLIT_HEADER,
         check_result=_split_checks, equals=("gamma_w", "gamma_i_w"), at_most=("rho_w",),
     ),
     "subtree-intersection": Kind(
         _parse_subtrees, _write_subtrees,
-        lambda p: build_intersection_graph(p.host, p.subtrees, p.weights),
-        # the file reader leaves the subtrees to be checked here
-        lambda p: len(_checked_subtrees(p.host, p.subtrees)),
+        lambda p: _intersection_graph(p.host.n, p._checked_subtrees, p.weights),
+        lambda p: len(p._checked_subtrees),
     ),
     "explicit": Kind(_parse_explicit, _write_explicit, lambda g: g, lambda g: g.n),
 }

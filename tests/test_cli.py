@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import hashlib
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -308,6 +309,37 @@ def test_check_over_the_cap_still_checks_the_subtrees(tmp_path, capsys):
     code, out, err = invoke(capsys, "check", str(path), "--cap", "0")
     assert (code, out) == (1, "")
     assert err == "error: subtree 0 is not connected in the host tree\n"
+
+
+@pytest.mark.parametrize("argv", [("oracle", "gamma"), ("check",)])
+def test_oracle_and_check_check_each_subtree_once(argv, tmp_path, capsys, monkeypatch):
+    inst = domw.InstanceFile("subtree-intersection", domw.SubtreeInstance(*domw.gen_subtrees(1, 8, 6, 5)))
+    path = tmp_path / "sub.domw"
+    path.write_text(domw.write_instance(inst))
+    calls = []
+    checked = domw.graph_core._checked_subtrees
+
+    def spy(host, subtrees):
+        calls.append(len(subtrees))
+        return checked(host, subtrees)
+
+    for module in (domw.graph_core, domw.instances_io):
+        monkeypatch.setattr(module, "_checked_subtrees", spy)
+    code, _, err = invoke(capsys, *argv, str(path))
+    assert (code, err, calls) == (0, "", [6])
+
+
+# running the imported `domw.cli` as `__main__` warns that it runs a second copy
+@pytest.mark.filterwarnings("ignore:'domw.cli' found in sys.modules:RuntimeWarning")
+@pytest.mark.parametrize("module", ["domw", "domw.cli"])
+def test_the_entry_points_exit_with_the_run_code(module, interval_file, monkeypatch, capsys):
+    """`python -m domw` and `python -m domw.cli`, run in process."""
+    for path, code in ((interval_file, 0), (interval_file + ".missing", 1)):
+        monkeypatch.setattr(sys, "argv", [module, "solve", path])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module(module, run_name="__main__")
+        assert exit_.value.code == code
+    assert capsys.readouterr().out == "domw-cert 1\nf 3 1\nI 2\nvalue 1\n"
 
 
 def test_run_builds_its_parser_once(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for the shared graph model and certificate checking."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from domw import (
     set_sum,
     verify_certificate,
 )
+from domw import graph_core
 from domw.errors import DisconnectedSubtree, EmptySubtree
 from domw.graph_core import NOT_DISPERSED, NOT_DOMINATING, VALUE_MISMATCH
 from domw.instances_io import gen_subtrees
@@ -202,6 +204,64 @@ def test_lazy_host_tables_match_a_search_of_the_edges():
         pairs = [(i, j) for j in range(len(subtrees)) for i in range(j) if subtrees[i] & subtrees[j]]
         expected = WeightedGraph.from_edges(weights, pairs)
         assert build_intersection_graph(host, subtrees, weights) == expected
+
+
+def _bfs_parents(n, edges):
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    parent, frontier = {0: -1}, [0]
+    for x in frontier:
+        for y in nbrs[x]:
+            if y not in parent:
+                parent[y] = x
+                frontier.append(y)
+    return [parent[v] for v in range(n)]
+
+
+def _edge_lists(rng, count):
+    """`count` edge lists of n - 1 entries, n from 1 to 7: half in parent
+    order, of which some have one entry spoiled, and half arbitrary."""
+    spoil = [
+        lambda u, v: (float(u), v), lambda u, v: (u, float(v)), lambda u, v: (u == 0, v),
+        lambda u, v: [u, v], lambda u, v: (u, v, 0), lambda u, v: (u,), lambda u, v: (v, u),
+        lambda u, v: (u, v + 1), lambda u, v: (u - 1, v), lambda u, v: (v, v), lambda u, v: (u + v, v),
+    ]
+    for case in range(count):
+        n = rng.randint(1, 7)
+        if case % 2:
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+            if edges and case % 3:
+                i = rng.randrange(len(edges))
+                edges[i] = rng.choice(spoil)(*edges[i])
+        else:
+            edges = [(rng.randint(-1, n), rng.randint(-1, n)) for _ in range(n - 1)]
+        yield n, tuple(edges)
+
+
+def test_parent_order_accepts_only_what_the_search_accepts(monkeypatch):
+    """On 20,000 edge lists, half in parent order: the host with the
+    parent-order rule (which takes 6,000 of them) equals the one `_search`
+    alone checks, or raises the same error; its parent table is a BFS from 0."""
+    def outcome(n, edges):
+        try:
+            host = HostTree(n, edges)
+        except (ValueError, TypeError) as exc:
+            return type(exc), str(exc)
+        return host, host._parent
+
+    cases = list(_edge_lists(random.Random(5), 20_000))
+    assert 4_000 < sum(graph_core._parent_order(n, edges) is not None for n, edges in cases) < 8_000
+    outcomes = [outcome(n, edges) for n, edges in cases]
+    monkeypatch.setattr(graph_core, "_parent_order", lambda n, edges: None)
+    assert [outcome(n, edges) for n, edges in cases] == outcomes
+    trees = [(host, parent) for host, parent in outcomes if isinstance(host, HostTree)]
+    assert 5_000 < len(trees) < 15_000
+    for host, parent in trees:
+        assert parent == _bfs_parents(host.n, host.edges)
+    with pytest.raises(TypeError):
+        HostTree(2, ((0, 1.0),))
 
 
 def test_build_intersection_graph_small_example():

@@ -1,5 +1,6 @@
 """Tests for the instance file formats, generators, and the LCG."""
 
+import random
 from itertools import product
 
 import pytest
@@ -37,6 +38,7 @@ from domw.errors import (
 )
 from domw.instances_io import (
     KINDS,
+    _parse_lines,
     example_forked_star,
     example_nontu_intervals,
     example_nontu_star,
@@ -167,6 +169,8 @@ def test_subtree_file_round_trip():
     text = write_instance(inst)
     assert parse_instance(text) == inst
     assert write_instance(parse_instance(text)) == text
+    with pytest.raises(ValueError, match="^one weight per subtree is required$"):
+        SubtreeInstance(host, subtrees, weights[:-1])
 
 
 def test_parser_skips_blank_lines_and_comments():
@@ -645,3 +649,122 @@ def test_every_kind_counts_its_graph_vertices():
     assert sorted(inst.kind for inst in instances) == sorted(KINDS)
     for inst in instances:
         assert KINDS[inst.kind].vertex_count(inst.payload) == instance_graph(inst).n
+
+
+def _outcome(read, text: str):
+    """What a reader makes of a text: the instance, or the class, message,
+    line and cause of its fault."""
+    try:
+        return read(text)
+    except (InstanceSyntaxError, InstanceSemanticError) as exc:
+        cause = None if exc.__cause__ is None else type(exc.__cause__)
+        return type(exc), str(exc), getattr(exc, "line", None), cause
+
+
+def _edit(rng, rows, block, edit):
+    """Replace the fields of a random row of `block` with `edit(fields)`."""
+    i = rng.choice(block)
+    rows[i] = " ".join(edit(rows[i].split(" ")))
+
+
+def _respell(rng, rows, spell):
+    """Respell a random integer field after the header with `spell`."""
+    fields = [row.split(" ") for row in rows]
+    i, j = rng.choice([(i, j) for i in range(2, len(rows)) for j, f in enumerate(fields[i]) if f.isdigit()])
+    fields[i][j] = spell(fields[i][j])
+    rows[i] = " ".join(fields[i])
+
+
+def _swap(rng, rows, block):
+    i, j = rng.sample(block, 2)
+    rows[i], rows[j] = rows[j], rows[i]
+
+
+def _cut_last_leaf(rng, rows, block):
+    """Replace the edge to the last vertex, a leaf of a written random
+    recursive tree, with a new edge between two other vertices."""
+    nv = len(block) + 1
+    edges = [set(map(int, rows[i].split()[:2])) for i in block]
+    a, b = rng.choice([(a, b) for a in range(nv - 1) for b in range(a) if {a, b} not in edges])
+    rows[block[-1]] = f"{a} {b} 0"
+
+
+def _mutations(kind, rows):
+    """Each mutation of a written file's rows (no line ends) that applies to
+    its kind, by name; each takes a `random.Random` and edits the rows."""
+    nv = int(rows[2])
+    first = range(3, 3 + nv - (kind == "tree-edges"))  # the records; a split file's vertices
+    second = range(first.stop + 1, len(rows)) if kind == "split" else range(0)  # split edges
+    muts = {
+        "crlf": lambda rng: rows.__setitem__(slice(None), [row + "\r" for row in rows]),
+        "comment": lambda rng: rows.insert(rng.randrange(len(rows) + 1), "# a comment"),
+        "blank": lambda rng: rows.insert(rng.randrange(len(rows) + 1), ""),
+        "tab": lambda rng: _edit(rng, rows, range(2, len(rows)), lambda f: ["\t".join(f[:2]), *f[2:]]),
+        "trailing space": lambda rng: _edit(rng, rows, range(len(rows)), lambda f: [*f, ""]),
+        "007": lambda rng: _respell(rng, rows, lambda f: "00" + f),
+        "+1": lambda rng: _respell(rng, rows, lambda f: "+" + f),
+        "1_0": lambda rng: _respell(rng, rows, lambda f: f[:-1] + "_" + f[-1] if len(f) > 1 else "1_0"),
+        "arabic digit": lambda rng: _respell(rng, rows, lambda f: f[:-1] + chr(0x660 + int(f[-1]))),
+        "count off by one": lambda rng: rows.__setitem__(2, str(nv + rng.choice((-1, 1)))),
+    }
+    if len(first) > 1:
+        muts["records out of order"] = lambda rng: _swap(rng, rows, first)
+    if kind == "interval":
+        muts["weight 0"] = lambda rng: _edit(rng, rows, first, lambda f: [*f[:3], "0"])
+        muts["x > y"] = lambda rng: _edit(rng, rows, first, lambda f: [f[0], str(int(f[2]) + 1), *f[2:]])
+        muts["negated"] = lambda rng: _edit(rng, rows, first, lambda f: [f[0], "-" + f[2], "-" + f[1], f[3]])
+    if kind == "tree-edges":
+        muts["weight 0"] = lambda rng: _edit(rng, rows, first, lambda f: [*f[:2], "1", "0"])
+        muts["loop"] = lambda rng: _edit(rng, rows, first, lambda f: [f[1], *f[1:]])
+        muts["repeated edge"] = lambda rng: rows.__setitem__(rng.choice(first), rows[rng.choice(first)])
+        muts["new first end"] = lambda rng: _edit(rng, rows, first, lambda f: [str(rng.randrange(nv)), *f[1:]])
+        muts["reversed edge"] = lambda rng: _edit(rng, rows, first, lambda f: [f[1], f[0], *f[2:]])
+        if nv > 3:
+            muts["disconnected"] = lambda rng: _cut_last_leaf(rng, rows, first)
+    if kind == "split":
+        side = [rows[i].split()[1] for i in first]
+        muts["weight 0"] = lambda rng: _edit(rng, rows, first, lambda f: [*f[:2], "0"])
+        muts["edge inside one side"] = lambda rng: _edit(
+            rng, rows, second, lambda f: [f[0], str(rng.choice([v for v in range(nv) if side[v] == side[int(f[0])]]))]
+        )
+        muts["repeated edge"] = lambda rng: rows.__setitem__(rng.choice(second), rows[rng.choice(second)])
+        muts["appended repeat"] = lambda rng: rows.append(rows[rng.choice(second)])
+        muts["reversed edge"] = lambda rng: _edit(rng, rows, second, lambda f: f[::-1])
+        muts["end out of range"] = lambda rng: _edit(rng, rows, second, lambda f: [f[0], str(nv + rng.randrange(3))])
+    return muts
+
+
+_WRITTEN = {
+    "interval": lambda s: gen_interval(s, 1 + s % 12, 20, 5),
+    "tree-edges": lambda s: TreeEdgesInstance(*gen_tree(s, 1 + s % 15, 5)),
+    "split": lambda s: gen_split(s, 1 + s % 5, 1 + s % 6, 40, 5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITTEN))
+def test_whole_text_readers_agree_with_the_line_reader(kind):
+    """Written files, each mutated once by every mutation and twice more by
+    two drawn at random: `parse_instance` returns the line reader's instance,
+    or raises its fault with the same class, message, line and cause.  The
+    whole-text reader takes every written file."""
+    rng = random.Random(kind)
+    parsed = faulty = 0
+    for seed in range(60):
+        text = write_instance(InstanceFile(kind, _WRITTEN[kind](seed)))
+        nv, body = text.split("\n", 3)[2:]
+        assert KINDS[kind].read(int(nv), body) == parse_instance(text).payload == _parse_lines(text).payload
+        names = list(_mutations(kind, text.splitlines()))
+        # a second mutation is one of the first ten, which take any rows
+        for picked in [[name] for name in names] + [[rng.choice(names), rng.choice(names[:10])] for _ in range(2)]:
+            rows = text.splitlines()
+            mutate = _mutations(kind, rows)
+            for name in picked:
+                mutate[name](rng)
+            mutant = "\n".join(rows) + "\n"
+            expected = _outcome(_parse_lines, mutant)
+            assert _outcome(parse_instance, mutant) == expected, (picked, mutant)
+            if isinstance(expected, InstanceFile):
+                parsed += 1
+            else:
+                faulty += 1
+    assert parsed > 300 and faulty > 300
