@@ -584,8 +584,13 @@ def _read_interval(n: int, body: str) -> IntervalFamily | None:
         return None
     fields = list(map(int, body.split()))
     left, right, weight = fields[1::4], fields[2::4], fields[3::4]
-    # four fields a line, so the ids are range(n) only if there are n lines
-    if fields[0::4] != list(range(n)) or min(weight) < 1 or not all(map(le, left, right)):
+    # the line count comes first, so a count far above it builds no list of n
+    if (
+        len(fields) != 4 * n
+        or fields[0::4] != list(range(n))
+        or min(weight) < 1
+        or not all(map(le, left, right))
+    ):
         return None
     return IntervalFamily._checked(tuple(left), tuple(right), tuple(weight))
 
@@ -615,7 +620,8 @@ def _read_split(nv: int, body: str) -> SplitInstance | None:
     on_a = list(map("A".__eq__, vertex_fields[1::3]))
     m, us, vs = int(shape[2]), ends[0::2], ends[1::2]
     if (
-        list(map(int, vertex_fields[0::3])) != list(range(nv))  # nv lines, ids in order
+        len(vertex_fields) != 3 * nv  # nv lines, checked before a list of nv is built
+        or list(map(int, vertex_fields[0::3])) != list(range(nv))  # ids in order
         or len(us) != m
         or min(weights) < 1
         or max(ends, default=0) >= nv

@@ -1,6 +1,7 @@
 """Tests for the instance file formats, generators, and the LCG."""
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -768,3 +769,31 @@ def test_whole_text_readers_agree_with_the_line_reader(kind):
             else:
                 faulty += 1
     assert parsed > 300 and faulty > 300
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("domw 1\nkind interval\n{}\n0 1 2 1\n", "line 5: missing interval line"),
+        ("domw 1\nkind tree-edges\n{}\n0 1 0\n", "line 5: missing edge line"),
+        # the body's shape is a vertex line and an edge count, which the line
+        # reader takes as a second vertex line
+        ("domw 1\nkind split\n{}\n0 A 1\n0\n", "line 5: vertex: expected `id side w`"),
+    ],
+    ids=["interval", "tree-edges", "split"],
+)
+def test_a_count_far_above_the_body_costs_only_the_bytes(text, message):
+    """A one-line body in the written shape under a count far above it: the
+    whole-text reader refuses it before building anything of the count's size,
+    and the line reader names the fault.  A list of 10^6 ints holds some 36 MB,
+    so the largest count the head takes is tried only once 10^6 has passed."""
+    for count in (10**6, 999_999_999):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InstanceSyntaxError) as err:
+                parse_instance(text.format(count))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == message
+        assert peak < 100_000, count
