@@ -5,6 +5,8 @@ subsets of a tree, and split graphs, plus independent brute-force and
 exact-rational LP oracles.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BadPermutation,
     DisconnectedSubtree,
@@ -29,10 +31,8 @@ from .graph_core import (
     WeightedGraph,
     build_intersection_graph,
     closed_neighborhood,
-    distance,
     is_dispersed,
     is_w_dominating,
-    set_sum,
     verify_certificate,
 )
 from .interval_solver import (
@@ -52,7 +52,6 @@ from .tree_edge_solver import (
     extract_dispersed_tree,
     reduce_to_full_tree,
     root_adjust,
-    rooted_at,
     solve_tree,
 )
 from .split_solver import (
@@ -81,7 +80,6 @@ from .instances_io import (
     example_nontu_intervals,
     example_nontu_star,
     example_split_triangle,
-    example_three_intervals,
     gen_interval,
     gen_split,
     gen_subtrees,
@@ -94,4 +92,5 @@ from .instances_io import (
     write_split_result,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are attributes of the package once imported, but no part of its API
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

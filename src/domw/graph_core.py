@@ -14,8 +14,6 @@ run in O(n + m) by marking neighborhoods, with no shortest-path search.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import ge, itemgetter, lt
@@ -126,10 +124,6 @@ class DominationFunction:
 
     def items(self) -> Iterator[tuple[Vertex, int]]:
         return iter(sorted(self.values.items()))
-
-    @classmethod
-    def zero(cls) -> "DominationFunction":
-        return cls({})
 
 
 @dataclass(frozen=True)
@@ -271,25 +265,6 @@ def closed_neighborhood(g: WeightedGraph, v: Vertex) -> frozenset[Vertex]:
     return g.adjacency[v] | {v}
 
 
-def distance(g: WeightedGraph, u: Vertex, v: Vertex) -> int | float:
-    """Number of edges on a shortest u-v path, math.inf when disconnected."""
-    _check_vertex(g, u)
-    _check_vertex(g, v)
-    if u == v:
-        return 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in g.adjacency[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                if y == v:
-                    return dist[y]
-                queue.append(y)
-    return math.inf
-
-
 def is_dispersed(g: WeightedGraph, s: Iterable[Vertex]) -> bool:
     """True when all pairwise distances in s are at least 3.
 
@@ -308,11 +283,6 @@ def is_dispersed(g: WeightedGraph, s: Iterable[Vertex]) -> bool:
         claimed |= nbrs
         claimed.add(v)
     return True
-
-
-def set_sum(f: DominationFunction, a: Iterable[Vertex]) -> int:
-    """f summed over a set of vertices; vertices outside the support add 0."""
-    return sum(f(v) for v in set(a))
 
 
 def is_w_dominating(g: WeightedGraph, f: DominationFunction, u: Iterable[Vertex] | None = None) -> bool:

@@ -126,15 +126,6 @@ def example_split_triangle() -> SplitInstance:
     return validate_split(graph, frozenset({0, 1, 2}), frozenset({3, 4, 5}))
 
 
-def example_three_intervals() -> IntervalFamily:
-    """Two touching intervals and one far away: [1,2] w3, [2,4] w1, [5,6] w2.
-
-    Small enough to trace by hand: both greedy passes place 3 + 2 = 5, and
-    {0, 2} is a dispersed set of the same weight.
-    """
-    return IntervalFamily.of([(1, 2, 3), (2, 4, 1), (5, 6, 2)])
-
-
 def example_nontu_intervals() -> IntervalFamily:
     """Three disjoint unit points inside one long interval, all weight 1.
 

@@ -99,9 +99,6 @@ class IntervalFamily:
     def n(self) -> int:
         return len(self.left)
 
-    def intersects(self, i: int, j: int) -> bool:
-        return max(self.left[i], self.left[j]) <= min(self.right[i], self.right[j])
-
     @cached_property
     def _orders(self) -> tuple[tuple[int, ...], ...]:
         """The ids by K_r and by K_l, and each id's position in each order.

@@ -196,7 +196,7 @@ def min_dominating(
     """
     demand_list = sorted(set(demands))
     if not demand_list:
-        return 0, DominationFunction.zero()
+        return 0, DominationFunction()
     w = g.weights
     # holders[x]: the demands whose closed neighborhood contains x, which is
     # the cover mask of x as a supplier

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .checkers import check_tree_edges, self_check
-from .errors import EmptyEdgeSet, TheoremViolation, UnknownVertex
+from .errors import EmptyEdgeSet, TheoremViolation
 from .graph_core import (
     Certificate,
     DominationFunction,
@@ -52,11 +52,10 @@ class DeletionLayers:
 
 
 class _Tables(NamedTuple):
-    """An oriented forest, as lists over the selected edges and the host vertices;
-    a re-rooted component keeps its ends in dicts over its own edges."""
+    """An oriented forest, as lists over the selected edges and the host vertices."""
 
-    parent: _Ints  # edge -> parent end, -1 before orientation
-    child: _Ints  # edge -> child end, -1 before orientation
+    parent: list[int]  # edge -> parent end, -1 before orientation
+    child: list[int]  # edge -> child end, -1 before orientation
     weight: list[int]
     touching: list[list[int]]  # vertex -> its edges by id: its parent edge, if any, and its out-edges
 
@@ -74,7 +73,7 @@ class RootedEdgeTree:
         return frozenset((self.root, *map(self.tables.child.__getitem__, self.order)))
 
 
-def _orient(tb: _Tables, other: _Ints, root: int) -> list[int]:
+def _orient(tb: _Tables, other: list[int], root: int) -> list[int]:
     """Orient root's component away from root, other[e] being the XOR of e's
     ends; returns its edges, each after the edge above it."""
     parent, child, _, touching = tb
@@ -103,29 +102,19 @@ def _forest(n: int, subset: Sequence[FEdge]) -> tuple[_Tables, list[tuple[int, l
     return tb, [(r, _orient(tb, other, r)) for r in range(n) if touching[r] and tb.child[touching[r][0]] < 0]
 
 
-def rooted_at(t: RootedEdgeTree, root: int) -> RootedEdgeTree:
-    """The same component re-oriented away from another root, on end tables over its edges only."""
-    if root not in t.vertices:
-        raise UnknownVertex(f"vertex {root} is not in this component")
-    parent, child, weight, touching = t.tables
-    other = {e: parent[e] ^ child[e] for e in t.order}
-    # a vertex of the component touches only the component's edges
-    tb = _Tables(dict.fromkeys(other, -1), dict.fromkeys(other, -1), weight, touching)
-    return RootedEdgeTree(root, tuple(_orient(tb, other, root)), tb)
-
-
 def _normalized(host: HostTree, subset: Sequence[FEdge]) -> tuple[FEdge, ...]:
     """The selection in host edge order and orientation; rejects an empty
-    selection, an edge outside the host, an edge selected twice and a weight below 1.
+    selection, an edge outside the host, an edge selected twice and a weight
+    that is no int or below 1.
 
     A selection that is already a subsequence of the host edges, each in host
-    orientation with weight at least 1, is returned as it is: one pass over
+    orientation with an int weight of at least 1, is returned as it is: one pass over
     the host edges tells.  Any other selection is placed by position.
     """
     if not subset:
         raise EmptyEdgeSet("the selected edge set is empty")
     rest = iter(host.edges)
-    if all((u, v) in rest and w >= 1 for u, v, w in subset):
+    if all((u, v) in rest and isinstance(w, int) and w >= 1 for u, v, w in subset):
         return tuple(subset)
     position = {(u, v) if u < v else (v, u): i for i, (u, v) in enumerate(host.edges)}
     weight = [0] * len(host.edges)
@@ -135,6 +124,8 @@ def _normalized(host: HostTree, subset: Sequence[FEdge]) -> tuple[FEdge, ...]:
             raise ValueError(f"({u}, {v}) is not an edge of the host tree")
         if weight[i]:
             raise ValueError(f"edge ({u}, {v}) selected twice")
+        if not isinstance(w, int):
+            raise ValueError(f"edge ({u}, {v}) must have an integer weight")
         if w < 1:
             raise ValueError(f"edge ({u}, {v}) must have positive weight")
         weight[i] = w
@@ -283,14 +274,6 @@ def extract_dispersed_tree(
     layers = _peel(t.tables, t.root, d, e0, t.order, g_at, dict.fromkeys(t.vertices, 0), dict.fromkeys(g_at, True))
     chosen = tuple(frozenset(c) for c, _ in layers)
     return frozenset().union(*chosen), DeletionLayers(chosen, tuple(frozenset(x) for _, x in layers))
-
-
-def solve_rooted(t: RootedEdgeTree) -> tuple[DominationFunction, frozenset[int], DeletionLayers]:
-    """Full pipeline on one rooted component."""
-    f = bottom_up_f(t)
-    g, d, e0 = root_adjust(t, f)
-    dispersed, layers = extract_dispersed_tree(t, g, d, e0)
-    return g, dispersed, layers
 
 
 def edge_line_graph(host: HostTree, subset: Sequence[FEdge]) -> WeightedGraph:

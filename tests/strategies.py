@@ -69,6 +69,22 @@ def tree_edge_subsets(draw, max_n: int = 8, max_w: int = 5):
     return host, tuple(subset)
 
 
+def swap_labels(host: HostTree, subset: Sequence[tuple[int, int, int]], a: int, b: int):
+    """host and subset with the labels of vertices a and b swapped; edge ids,
+    and so every tie-break by id, do not change.
+
+    `reduce_to_full_tree` and `solve_tree` root each component at its
+    smallest vertex.  Swapping a component's smallest vertex with another
+    vertex r of it roots that component at r, and keeps every component at
+    its index, since each root's label stays the same.
+    """
+    label = {a: b, b: a}
+    return (
+        HostTree(host.n, tuple((label.get(u, u), label.get(v, v)) for u, v in host.edges)),
+        tuple((label.get(u, u), label.get(v, v), w) for u, v, w in subset),
+    )
+
+
 @st.composite
 def split_instances(draw, max_a: int = 4, max_b: int = 4, max_w: int = 5) -> SplitInstance:
     """Any split partition: the clique may be empty and a B vertex may have

@@ -44,9 +44,10 @@ from domw.instances_io import (
     example_split_triangle,
 )
 from domw.cli import sweep_instance
-from domw.tree_edge_solver import edge_line_graph, reduce_to_full_tree, rooted_at, solve_rooted
+from domw.tree_edge_solver import edge_line_graph, reduce_to_full_tree
 
 from .conftest import record
+from .strategies import swap_labels
 
 
 def _report(num: int, label: str, ok: bool) -> None:
@@ -195,14 +196,13 @@ def test_criterion_04_tree_theorem_sweep():
             ok = False
             break
         if index < 100:
-            total = 0
-            for t in reduce_to_full_tree(host, subset):
-                values = {solve_rooted(rooted_at(t, r))[0].size for r in sorted(t.vertices)}
-                if len(values) != 1:
-                    ok = False
-                    break
-                total += values.pop()
-            if not ok or total != cert.value:
+            # each component rooted at each of its vertices in turn
+            rerooted = {
+                solve_tree(*swap_labels(host, subset, t.root, r)).value
+                for t in reduce_to_full_tree(host, subset)
+                for r in sorted(t.vertices)
+            }
+            if rerooted != {cert.value}:
                 ok = False
                 break
     seconds = time.perf_counter() - start

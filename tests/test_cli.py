@@ -540,6 +540,20 @@ def test_gamma_i_enumeration_over_its_node_budget_exits_three(tmp_path, capsys, 
     assert (code, out) == (0, "value 6\nI 0 1 2\nf 0 1\nf 1 2\nf 2 3\n")
 
 
+def test_a_gamma_result_that_misses_a_demand_exits_two(tmp_path, capsys, monkeypatch):
+    """The branch and bound re-checks its function before it returns it.
+    With that check planted to refuse, brute_gamma raises TheoremViolation
+    and `domw oracle gamma` exits 2."""
+    monkeypatch.setattr(oracles, "is_w_dominating", lambda *args: False)
+    message = "branch and bound returned a function that misses a demand"
+    with pytest.raises(domw.TheoremViolation, match=f"^{message}$"):
+        oracles.brute_gamma(domw.WeightedGraph.from_edges((1, 1), [(0, 1)]))
+    path = tmp_path / "edge.domw"
+    path.write_text(_EDGE)
+    code, out, err = invoke(capsys, "oracle", "gamma", str(path))
+    assert (code, out, err) == (2, "", f"internal error: {message}\n")
+
+
 def test_cover_search_over_its_node_budget_exits_three(tmp_path, capsys, monkeypatch):
     # the cover search of this instance visits 23 nodes over two target passes
     _, text, _ = invoke(capsys, "gen", "split", "--seed", "3", "--n-a", "5", "--n-b", "8")

@@ -44,7 +44,6 @@ from domw.instances_io import (
     example_nontu_intervals,
     example_nontu_star,
     example_split_triangle,
-    example_three_intervals,
 )
 
 from .strategies import host_trees
@@ -119,13 +118,13 @@ def test_gen_split_leaves_no_isolated_b_vertex():
 def test_example_instances_are_consistent():
     host, subtrees, weights = example_forked_star()
     assert host.n == 13 and len(subtrees) == len(weights) == 15
-    fam = example_three_intervals()
+    fam = example_nontu_intervals()
     assert [(iv.left, iv.right, iv.weight) for iv in fam.intervals] == [
-        (1, 2, 3),
-        (2, 4, 1),
-        (5, 6, 2),
+        (1, 1, 1),
+        (2, 2, 1),
+        (3, 3, 1),
+        (1, 3, 1),
     ]
-    assert example_nontu_intervals().n == 4
     host, subset = example_nontu_star()
     assert host.n == 7 and len(subset) == 6
     inst = example_split_triangle()
@@ -301,6 +300,9 @@ def test_tree_edges_instance_normalizes_and_validates():
         TreeEdgesInstance(host, ((0, 2, 1),))
     with pytest.raises(InstanceSemanticError):
         TreeEdgesInstance(host, ((0, 1, 0),))
+    # a weight that is no int would be written as a file that parse_instance refuses
+    with pytest.raises(InstanceSemanticError, match=r"^edge \(0, 1\) must have an integer weight$"):
+        TreeEdgesInstance(host, ((0, 1, 2.5),))
 
 
 def test_instance_graph_dispatch():
@@ -321,7 +323,7 @@ def test_certificate_round_trip():
 
 
 def test_empty_certificate_round_trip():
-    cert = Certificate(DominationFunction.zero(), frozenset(), 0)
+    cert = Certificate(DominationFunction(), frozenset(), 0)
     text = write_certificate(cert)
     assert parse_certificate(text) == cert
 

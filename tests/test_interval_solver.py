@@ -28,7 +28,6 @@ from domw import (
     intersection_graph,
     is_w_dominating,
     order_by_right_endpoint,
-    set_sum,
     solve_interval,
     solve_tree,
     verify_certificate,
@@ -37,7 +36,6 @@ from domw.checkers import check_interval
 from domw.instances_io import (
     InstanceFile,
     example_nontu_intervals,
-    example_three_intervals,
     write_instance,
 )
 from domw.interval_solver import GreedyTrace
@@ -47,6 +45,15 @@ from .strategies import corrupted, interval_families, outcome, seeded_corruption
 
 def family(*triples) -> IntervalFamily:
     return IntervalFamily.of(triples)
+
+
+def example_three_intervals() -> IntervalFamily:
+    """Two touching intervals and one far away: [1,2] w3, [2,4] w1, [5,6] w2.
+
+    Small enough to trace by hand: both greedy passes place 3 + 2 = 5, and
+    {0, 2} is a dispersed set of the same weight.
+    """
+    return family((1, 2, 3), (2, 4, 1), (5, 6, 2))
 
 
 def test_interval_validation():
@@ -243,7 +250,10 @@ def replay_greedy_traces(fam: IntervalFamily) -> None:
     weight: it pushes exactly the residual onto the closed neighbor reaching
     furthest in the pass direction, and leaves no residual behind."""
     ivs = fam.intervals
-    nbhd = [[j for j in range(fam.n) if fam.intersects(i, j)] for i in range(fam.n)]
+    nbhd = [
+        [j for j in range(fam.n) if max(ivs[i].left, ivs[j].left) <= min(ivs[i].right, ivs[j].right)]
+        for i in range(fam.n)
+    ]
     passes = (
         # forward: ascending right end; furthest right, ties to the later
         (forward_greedy, lambda i: (ivs[i].right, ivs[i].left, i), False, max),
@@ -315,8 +325,8 @@ def test_blocks_partition_the_enumeration(fam: IntervalFamily):
     for i in dec.j_indices:
         z = dec.representatives[i]
         wz = fam.weight[z]
-        assert set_sum(f, dec.blocks[i]) == wz
-        assert set_sum(g, dec.blocks[i]) == wz
+        assert sum(map(f, dec.blocks[i])) == wz
+        assert sum(map(g, dec.blocks[i])) == wz
 
 
 class DominationCandidate:

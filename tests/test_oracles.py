@@ -397,7 +397,7 @@ def test_gamma_i_is_the_exhaustive_maximum():
 def test_gamma_i_of_the_empty_graph():
     """Its one maximal independent set is empty and costs nothing, and its
     heaviest dispersed set is empty too."""
-    assert brute_gamma_i(WeightedGraph((), ())) == (0, frozenset(), DominationFunction.zero())
+    assert brute_gamma_i(WeightedGraph((), ())) == (0, frozenset(), DominationFunction())
     assert brute_rho(WeightedGraph((), ())) == (0, frozenset())
 
 

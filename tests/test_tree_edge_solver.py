@@ -28,11 +28,9 @@ from domw.tree_edge_solver import (
     extract_dispersed_tree,
     reduce_to_full_tree,
     root_adjust,
-    rooted_at,
-    solve_rooted,
 )
 
-from .strategies import corrupted, outcome, seeded_corruptions, tree_edge_subsets
+from .strategies import corrupted, outcome, seeded_corruptions, swap_labels, tree_edge_subsets
 
 PATH3 = HostTree(3, ((0, 1), (1, 2)))
 
@@ -91,25 +89,6 @@ def test_components_solve_independently():
     assert cert.dispersed == frozenset({0, 1})
 
 
-def test_rooted_at_holds_ends_for_its_own_component_only():
-    """Re-rooting keeps the parent and child ends of the component's edges
-    alone, so its cost follows the component, not the host."""
-    host = HostTree(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
-    for t in reduce_to_full_tree(host, ((0, 1, 2), (2, 3, 1), (3, 4, 7))):
-        for r in sorted(t.vertices):
-            rooted = rooted_at(t, r)
-            assert sorted(rooted.tables.parent.keys()) == sorted(t.order)
-            assert sorted(rooted.tables.child.keys()) == sorted(t.order)
-
-
-def test_rooted_at_rejects_a_vertex_outside_the_component():
-    host = HostTree(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
-    t, _ = reduce_to_full_tree(host, ((0, 1, 2), (3, 4, 7)))
-    with pytest.raises(UnknownVertex) as info:
-        rooted_at(t, 3)
-    assert str(info.value) == "vertex 3 is not in this component"
-
-
 def test_flipped_edge_orientation_is_accepted():
     cert = solve_tree(PATH3, ((1, 0, 5), (1, 2, 2)))
     assert cert.value == 5
@@ -148,6 +127,7 @@ def test_a_selection_out_of_host_order_normalizes_like_the_ordered_one():
         (((0, 1, 1), (1, 3, 1)), ((1, 3, 1), (0, 1, 1)), "(1, 3) is not an edge of the host tree"),
         (((0, 1, 1), (0, 1, 2)), ((0, 2, 1), (0, 1, 1), (0, 1, 2)), "edge (0, 1) selected twice"),
         (((0, 1, 1), (2, 3, 0)), ((2, 3, 0), (0, 1, 1)), "edge (2, 3) must have positive weight"),
+        (((0, 1, 1), (2, 3, 2.5)), ((2, 3, 2.5), (0, 1, 1)), "edge (2, 3) must have an integer weight"),
     ],
 )
 def test_normalized_rejects_alike_on_both_branches(in_order, out_of_order, message):
@@ -205,19 +185,15 @@ def test_peel_guards_fire_on_a_tampered_adjustment():
         extract_dispersed_tree(leaf, DominationFunction({0: 3}), 1, 0)
     # host vertex 0 touches no selected edge of leaf
     with pytest.raises(TheoremViolation, match=r"^the root has no out-edge$"):
-        root_adjust(RootedEdgeTree(0, (), leaf.tables), DominationFunction.zero())
+        root_adjust(RootedEdgeTree(0, (), leaf.tables), DominationFunction())
     # the untampered phases pass
     g, d, e0 = root_adjust(t, f)
     assert extract_dispersed_tree(t, g, d, e0)[0] == frozenset({0})
 
 
 def test_value_is_root_independent_on_the_two_edge_path():
-    (t,) = reduce_to_full_tree(PATH3, ((0, 1, 5), (1, 2, 2)))
-    values = set()
-    for r in sorted(t.vertices):
-        g, chosen, _ = solve_rooted(rooted_at(t, r))
-        values.add(g.size)
-    assert values == {5}
+    subset = ((0, 1, 5), (1, 2, 2))
+    assert {solve_tree(*swap_labels(PATH3, subset, 0, r)).value for r in range(3)} == {5}
 
 
 def _parent_ends(subset, vertices, root):
@@ -275,12 +251,12 @@ def test_rooted_components_match_their_definitions(case):
     expected = sorted(components, key=min)
     comps = reduce_to_full_tree(host, subset)
     assert len(comps) == len(expected)
-    for t, vertices in zip(comps, expected):
+    for k, (t, vertices) in enumerate(zip(comps, expected)):
         _assert_rooted_by_definition(t, subset, vertices, min(vertices))
         for r in sorted(vertices):
-            _assert_rooted_by_definition(rooted_at(t, r), subset, vertices, r)
-        # re-rooting orients a copy: the canonical view is left as it was
-        _assert_rooted_by_definition(t, subset, vertices, min(vertices))
+            # with r labeled min(vertices), the component is rooted at r
+            host_r, subset_r = swap_labels(host, subset, min(vertices), r)
+            _assert_rooted_by_definition(reduce_to_full_tree(host_r, subset_r)[k], subset_r, vertices, min(vertices))
 
 
 @settings(max_examples=120, deadline=None)
@@ -298,15 +274,16 @@ def test_solver_matches_oracles_and_verifies(case):
 def test_value_is_independent_of_the_root(case):
     host, subset = case
     total = solve_tree(host, subset).value
-    by_roots = 0
     for t in reduce_to_full_tree(host, subset):
-        component_values = set()
         for r in sorted(t.vertices):
-            g, _, _ = solve_rooted(rooted_at(t, r))
-            component_values.add(g.size)
-        assert len(component_values) == 1
-        by_roots += component_values.pop()
-    assert by_roots == total
+            assert solve_tree(*swap_labels(host, subset, t.root, r)).value == total
+
+
+def _solve_component(t):
+    """The public phases on one component: its function, dispersed edges and layers."""
+    g, d, e0 = root_adjust(t, bottom_up_f(t))
+    chosen, layers = extract_dispersed_tree(t, g, d, e0)
+    return g, chosen, layers
 
 
 def _assert_layers_cover_once(t, chosen, layers):
@@ -325,7 +302,7 @@ def test_deletion_layers_cover_every_edge_once(case):
     host, subset = case
     lg = edge_line_graph(host, subset)
     for t in reduce_to_full_tree(host, subset):
-        g, chosen, layers = solve_rooted(t)
+        g, chosen, layers = _solve_component(t)
         assert is_w_dominating(lg, g, u=t.order)
         _assert_layers_cover_once(t, chosen, layers)
 
@@ -347,7 +324,7 @@ def test_solve_tree_matches_the_public_phases():
         values: dict[int, int] = {}
         dispersed: set[int] = set()
         for t in reduce_to_full_tree(host, subset):
-            g, chosen, layers = solve_rooted(t)
+            g, chosen, layers = _solve_component(t)
             _assert_layers_cover_once(t, chosen, layers)
             values.update(g.values)
             dispersed |= chosen
@@ -358,14 +335,15 @@ def test_solve_tree_matches_the_public_phases():
 
 def test_phases_match_their_pinned_digest():
     """Each component's bottom-up f, (d, e0) and peeling layers in order, at
-    its own root and re-rooted at its largest vertex, byte for byte, as the
-    public phases gave them before they were moved onto the solver's tables."""
+    its own root and rooted at its largest vertex by swapping the two labels,
+    byte for byte, as the public phases gave them before they were moved onto
+    the solver's tables."""
     digest = hashlib.sha256()
     count = 0
     for host, subset in phase_cases():
-        for t in reduce_to_full_tree(host, subset):
+        for k, t in enumerate(reduce_to_full_tree(host, subset)):
             for r in (t.root, max(t.vertices)):
-                rooted = rooted_at(t, r)
+                rooted = reduce_to_full_tree(*swap_labels(host, subset, t.root, r))[k]
                 f = bottom_up_f(rooted)
                 g, d, e0 = root_adjust(rooted, f)
                 chosen, layers = extract_dispersed_tree(rooted, g, d, e0)
