@@ -1,20 +1,21 @@
 """Line audit: run the tier-1 suite under a line tracer and fail on any line
 of src/domw that it never runs.
 
-    python tools/line_audit.py [pytest arguments]
+    python tools/line_audit.py
 
-The arguments default to `tests -q`.  The executable lines of each module
-are the line starts (`dis.findlinestarts`) of every code object compiled
-from its source.  `sys.settrace` and `threading.settrace` record which of
+The executable lines of each module are the line starts
+(`dis.findlinestarts`) of every code object compiled from its source.  `sys.settrace` and `threading.settrace` record which of
 them run while `pytest.main` runs the suite in this process; a code object is
 no longer traced once all of its lines have run, which keeps the traced run
 to a few times the untraced one.
 
 `tools/line_audit_allow.json` lists the lines that may stay unrun, each as
-{"file", "source", "reason"}: the file relative to the repository, the
-line's text without its indentation, and why no test runs it.  The audit
-fails on an unrun line that is not listed, on a listed line that now runs
-or is gone, and on an entry without a reason, so the list can only shrink.
+{"file", "source", "reason"} and an optional "count": the file relative to
+the repository, the line's text without its indentation, why no test runs
+it, and how many unrun lines of that file have that text (1 if left out).
+The audit fails on unrun lines beyond the count listed for their text, on
+a listed text with fewer unrun lines than its count (one now runs or is
+gone), and on an entry without a reason, so the list can only shrink.
 Exit code: pytest's, when the suite fails; else 1 when the audit fails, 0
 when it passes.
 """
@@ -25,6 +26,7 @@ import dis
 import json
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 from types import CodeType
 
@@ -91,38 +93,46 @@ class LineTracer:
         return ran
 
 
-def audit(ran: dict[str, set[int]], allowed: list[dict]) -> list[str]:
-    """The audit's faults: unrun lines not listed, listed lines that run, entries without a reason."""
+def audit(ran: dict[str, set[int]], allowed: list[dict], root: Path) -> list[str]:
+    """The audit's faults: unrun lines beyond their listed count, listed lines
+    that run or are gone, entries without a reason.  `ran` maps each audited
+    file to its lines that ran; allowlist files are relative to `root`."""
     faults = [f"allowlist entry without a reason: {entry}" for entry in allowed if not entry.get("reason")]
-    listed = {(entry["file"], entry["source"]) for entry in allowed}
-    unrun_keys = set()
+    listed: Counter[tuple[str, str]] = Counter()
+    for entry in allowed:
+        listed[entry["file"], entry["source"]] += entry.get("count", 1)
+    unrun: Counter[tuple[str, str]] = Counter()
     for name in sorted(ran):
         path = Path(name)
         text = path.read_text().splitlines()
-        relative = path.relative_to(ROOT).as_posix()
+        relative = path.relative_to(root).as_posix()
         for line in sorted(executable_lines(path) - ran[name]):
             key = (relative, text[line - 1].strip())
-            unrun_keys.add(key)
-            if key not in listed:
+            unrun[key] += 1
+            if unrun[key] > listed[key]:
                 faults.append(f"{relative}:{line}: never run: {key[1]}")
-    faults += [f"{file}: listed but run or gone: {source}" for file, source in sorted(listed - unrun_keys)]
+    faults += [
+        f"{file}: listed {listed[file, source]} but {unrun[file, source]} unrun: {source}"
+        for file, source in sorted(listed)
+        if unrun[file, source] < listed[file, source]
+    ]
     return faults
 
 
-def main(args: list[str]) -> int:
+def main() -> int:
     # domw is first imported under the tracer, so its module-level lines count
     sys.path.insert(0, str(PACKAGE.parent))
     tracer = LineTracer({str(path) for path in sorted(PACKAGE.glob("*.py"))})
     threading.settrace(tracer.call)
     sys.settrace(tracer.call)
     try:
-        code = pytest.main(args or [str(ROOT / "tests"), "-q"])
+        code = pytest.main([str(ROOT / "tests"), "-q", "--continue-on-collection-errors"])
     finally:
         sys.settrace(None)
         threading.settrace(None)
     if code:
         return int(code)
-    faults = audit(tracer.run_lines(), json.loads(ALLOWLIST.read_text()))
+    faults = audit(tracer.run_lines(), json.loads(ALLOWLIST.read_text()), ROOT)
     for fault in faults:
         print(fault)
     executable = sum(len(executable_lines(Path(name))) for name in tracer.files)
@@ -131,4 +141,4 @@ def main(args: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
