@@ -5,16 +5,10 @@ from bisect import bisect_left, bisect_right
 from contextlib import suppress
 from itertools import accumulate, repeat
 from operator import ge, sub
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import EmptyEdgeSet, TheoremViolation, UnknownVertex
-from .graph_core import NOT_DISPERSED, NOT_DOMINATING, VALUE_MISMATCH, Certificate, CertificateCheck
-
-
-def _known(ids: Iterable[int], n: int) -> None:
-    for v in ids:
-        if not 0 <= v < n:
-            raise UnknownVertex(f"vertex {v} out of range 0..{n - 1}")
+from .graph_core import NOT_DISPERSED, NOT_DOMINATING, VALUE_MISMATCH, Certificate, CertificateCheck, _check_ids
 
 
 def _matched(cert: Certificate, dispersed_weight: int) -> CertificateCheck:
@@ -32,7 +26,7 @@ def check_interval(fam: Any, cert: Certificate) -> CertificateCheck:
     their sizes: 0.04 s on gen_interval(1, 10**5, 4 * 10**5, 5), whose
     certificate has 2 nonzero values and 2 members (2-core x86 container)."""
     f, n, left, right, weight = cert.dominating.values, fam.n, fam.left, fam.right, fam.weight
-    _known(f, n)
+    _check_ids(f, n)
     starts, ends = sorted(f, key=left.__getitem__), sorted(f, key=right.__getitem__)
     lefts, rights = list(map(left.__getitem__, starts)), list(map(right.__getitem__, ends))
     by_start = [0, *accumulate(map(f.__getitem__, starts))]
@@ -41,7 +35,7 @@ def check_interval(fam: Any, cert: Certificate) -> CertificateCheck:
     before = map(by_end.__getitem__, map(bisect_left, repeat(rights), left))
     if not all(map(ge, map(sub, upto, before), weight)):
         return CertificateCheck(False, NOT_DOMINATING)
-    _known(cert.dispersed, n)
+    _check_ids(cert.dispersed, n)
     member_lefts = sorted(map(left.__getitem__, cert.dispersed))
     member_rights = sorted(map(right.__getitem__, cert.dispersed))
     met = map(sub, map(bisect_right, repeat(member_lefts), right), map(bisect_left, repeat(member_rights), left))
@@ -61,7 +55,7 @@ def check_tree_edges(subset: Sequence[tuple[int, int, int]], cert: Certificate) 
     if not subset:
         raise EmptyEdgeSet("the selected edge set is empty")
     f = cert.dominating.values
-    _known(f, len(subset))
+    _check_ids(f, len(subset))
     at: dict[int, int] = {}  # S(x), read through .get
     held = at.get
     for e, fe in f.items():
@@ -72,7 +66,7 @@ def check_tree_edges(subset: Sequence[tuple[int, int, int]], cert: Certificate) 
     for e, (x, y, w) in enumerate(subset):
         if held(x, 0) + held(y, 0) - f_of(e, 0) < w:
             return CertificateCheck(False, NOT_DOMINATING)
-    _known(cert.dispersed, len(subset))
+    _check_ids(cert.dispersed, len(subset))
     claim: dict[int, int] = {}
     for m in cert.dispersed:
         x, y, _ = subset[m]

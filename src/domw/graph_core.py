@@ -199,7 +199,8 @@ class HostTree:
     without loops that reach every vertex form a tree.  A repeated edge
     always leaves a vertex unreached, so repeats are looked for only when
     the search fails, and reported ahead of `not connected`.  The subtree
-    checks read the parent table, built on first use.
+    checks read the parent table that this check computes, which the host
+    keeps as `_parent`.
     """
 
     n: int
@@ -211,14 +212,11 @@ class HostTree:
             raise ValueError("host tree needs at least one vertex")
         if len(self.edges) != n - 1:
             raise ValueError("a tree on n vertices has exactly n-1 edges")
-        if _parent_order(n, self.edges) is None and _search(n, self.edges) is None:
+        parent = _parent_order(n, self.edges) or _search(n, self.edges)
+        if parent is None:
             _raise_host_fault(n, self.edges)
-
-    @cached_property
-    def _parent(self) -> list[Vertex]:
-        # kept out of the fields, so equality is unchanged; never mutated, and
-        # never None, as construction has checked the tree
-        return _parent_order(self.n, self.edges) or _search(self.n, self.edges)
+        # kept out of the fields, so equality is unchanged; never mutated
+        object.__setattr__(self, "_parent", parent)
 
     def adjacency(self) -> list[set[Vertex]]:
         """A fresh, mutable list of the neighbor sets, indexed by vertex."""
@@ -246,22 +244,17 @@ def _raise_host_fault(n: int, edges: Sequence[tuple[Vertex, Vertex]]) -> NoRetur
     raise ValueError("host tree is not connected")
 
 
-def _check_vertex(g: WeightedGraph, v: Vertex) -> None:
-    if not (isinstance(v, int) and 0 <= v < g.n):
-        raise UnknownVertex(f"vertex {v} out of range 0..{g.n - 1}")
-
-
-def _check_vertices(g: WeightedGraph, vs: Iterable[Vertex]) -> None:
-    """_check_vertex on each of vs, with the range test inline."""
-    n = g.n
-    for v in vs:
+def _check_ids(ids: Iterable[Vertex], n: int) -> None:
+    """Raise UnknownVertex on the first of ids that is not an int in 0..n-1;
+    the graph predicates and both column checkers take their ids through it."""
+    for v in ids:
         if not (isinstance(v, int) and 0 <= v < n):
-            _check_vertex(g, v)
+            raise UnknownVertex(f"vertex {v} out of range 0..{n - 1}")
 
 
 def closed_neighborhood(g: WeightedGraph, v: Vertex) -> frozenset[Vertex]:
     """N(v): the vertex itself together with its neighbors."""
-    _check_vertex(g, v)
+    _check_ids((v,), g.n)
     return g.adjacency[v] | {v}
 
 
@@ -272,7 +265,7 @@ def is_dispersed(g: WeightedGraph, s: Iterable[Vertex]) -> bool:
     """
     adjacency = g.adjacency
     members = set(s)
-    _check_vertices(g, members)
+    _check_ids(members, g.n)
     claimed: set[Vertex] = set()
     for v in members:
         # v itself is claimed only through an earlier neighbor, which is in
@@ -293,8 +286,8 @@ def is_w_dominating(g: WeightedGraph, f: DominationFunction, u: Iterable[Vertex]
     adjacency, weights = g.adjacency, g.weights
     targets = None if u is None else set(u)
     if targets is not None:
-        _check_vertices(g, targets)
-    _check_vertices(g, f.values)
+        _check_ids(targets, g.n)
+    _check_ids(f.values, g.n)
     load = [0] * g.n  # load[t] = f[N(t)]
     for v, x in f.values.items():
         load[v] += x

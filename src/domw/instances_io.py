@@ -40,7 +40,7 @@ from .graph_core import (
     is_w_dominating,
 )
 from .interval_solver import IntervalFamily, _fault, intersection_graph, solve_interval
-from .split_solver import SplitInstance, SplitResult, solve_split, validate_split
+from .split_solver import SplitInstance, SplitResult, solve_split
 from .tree_edge_solver import FEdge, _normalized, _solve_forest, edge_line_graph
 
 _MULTIPLIER = 6364136223846793005
@@ -119,11 +119,9 @@ def example_split_triangle() -> SplitInstance:
     b_i sees a_i and a_(i+1 mod 3).  Every dispersed set is a singleton, so
     the dispersion number 5 sits strictly below gamma_w = 6.
     """
-    weights = (5, 5, 5, 4, 4, 4)
-    cross = [(3 + i, i) for i in range(3)] + [(3 + i, (i + 1) % 3) for i in range(3)]
-    clique_pairs = [(0, 1), (0, 2), (1, 2)]
-    graph = WeightedGraph.from_edges(weights, clique_pairs + cross)
-    return validate_split(graph, frozenset({0, 1, 2}), frozenset({3, 4, 5}))
+    # a_i is vertex i and b_i vertex 3 + i; `_split_instance` joins the clique
+    nbrs = [{3, 5}, {3, 4}, {4, 5}, {0, 1}, {1, 2}, {2, 0}]
+    return _split_instance([5, 5, 5, 4, 4, 4], [True] * 3 + [False] * 3, nbrs)
 
 
 def example_nontu_intervals() -> IntervalFamily:
@@ -206,20 +204,16 @@ def gen_split(
         raise ParameterOutOfRange("edge_prob_percent must lie in 0..100")
     rng = LCG(seed)
     weights = [rng.randint(1, max_w) for _ in range(n_a + n_b)]
-    edges = [(i, j) for i in range(n_a) for j in range(i + 1, n_a)]
-    degree_b = [0] * n_b
-    for b in range(n_b):
-        for a in range(n_a):
-            if rng.chance(edge_prob_percent):
-                edges.append((a, n_a + b))
-                degree_b[b] += 1
-    for b in range(n_b):
-        if degree_b[b] == 0:
-            edges.append((rng.randint(0, n_a - 1), n_a + b))
-    graph = WeightedGraph.from_edges(weights, edges)
-    return validate_split(
-        graph, frozenset(range(n_a)), frozenset(range(n_a, n_a + n_b))
-    )
+    nbrs: list[set[int]] = [set() for _ in range(n_a)]
+    nbrs += [{a for a in range(n_a) if rng.chance(edge_prob_percent)} for _ in range(n_b)]
+    independent = range(n_a, n_a + n_b)
+    for b in independent:
+        if not nbrs[b]:
+            nbrs[b].add(rng.randint(0, n_a - 1))
+    for b in independent:
+        for a in nbrs[b]:
+            nbrs[a].add(b)
+    return _split_instance(weights, [True] * n_a + [False] * n_b, nbrs)
 
 
 def gen_subtrees(
@@ -690,12 +684,8 @@ def _write_split(inst: SplitInstance) -> list[str]:
     for v in g.vertices:
         side = "A" if v in inst.clique else "B"
         out.append(f"{v} {side} {g.weights[v]}")
-    cross = sorted(
-        (a, b)
-        for a in sorted(inst.clique)
-        for b in g.adjacency[a]
-        if b in inst.independent
-    )
+    # every neighbor of a B vertex is on the A side
+    cross = sorted((a, b) for b in inst.independent for a in g.adjacency[b])
     out.append(str(len(cross)))
     out.extend(f"{a} {b}" for a, b in cross)
     return out

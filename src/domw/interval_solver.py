@@ -126,13 +126,6 @@ class IntervalFamily:
 
 
 @dataclass(frozen=True)
-class GreedyStep:
-    source: int  # interval whose residual was settled
-    target: int  # closed neighbor that received the mass
-    amount: int
-
-
-@dataclass(frozen=True)
 class GreedyTrace:
     """A pass's steps as three columns, one slot per step."""
 
@@ -145,22 +138,23 @@ class GreedyTrace:
             raise ValueError("trace columns must have equal lengths")
 
     @property
-    def steps(self) -> tuple[GreedyStep, ...]:
-        """The steps as `GreedyStep`s, packed from the columns on each read."""
-        return tuple(map(GreedyStep, self.sources, self.targets, self.amounts))
+    def steps(self) -> tuple[tuple[int, int, int], ...]:
+        """The steps as (source, target, amount) rows, zipped from the columns
+        on each read: the source's residual was settled by placing the amount
+        on the target, a closed neighbor of it."""
+        return tuple(zip(self.sources, self.targets, self.amounts))
 
 
 @dataclass(frozen=True)
 class DispersedDecomposition:
     """Blocks of the right-endpoint enumeration, in scan order.
 
-    Block indices in j_indices carry a witness (its representative); the
-    others are single intervals on which both greedy functions vanish.
+    The block indices that key `representatives` carry a witness (its
+    representative); every other block is a single interval on which both
+    greedy functions vanish.
     """
 
     blocks: tuple[tuple[int, ...], ...]
-    j_indices: frozenset[int]
-    k_indices: frozenset[int]
     representatives: Mapping[int, int]
 
 
@@ -318,7 +312,6 @@ def extract_dispersed(
         pushed_by.setdefault(target, []).append(source)
 
     blocks: list[tuple[int, ...]] = []
-    k_indices: set[int] = set()
     representatives: dict[int, int] = {}  # by J-block index
 
     pos = 0
@@ -330,7 +323,6 @@ def extract_dispersed(
                     f"interval {v} carries forward mass but no backward mass"
                 )
             blocks.append((v,))
-            k_indices.add(len(blocks) - 1)
             pos += 1
             continue
         # The witness argument is about the source/target pairs the backward
@@ -365,10 +357,7 @@ def extract_dispersed(
     total = sum(weight[z] for z in representatives.values())
     if total != f.size or total != g.size:
         raise TheoremViolation("witness weight does not match the greedy value")
-    decomposition = DispersedDecomposition(
-        tuple(blocks), frozenset(representatives), frozenset(k_indices), representatives
-    )
-    return frozenset(representatives.values()), decomposition
+    return frozenset(representatives.values()), DispersedDecomposition(tuple(blocks), representatives)
 
 
 def solve_interval(fam: IntervalFamily) -> Certificate:

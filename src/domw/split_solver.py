@@ -21,9 +21,9 @@ from .oracles import min_dominating
 class SplitInstance:
     """A graph with a vertex partition into a clique and an independent set.
 
-    Build through validate_split, which checks the partition is genuine;
-    the file reader builds one directly, from lines that hold it by
-    construction.
+    Build one from a graph through validate_split, which checks the
+    partition is genuine.  The file readers and `gen_split` build one from
+    its sides and crossing edges, which hold it by construction.
     """
 
     graph: WeightedGraph

@@ -12,6 +12,7 @@ from domw import (
     Certificate,
     DominationFunction,
     HostTree,
+    IntervalFamily,
     UnknownVertex,
     WeightedGraph,
     build_intersection_graph,
@@ -22,6 +23,7 @@ from domw import (
     verify_certificate,
 )
 from domw import graph_core
+from domw.checkers import check_interval, check_tree_edges
 from domw.errors import DisconnectedSubtree, EmptySubtree
 from domw.graph_core import NOT_DISPERSED, NOT_DOMINATING, VALUE_MISMATCH
 from domw.instances_io import gen_subtrees
@@ -196,8 +198,8 @@ def test_host_tree_validation():
     assert t.adjacency() == [{1}, {0, 2}, {1}]
 
 
-def test_lazy_host_tables_match_a_search_of_the_edges():
-    """The neighbor sets and the parent table a host builds on first use,
+def test_host_tables_match_a_search_of_the_edges():
+    """The neighbor sets and the parent table that a host's check computes,
     against a BFS from 0 over its edge list and the pairwise subtree
     intersections."""
     for seed in range(200):
@@ -212,11 +214,8 @@ def test_lazy_host_tables_match_a_search_of_the_edges():
                 if y not in parent:
                     parent[y] = x
                     frontier.append(y)
-        host = HostTree(host.n, host.edges)  # fresh, so no earlier call has built its parent table
-        assert "_parent" not in vars(host)
         assert host.adjacency() == nbrs
         assert host._parent == [parent[v] for v in range(host.n)]
-        assert "_parent" in vars(host)
         pairs = [(i, j) for j in range(len(subtrees)) for i in range(j) if subtrees[i] & subtrees[j]]
         expected = WeightedGraph.from_edges(weights, pairs)
         assert build_intersection_graph(host, subtrees, weights) == expected
@@ -410,3 +409,31 @@ def test_host_tree_adjacency_is_symmetric(t: HostTree):
     for u in range(t.n):
         for v in adj[u]:
             assert u in adj[v]
+
+
+@pytest.mark.parametrize("stray", [0.0, "1", -1, 3, True], ids=["float", "str", "negative", "n", "bool"])
+@pytest.mark.parametrize("place", ["f", "set"])
+def test_every_checker_takes_an_id_as_the_explicit_graph_does(stray, place):
+    """Three isolated vertices of weight 1, as three disjoint intervals and as
+    three disjoint selected tree edges, with an odd id in f or in the set:
+    both column checkers decide what `verify_certificate` decides, and raise
+    the same class with the same message.  Only an int in 0..2 is a vertex,
+    and `True` is the int 1."""
+
+    def outcome(check, *args):
+        try:
+            return check(*args).reason
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    graph = WeightedGraph.from_edges((1, 1, 1), [])
+    fam = IntervalFamily.of([(1, 2, 1), (4, 5, 1), (7, 8, 1)])
+    subset = ((0, 1, 1), (2, 3, 1), (4, 5, 1))
+    if place == "f":
+        cert = Certificate(DominationFunction({2: 1, stray: 1}), frozenset({2}), 2)
+    else:
+        cert = Certificate(DominationFunction({0: 1, 1: 1, 2: 1}), frozenset({2, stray}), 3)
+    expected = outcome(verify_certificate, graph, cert)
+    assert outcome(check_interval, fam, cert) == outcome(check_tree_edges, subset, cert) == expected
+    if stray is not True:
+        assert expected == (UnknownVertex, f"vertex {stray} out of range 0..2")

@@ -1,5 +1,6 @@
 """Tests for the instance file formats, generators, and the LCG."""
 
+import hashlib
 import random
 import tracemalloc
 from itertools import product
@@ -31,6 +32,7 @@ from domw import (
     validate_split,
     write_split_result,
 )
+from domw import graph_core
 from domw.errors import (
     InstanceSemanticError,
     InstanceSyntaxError,
@@ -74,6 +76,33 @@ def test_generators_are_deterministic():
     assert gen_split(11, 3, 4, 60, 5) == gen_split(11, 3, 4, 60, 5)
     assert gen_subtrees(11, 6, 5, 4) == gen_subtrees(11, 6, 5, 4)
     assert gen_interval(11, 5, 12, 5) != gen_interval(12, 5, 12, 5)
+
+
+_GENERATED = {
+    "interval": lambda s: gen_interval(s, 1 + s % 40, 10 + s % 90, 1 + s % 5),
+    "tree-edges": lambda s: TreeEdgesInstance(*gen_tree(s, 1 + s % 40, 1 + s % 5)),
+    "split": lambda s: gen_split(s, 1 + s % 12, 1 + s % 30, 10 * (s % 11), 1 + s % 6),
+    "subtree-intersection": lambda s: SubtreeInstance(*gen_subtrees(s, 1 + s % 20, 1 + s % 9, 1 + s % 4)),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("interval", "aec08c51bc260d6f95a4f4622ca884ebb6e40544ba35862412a15a88c71b7e16"),
+        ("tree-edges", "30deb01a1cffc1cdc31a581abeb7891b4b4ac0f0574340b70de4dfe1f60bad74"),
+        ("split", "371c463f34893dc1e9c9fe58d008abc9111af152a5630b46d2a168c5395e0a51"),
+        ("subtree-intersection", "ccc8ef9d5affb3f759b4b4e76394acda923aff4e58936186a1da00a4c8c0fa45"),
+    ],
+)
+def test_generated_files_match_their_pinned_digest(kind, digest):
+    """Each generator's written files over seeds 0..49, pinned byte for byte;
+    the shapes run from one vertex up, the split ones through every tenth
+    edge percentage from 0 to 100."""
+    written = hashlib.sha256()
+    for seed in range(50):
+        written.update(write_instance(InstanceFile(kind, _GENERATED[kind](seed))).encode("ascii"))
+    assert written.hexdigest() == digest
 
 
 def test_generator_parameter_validation():
@@ -799,3 +828,25 @@ def test_a_count_far_above_the_body_costs_only_the_bytes(text, message):
             tracemalloc.stop()
         assert str(err.value) == message
         assert peak < 100_000, count
+
+
+def test_reading_a_subtree_file_checks_each_host_once(monkeypatch):
+    """Reading a subtree-intersection file and building its graph runs the
+    host check once: `_parent_order` on the written host, and `_search` too
+    when the host's edges are not in parent order."""
+    host, subtrees, weights = gen_subtrees(3, 12, 6, 4)
+    cases = []
+    for edges, searches in ((host.edges, 0), (host.edges[::-1], 1)):
+        inst = InstanceFile("subtree-intersection", SubtreeInstance(HostTree(host.n, edges), subtrees, weights))
+        cases.append((write_instance(inst), instance_graph(inst), searches))
+    calls = {}
+    for name in ("_parent_order", "_search"):
+        def spy(n, edges, check=getattr(graph_core, name), name=name):
+            calls[name] += 1
+            return check(n, edges)
+
+        monkeypatch.setattr(graph_core, name, spy)
+    for text, graph, searches in cases:
+        calls.update(_parent_order=0, _search=0)
+        assert instance_graph(parse_instance(text)) == graph
+        assert calls == {"_parent_order": 1, "_search": searches}

@@ -180,8 +180,6 @@ def test_three_intervals_example_end_to_end():
     chosen, dec = extract_dispersed(fam, f, g, gtrace)
     assert chosen == frozenset({0, 2})
     assert dec.blocks == ((0, 1), (2,))
-    assert dec.j_indices == frozenset({0, 1})
-    assert dec.k_indices == frozenset()
     assert dec.representatives == {0: 0, 1: 2}
     cert = solve_interval(fam)
     assert cert.value == 5
@@ -240,9 +238,9 @@ def test_forward_trace_sources_strictly_increase(fam: IntervalFamily):
     order = order_by_right_endpoint(fam)
     position = {v: i for i, v in enumerate(order)}
     _, trace = forward_greedy(fam)
-    positions = [position[step.source] for step in trace.steps]
+    positions = [position[source] for source, _, _ in trace.steps]
     assert positions == sorted(set(positions))
-    assert all(step.amount > 0 for step in trace.steps)
+    assert all(amount > 0 for _, _, amount in trace.steps)
 
 
 def replay_greedy_traces(fam: IntervalFamily) -> None:
@@ -268,13 +266,13 @@ def replay_greedy_traces(fam: IntervalFamily) -> None:
         for v in sorted(range(fam.n), key=key, reverse=reverse):
             if residual[v] == 0:
                 continue
-            step = next(steps)
-            assert step.source == v
-            assert step.amount == residual[v]
-            assert step.target == furthest(nbhd[v], key=key)
-            mass[step.target] = mass.get(step.target, 0) + step.amount
-            for z in nbhd[step.target]:
-                residual[z] = max(0, residual[z] - step.amount)
+            source, target, amount = next(steps)
+            assert source == v
+            assert amount == residual[v]
+            assert target == furthest(nbhd[v], key=key)
+            mass[target] = mass.get(target, 0) + amount
+            for z in nbhd[target]:
+                residual[z] = max(0, residual[z] - amount)
         assert next(steps, None) is None
         assert residual == [0] * fam.n
         assert dict(f.items()) == mass
@@ -316,14 +314,13 @@ def test_blocks_partition_the_enumeration(fam: IntervalFamily):
     order = order_by_right_endpoint(fam)
     flat = [v for block in dec.blocks for v in block]
     assert flat == list(order)
-    assert dec.j_indices | dec.k_indices == set(range(len(dec.blocks)))
-    assert not dec.j_indices & dec.k_indices
-    assert chosen == frozenset(dec.representatives[i] for i in dec.j_indices)
-    for i in dec.k_indices:
-        (lone,) = dec.blocks[i]
-        assert f(lone) == 0 and g(lone) == 0
-    for i in dec.j_indices:
-        z = dec.representatives[i]
+    assert set(dec.representatives) <= set(range(len(dec.blocks)))
+    assert chosen == frozenset(dec.representatives.values())
+    for i, block in enumerate(dec.blocks):
+        if i not in dec.representatives:
+            (lone,) = block
+            assert f(lone) == 0 and g(lone) == 0
+    for i, z in dec.representatives.items():
         wz = fam.weight[z]
         assert sum(map(f, dec.blocks[i])) == wz
         assert sum(map(g, dec.blocks[i])) == wz
@@ -683,14 +680,14 @@ def test_phases_match_their_pinned_digest():
         chosen, dec = extract_dispersed(fam, f, g, gtrace)
         cert = solve_interval(fam)
         record = (
-            [(s.source, s.target, s.amount) for s in ftrace.steps],
-            [(s.source, s.target, s.amount) for s in gtrace.steps],
+            list(ftrace.steps),
+            list(gtrace.steps),
             sorted(f.items()),
             sorted(g.items()),
             sorted(chosen),
             dec.blocks,
-            sorted(dec.j_indices),
-            sorted(dec.k_indices),
+            sorted(dec.representatives),
+            sorted(set(range(len(dec.blocks))) - set(dec.representatives)),
             sorted(dec.representatives.items()),
             sorted(cert.dominating.items()),
             sorted(cert.dispersed),
