@@ -29,8 +29,6 @@ from .graph_core import (
     DominationFunction,
     HostTree,
     WeightedGraph,
-    build_intersection_graph,
-    closed_neighborhood,
     is_dispersed,
     is_w_dominating,
     verify_certificate,

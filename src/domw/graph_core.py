@@ -90,7 +90,7 @@ class WeightedGraph:
 
 def _check_weights(weights: Sequence[int]) -> None:
     for v, w in enumerate(weights):
-        if not isinstance(w, int) or w < 1:
+        if type(w) is not int or w < 1:
             raise ValueError(f"weight of vertex {v} must be a positive integer")
 
 
@@ -104,7 +104,7 @@ class DominationFunction:
         # canonical form: drop zeros so equality is value equality
         kept: dict[Vertex, int] = {}
         for v, x in self.values.items():
-            if not isinstance(x, int) or x < 0:
+            if type(x) is not int or x < 0:
                 raise ValueError(f"value at vertex {v} must be a nonnegative integer")
             if x:
                 kept[v] = x
@@ -246,16 +246,11 @@ def _raise_host_fault(n: int, edges: Sequence[tuple[Vertex, Vertex]]) -> NoRetur
 
 def _check_ids(ids: Iterable[Vertex], n: int) -> None:
     """Raise UnknownVertex on the first of ids that is not an int in 0..n-1;
-    the graph predicates and both column checkers take their ids through it."""
+    the graph predicates and both column checkers take their ids through it.
+    A bool is no id: `True` would index vertex 1 but be written as `True`."""
     for v in ids:
-        if not (isinstance(v, int) and 0 <= v < n):
+        if not (type(v) is int and 0 <= v < n):
             raise UnknownVertex(f"vertex {v} out of range 0..{n - 1}")
-
-
-def closed_neighborhood(g: WeightedGraph, v: Vertex) -> frozenset[Vertex]:
-    """N(v): the vertex itself together with its neighbors."""
-    _check_ids((v,), g.n)
-    return g.adjacency[v] | {v}
 
 
 def is_dispersed(g: WeightedGraph, s: Iterable[Vertex]) -> bool:
@@ -334,32 +329,28 @@ def _checked_subtrees(
     return checked
 
 
-def build_intersection_graph(
-    host: HostTree,
-    subtrees: Sequence[Iterable[Vertex]],
-    weights: Sequence[int],
+def _intersection_graph(
+    n: int, checked: Sequence[tuple[Iterable[Vertex], Vertex]], weights: Sequence[int]
 ) -> WeightedGraph:
-    """Intersection graph of connected vertex sets of the host tree.
+    """Intersection graph of subtrees of a host on n vertices, each given as
+    its vertices and its top and already checked (`_checked_subtrees` or a
+    host edge's ends), with one weight each; only the weights are checked here.
 
     One graph vertex per subtree, in input order; two are adjacent when the
     subtrees share a host vertex.  Two subtrees meet exactly when one of them
-    holds the other's top (_checked_subtrees), its highest vertex with the
-    host rooted at 0; so the edges are read off the host-vertex to subtree
-    incidence lists at the tops, in O(n + sizes + edges).
+    holds the other's top, its highest vertex with the host rooted at 0; so
+    each neighbor is read off the host-vertex to subtree incidence list at a
+    top and added on both sides, in O(n + sizes + edges).
     """
-    if len(subtrees) != len(weights):
-        raise ValueError("one weight per subtree is required")
-    return _intersection_graph(host.n, _checked_subtrees(host, subtrees), weights)
-
-
-def _intersection_graph(
-    n: int, checked: Sequence[tuple[frozenset[Vertex], Vertex]], weights: Sequence[int]
-) -> WeightedGraph:
-    """`build_intersection_graph` of subtrees already checked on a host of n
-    vertices, one weight each."""
+    _check_weights(weights)
     holders: list[list[int]] = [[] for _ in range(n)]
     for i, (s, _) in enumerate(checked):
         for v in s:
             holders[v].append(i)
-    edges = [(i, j) for i, (_, top) in enumerate(checked) for j in holders[top] if j != i]
-    return WeightedGraph.from_edges(list(weights), edges)
+    nbrs: list[set[Vertex]] = [set() for _ in checked]
+    for i, (_, top) in enumerate(checked):
+        for j in holders[top]:
+            if j != i:
+                nbrs[i].add(j)
+                nbrs[j].add(i)
+    return WeightedGraph._checked(tuple(weights), tuple(map(frozenset, nbrs)))

@@ -278,8 +278,10 @@ class TreeEdgesInstance:
 class SubtreeInstance:
     """Host tree with a family of connected vertex sets and their weights.
 
-    The file reader leaves the subtrees unchecked; they are checked on first
-    use, once per instance, for the vertex count and the graph alike.
+    The constructor checks only that there is one weight per subtree.  The
+    subtrees are checked on first use, once per instance, for the vertex
+    count and the graph alike; the weights, which the file reader has
+    checked but a caller may not have, are checked when the graph is built.
     """
 
     host: HostTree

@@ -29,12 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BadPermutation, InstanceTooLarge, LPInternalError, TheoremViolation
-from .graph_core import (
-    DominationFunction,
-    WeightedGraph,
-    closed_neighborhood,
-    is_w_dominating,
-)
+from .graph_core import DominationFunction, WeightedGraph, is_w_dominating
 
 DEFAULT_CAP = 10
 # Nodes one min_dominating search may visit before it raises InstanceTooLarge
@@ -547,7 +542,7 @@ def neighborhood_matrix(g: WeightedGraph, order: Sequence[int] | None = None) ->
     chosen = tuple(order) if order is not None else tuple(g.vertices)
     if sorted(chosen) != list(g.vertices):
         raise BadPermutation("order must be a permutation of the vertex set")
-    nbhds = [closed_neighborhood(g, v) for v in g.vertices]
+    nbhds = [g.adjacency[v] | {v} for v in g.vertices]
     rows = tuple(
         tuple(1 if u in nbhds[v] else 0 for u in chosen) for v in chosen
     )

@@ -28,13 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .checkers import check_tree_edges, self_check
 from .errors import EmptyEdgeSet, TheoremViolation
-from .graph_core import (
-    Certificate,
-    DominationFunction,
-    HostTree,
-    WeightedGraph,
-    build_intersection_graph,
-)
+from .graph_core import Certificate, DominationFunction, HostTree, WeightedGraph, _intersection_graph
 
 # an F entry: (endpoint, endpoint, weight); its position is the edge id
 FEdge = tuple[int, int, int]
@@ -114,7 +108,7 @@ def _normalized(host: HostTree, subset: Sequence[FEdge]) -> tuple[FEdge, ...]:
     if not subset:
         raise EmptyEdgeSet("the selected edge set is empty")
     rest = iter(host.edges)
-    if all((u, v) in rest and isinstance(w, int) and w >= 1 for u, v, w in subset):
+    if all((u, v) in rest and type(w) is int and w >= 1 for u, v, w in subset):
         return tuple(subset)
     position = {(u, v) if u < v else (v, u): i for i, (u, v) in enumerate(host.edges)}
     weight = [0] * len(host.edges)
@@ -124,7 +118,7 @@ def _normalized(host: HostTree, subset: Sequence[FEdge]) -> tuple[FEdge, ...]:
             raise ValueError(f"({u}, {v}) is not an edge of the host tree")
         if weight[i]:
             raise ValueError(f"edge ({u}, {v}) selected twice")
-        if not isinstance(w, int):
+        if type(w) is not int:
             raise ValueError(f"edge ({u}, {v}) must have an integer weight")
         if w < 1:
             raise ValueError(f"edge ({u}, {v}) must have positive weight")
@@ -277,9 +271,15 @@ def extract_dispersed_tree(
 
 
 def edge_line_graph(host: HostTree, subset: Sequence[FEdge]) -> WeightedGraph:
-    """The intersection graph of the selected edges, ids in subset order."""
+    """The intersection graph of the selected edges, ids in subset order.
+
+    `_normalized` proves each selected edge a host edge, so each is the
+    subtree {u, v} whose top is the end the host's parent table names as the
+    other's parent, and no subtree check runs."""
     _normalized(host, subset)
-    return build_intersection_graph(host, [{u, v} for u, v, _ in subset], [w for _, _, w in subset])
+    parent = host._parent
+    checked = [((u, v), u if parent[v] == u else v) for u, v, _ in subset]
+    return _intersection_graph(host.n, checked, [w for _, _, w in subset])
 
 
 def _solve_forest(n: int, subset: Sequence[FEdge]) -> Certificate:

@@ -14,10 +14,13 @@ from domw import (
     CertificateCheck,
     DominationFunction,
     HostTree,
+    InstanceFile,
     IntervalFamily,
     SplitInstance,
+    SubtreeInstance,
     UnknownVertex,
     WeightedGraph,
+    instance_graph,
     validate_split,
 )
 
@@ -44,6 +47,11 @@ def weighted_graphs(draw, max_n: int = 7, max_w: int = 5) -> WeightedGraph:
         if draw(st.booleans())
     ]
     return WeightedGraph.from_edges(weights, edges)
+
+
+def subtree_graph(host: HostTree, subtrees: Sequence[frozenset[int]], weights: Sequence[int]) -> WeightedGraph:
+    """The intersection graph of a subtree family, built as for a `subtree-intersection` file."""
+    return instance_graph(InstanceFile("subtree-intersection", SubtreeInstance(host, tuple(subtrees), tuple(weights))))
 
 
 @st.composite

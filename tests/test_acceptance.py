@@ -18,7 +18,6 @@ from domw import (
     brute_gamma,
     brute_gamma_i,
     brute_rho,
-    build_intersection_graph,
     det,
     forward_greedy,
     gen_interval,
@@ -47,7 +46,7 @@ from domw.cli import sweep_instance
 from domw.tree_edge_solver import edge_line_graph, reduce_to_full_tree
 
 from .conftest import record
-from .strategies import swap_labels
+from .strategies import subtree_graph, swap_labels
 
 
 def _report(num: int, label: str, ok: bool) -> None:
@@ -91,7 +90,7 @@ def lp_cases():
         graphs.append(edge_line_graph(host, subset))
         graphs.append(gen_split(5000 + s, 1 + s % 4, 1 + (s // 4) % 5, 60, 5).graph)
         host, subs, ws = gen_subtrees(5000 + s, 3 + s % 6, 1 + s % 9, 4)
-        graphs.append(build_intersection_graph(host, subs, ws))
+        graphs.append(subtree_graph(host, subs, ws))
     return tuple(graphs)
 
 
@@ -125,13 +124,13 @@ def chordal_cases():
     out = []
     for seed in range(4000, 4300):
         host, subs, ws = gen_subtrees(seed, 3 + seed % 6, 1 + seed % 9, 1)
-        out.append(build_intersection_graph(host, subs, ws))
+        out.append(subtree_graph(host, subs, ws))
     return tuple(out)
 
 
 def test_criterion_01_forked_star_example():
     host, subtrees, weights = example_forked_star()
-    g = build_intersection_graph(host, subtrees, weights)
+    g = subtree_graph(host, subtrees, weights)
     start = time.perf_counter()
     gamma = brute_gamma(g, cap=15)[0]
     gamma_seconds = time.perf_counter() - start

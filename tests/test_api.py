@@ -11,7 +11,7 @@ PUBLIC = [
     "NotAPartition", "NotIndependent", "ParameterOutOfRange", "RootedEdgeTree", "SplitInstance",
     "SplitResult", "SubtreeInstance", "TheoremViolation", "TreeEdgesInstance", "UnknownVertex",
     "WeightedGraph", "backward_greedy", "bottom_up_f", "brute_gamma", "brute_gamma_i",
-    "brute_rho", "build_intersection_graph", "closed_neighborhood", "det", "edge_line_graph",
+    "brute_rho", "det", "edge_line_graph",
     "example_forked_star", "example_nontu_intervals", "example_nontu_star",
     "example_split_triangle", "extract_dispersed", "extract_dispersed_tree", "forward_greedy",
     "gen_interval", "gen_split", "gen_subtrees", "gen_tree", "has_consecutive_ones",

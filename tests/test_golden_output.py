@@ -1,4 +1,4 @@
-"""`domw solve` output pinned byte for byte on seeded instances.
+"""`domw solve` and `domw matrix` output pinned byte for byte on seeded instances.
 
 Each family's digest is the SHA-256 of the concatenated standard output of
 `domw solve` on its 50 instances, seeds 0..49.  The star and the path select
@@ -82,5 +82,45 @@ def test_solve_output_is_unchanged(make, expected, tmp_path, capsys):
     for seed in range(50):
         path.write_text(write_instance(make(seed)))
         assert run(["solve", str(path)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == expected
+
+
+def _generated(kind: str) -> list[list[str]]:
+    """`domw gen` of one kind at seeds 0..19, each size drawn from the seed."""
+    sizes = {
+        "interval": lambda s: ["--n", str(1 + s % 10)],
+        "tree-edges": lambda s: ["--n-edges", str(1 + s % 10)],
+        "split": lambda s: ["--n-a", str(1 + s % 4), "--n-b", str(1 + s % 6)],
+        "subtree-intersection": lambda s: ["--n-tree", str(1 + s % 8), "--n-subtrees", str(1 + s % 9)],
+    }[kind]
+    return [["gen", kind, "--seed", str(s), *sizes(s)] for s in range(20)]
+
+
+_EXAMPLES = [["example", name] for name in ("forked-star", "split-triangle", "non-tu-intervals", "non-tu-star")]
+
+
+@pytest.mark.parametrize(
+    "sources, expected",
+    [
+        (_EXAMPLES, "a58953377d7a81c63ebe18dfaa8113d9a453e5a7f6750b1d9ca6f0d020a7ebf3"),
+        (_generated("interval"), "b698be370352f36008ba4feae30fcf7aa1a3ae20d4fc5ed6cd1ca7b7bb55f0be"),
+        (_generated("tree-edges"), "4cb791d566c79a519aa45f6ccefcf2eac1b31363ed6ad258ff902f5c81ed7c7d"),
+        (_generated("split"), "56a711c2874f2f623b6f0f63dbf89f83869be5fe6508239849c0431dac657bd7"),
+        (_generated("subtree-intersection"), "05fe776351fd2ed9ffe8f9c745a6428aa3ef8d4c9a96b85836193c05bb743912"),
+    ],
+    ids=["examples", "interval", "tree-edges", "split", "subtree-intersection"],
+)
+def test_matrix_output_is_unchanged(sources, expected, tmp_path, capsys):
+    """The SHA-256 of `domw matrix FILE --det --c1p` over the four examples,
+    and over 20 generated files of each kind: every explicit graph the
+    command builds, its rows in the command's order, its determinant and its
+    consecutive-ones flag."""
+    digest = hashlib.sha256()
+    path = tmp_path / "instance.txt"
+    for argv in sources:
+        assert run(argv) == 0
+        path.write_text(capsys.readouterr().out)
+        assert run(["matrix", str(path), "--det", "--c1p"]) == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == expected

@@ -15,8 +15,7 @@ from domw import (
     IntervalFamily,
     UnknownVertex,
     WeightedGraph,
-    build_intersection_graph,
-    closed_neighborhood,
+    edge_line_graph,
     intersection_graph,
     is_dispersed,
     is_w_dominating,
@@ -28,7 +27,7 @@ from domw.errors import DisconnectedSubtree, EmptySubtree
 from domw.graph_core import NOT_DISPERSED, NOT_DOMINATING, VALUE_MISMATCH
 from domw.instances_io import gen_subtrees
 
-from .strategies import host_trees, interval_families, subtree_instances, weighted_graphs
+from .strategies import host_trees, interval_families, subtree_graph, subtree_instances, weighted_graphs
 
 
 def path(n: int, weights=None) -> WeightedGraph:
@@ -73,12 +72,6 @@ def test_constructor_rejects_a_broken_adjacency(adjacency, error, message):
         WeightedGraph((1, 1), adjacency)
     assert type(err.value) is error
     assert str(err.value) == message
-
-
-def test_closed_neighborhood_contains_the_vertex():
-    g = path(4)
-    assert closed_neighborhood(g, 0) == frozenset({0, 1})
-    assert closed_neighborhood(g, 1) == frozenset({0, 1, 2})
 
 
 def distance(g: WeightedGraph, u: int, v: int) -> int | float:
@@ -198,29 +191,6 @@ def test_host_tree_validation():
     assert t.adjacency() == [{1}, {0, 2}, {1}]
 
 
-def test_host_tables_match_a_search_of_the_edges():
-    """The neighbor sets and the parent table that a host's check computes,
-    against a BFS from 0 over its edge list and the pairwise subtree
-    intersections."""
-    for seed in range(200):
-        host, subtrees, weights = gen_subtrees(seed, 1 + seed % 13, 1 + seed % 7, 4)
-        nbrs: list[set[int]] = [set() for _ in range(host.n)]
-        for u, v in host.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        parent, frontier = {0: -1}, [0]
-        for x in frontier:
-            for y in nbrs[x]:
-                if y not in parent:
-                    parent[y] = x
-                    frontier.append(y)
-        assert host.adjacency() == nbrs
-        assert host._parent == [parent[v] for v in range(host.n)]
-        pairs = [(i, j) for j in range(len(subtrees)) for i in range(j) if subtrees[i] & subtrees[j]]
-        expected = WeightedGraph.from_edges(weights, pairs)
-        assert build_intersection_graph(host, subtrees, weights) == expected
-
-
 def _bfs_parents(n, edges):
     nbrs = [[] for _ in range(n)]
     for u, v in edges:
@@ -233,6 +203,75 @@ def _bfs_parents(n, edges):
                 parent[y] = x
                 frontier.append(y)
     return [parent[v] for v in range(n)]
+
+
+def _graph_of_meeting_pairs(weights, members) -> WeightedGraph:
+    """The reference: an edge for each pair of members that share an element."""
+    pairs = [(i, j) for j in range(len(members)) for i in range(j) if members[i] & members[j]]
+    return WeightedGraph.from_edges(weights, pairs)
+
+
+def test_host_tables_match_a_search_of_the_edges():
+    """The neighbor sets and the parent table that a host's check computes,
+    against a BFS from 0 over its edge list and the pairwise subtree
+    intersections."""
+    for seed in range(200):
+        host, subtrees, weights = gen_subtrees(seed, 1 + seed % 13, 1 + seed % 7, 4)
+        nbrs: list[set[int]] = [set() for _ in range(host.n)]
+        for u, v in host.edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        assert host.adjacency() == nbrs
+        assert host._parent == _bfs_parents(host.n, host.edges)
+        assert subtree_graph(host, subtrees, weights) == _graph_of_meeting_pairs(weights, subtrees)
+
+
+def _shuffled_host(rng: random.Random, n: int) -> HostTree:
+    """A random tree on 0..n-1 with its vertices relabeled: its edges in
+    parent order, reversed, or shuffled with each end pair flipped at
+    random; the last two take `_search`."""
+    label = rng.sample(range(n), n)
+    edges = [(label[rng.randrange(v)], label[v]) for v in range(1, n)]
+    shape = rng.randrange(3)
+    if shape == 1:
+        edges.reverse()
+    elif shape == 2:
+        rng.shuffle(edges)
+        edges = [tuple(rng.sample(edge, 2)) for edge in edges]
+    return HostTree(n, tuple(edges))
+
+
+def test_each_builder_matches_an_edge_list_of_the_meeting_pairs():
+    """600 random instances per builder: the line graph of a selection out of
+    host order, flipped at random, on hosts whose edge lists are shuffled or
+    reversed; the interval graph; and the graph of a subtree file.  Each
+    equals `from_edges` over every pair of members that meet."""
+    rng = random.Random(33)
+    for _ in range(600):
+        host = _shuffled_host(rng, rng.randint(2, 12))
+        picked = rng.sample(host.edges, rng.randint(1, len(host.edges)))
+        subset = [(*rng.sample(edge, 2), rng.randint(1, 5)) for edge in picked]
+        expected = _graph_of_meeting_pairs([w for _, _, w in subset], [{u, v} for u, v, _ in subset])
+        assert edge_line_graph(host, subset) == expected
+
+        triples = []
+        for _ in range(rng.randint(1, 12)):
+            x = rng.randint(-5, 20)
+            triples.append((x, x + rng.randint(0, 8), rng.randint(1, 5)))
+        fam = IntervalFamily.of(triples)
+        expected = _graph_of_meeting_pairs(fam.weight, [set(range(x, y + 1)) for x, y, _ in triples])
+        assert intersection_graph(fam) == expected
+
+        host = _shuffled_host(rng, rng.randint(1, 12))
+        adjacency = host.adjacency()
+        subtrees = []
+        for _ in range(rng.randint(1, 9)):
+            grown = {rng.randrange(host.n)}
+            for _ in range(rng.randrange(host.n)):
+                grown.add(rng.choice(sorted({u for v in grown for u in adjacency[v]})))
+            subtrees.append(frozenset(grown))
+        weights = [rng.randint(1, 5) for _ in subtrees]
+        assert subtree_graph(host, subtrees, weights) == _graph_of_meeting_pairs(weights, subtrees)
 
 
 def _edge_lists(rng, count):
@@ -279,25 +318,29 @@ def test_parent_order_accepts_only_what_the_search_accepts(monkeypatch):
         HostTree(2, ((0, 1.0),))
 
 
-def test_build_intersection_graph_small_example():
+def test_subtree_graph_small_example():
     host = HostTree(4, ((0, 1), (1, 2), (1, 3)))
-    g = build_intersection_graph(
-        host, [frozenset({0, 1}), frozenset({1, 2}), frozenset({3})], (2, 1, 4)
-    )
+    g = subtree_graph(host, [frozenset({0, 1}), frozenset({1, 2}), frozenset({3})], (2, 1, 4))
     assert g.weights == (2, 1, 4)
     assert [sorted(a) for a in g.adjacency] == [[1], [0], []]
 
 
-def test_build_intersection_graph_rejects_bad_subtrees():
+def test_subtree_graph_rejects_bad_subtrees():
     host = HostTree(4, ((0, 1), (1, 2), (1, 3)))
     with pytest.raises(EmptySubtree):
-        build_intersection_graph(host, [frozenset()], (1,))
+        subtree_graph(host, [frozenset()], (1,))
     with pytest.raises(DisconnectedSubtree):
-        build_intersection_graph(host, [frozenset({0, 2})], (1,))
+        subtree_graph(host, [frozenset({0, 2})], (1,))
     with pytest.raises(UnknownVertex):
-        build_intersection_graph(host, [frozenset({0, 9})], (1,))
+        subtree_graph(host, [frozenset({0, 9})], (1,))
     with pytest.raises(ValueError, match="one weight per subtree"):
-        build_intersection_graph(host, [frozenset({0})], (1, 2))
+        subtree_graph(host, [frozenset({0})], (1, 2))
+    # a `SubtreeInstance` built through the library holds unchecked weights,
+    # which the graph build checks
+    for weight in (0, True, 1.0):
+        with pytest.raises(ValueError) as err:
+            subtree_graph(host, [frozenset({0}), frozenset({1})], (1, weight))
+        assert str(err.value) == "weight of vertex 1 must be a positive integer"
 
 
 @settings(max_examples=100, deadline=None)
@@ -376,7 +419,7 @@ def test_w_dominating_definition_matches_neighborhood_sums(g: WeightedGraph, dat
     f = DominationFunction(data.draw(st.dictionaries(vertex, st.integers(0, 6))))
     targets = data.draw(st.none() | st.sets(vertex))
     expect = all(
-        sum(map(f, closed_neighborhood(g, v))) >= g.weights[v]
+        sum(map(f, g.adjacency[v] | {v})) >= g.weights[v]
         for v in (g.vertices if targets is None else targets)
     )
     assert is_w_dominating(g, f, targets) == expect
@@ -396,7 +439,7 @@ def test_interval_graph_matches_pairwise_intersection(fam):
 @given(subtree_instances(max_n=9, max_subtrees=8))
 def test_subtree_graph_matches_pairwise_intersection(instance):
     host, subtrees, weights = instance
-    g = build_intersection_graph(host, subtrees, weights)
+    g = subtree_graph(host, subtrees, weights)
     assert g.weights == weights
     for i, s in enumerate(subtrees):
         assert g.adjacency[i] == {j for j, t in enumerate(subtrees) if j != i and s & t}
@@ -418,7 +461,7 @@ def test_every_checker_takes_an_id_as_the_explicit_graph_does(stray, place):
     three disjoint selected tree edges, with an odd id in f or in the set:
     both column checkers decide what `verify_certificate` decides, and raise
     the same class with the same message.  Only an int in 0..2 is a vertex,
-    and `True` is the int 1."""
+    and a bool is no int."""
 
     def outcome(check, *args):
         try:
@@ -435,5 +478,4 @@ def test_every_checker_takes_an_id_as_the_explicit_graph_does(stray, place):
         cert = Certificate(DominationFunction({0: 1, 1: 1, 2: 1}), frozenset({2, stray}), 3)
     expected = outcome(verify_certificate, graph, cert)
     assert outcome(check_interval, fam, cert) == outcome(check_tree_edges, subset, cert) == expected
-    if stray is not True:
-        assert expected == (UnknownVertex, f"vertex {stray} out of range 0..2")
+    assert expected == (UnknownVertex, f"vertex {stray} out of range 0..2")

@@ -357,6 +357,39 @@ def test_empty_certificate_round_trip():
     assert parse_certificate(text) == cert
 
 
+def _split_pair(one):
+    """An A vertex of weight one joined to a B vertex of weight 2."""
+    graph = WeightedGraph((one, 2), (frozenset({1}), frozenset({0})))
+    return InstanceFile("split", SplitInstance(graph, frozenset({0}), frozenset({1})))
+
+
+@pytest.mark.parametrize(
+    "make, write, parse, message",
+    [
+        (lambda one: InstanceFile("interval", IntervalFamily.of([(one, 2, 1)])), write_instance, parse_instance,
+         "interval data must be integers"),
+        (lambda one: InstanceFile("interval", IntervalFamily.of([(0, 2, one)])), write_instance, parse_instance,
+         "interval data must be integers"),
+        (lambda one: InstanceFile("tree-edges", TreeEdgesInstance(HostTree(2, ((0, 1),)), ((0, 1, one),))),
+         write_instance, parse_instance, "edge (0, 1) must have an integer weight"),
+        (lambda one: InstanceFile("explicit", WeightedGraph.from_edges((one, 2), [(0, 1)])), write_instance,
+         parse_instance, "weight of vertex 0 must be a positive integer"),
+        (_split_pair, write_instance, parse_instance, "weight of vertex 0 must be a positive integer"),
+        (lambda one: Certificate(DominationFunction({0: one}), frozenset({0}), 1), write_certificate,
+         parse_certificate, "value at vertex 0 must be a nonnegative integer"),
+    ],
+    ids=["interval-end", "interval-weight", "tree-edge-weight", "explicit-weight", "split-weight", "f-value"],
+)
+def test_a_bool_is_refused_before_it_breaks_the_round_trip(make, write, parse, message):
+    """parse(write(x)) == x with the int 1; a writer would print `True` in
+    its place, which the readers refuse, so the constructor refuses it."""
+    x = make(1)
+    assert parse(write(x)) == x
+    with pytest.raises(ValueError) as err:
+        make(True)
+    assert str(err.value) == message
+
+
 def test_certificate_parse_failures():
     with pytest.raises(InstanceSyntaxError):
         parse_certificate("nope\n")

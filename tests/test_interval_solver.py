@@ -86,10 +86,17 @@ def test_greedy_trace_rejects_columns_of_unequal_lengths():
     assert str(info.value) == "trace columns must have equal lengths"
 
 
-def test_a_bool_endpoint_is_an_int_as_it_is_for_interval():
-    assert Interval(True, 2, 1) == Interval(1, 2, 1)
-    assert family((True, 2, True)) == family((1, 2, 1))
-    assert IntervalFamily((False,), (True,), (1,)) == family((0, 1, 1))
+def test_a_bool_endpoint_is_refused_as_it_is_for_interval():
+    """A bool is no int: `0 True 2 1` is no line that the reader takes."""
+    for build in (
+        lambda: Interval(True, 2, 1),
+        lambda: family((True, 2, True)),
+        lambda: IntervalFamily((False,), (True,), (1,)),
+        lambda: IntervalFamily.of([(1, 2, True)]),
+    ):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert type(err.value) is ValueError and str(err.value) == "interval data must be integers"
 
 
 @settings(max_examples=100, deadline=None)
@@ -388,9 +395,10 @@ def test_no_graph_is_built_per_solve(monkeypatch):
         raise AssertionError("a solver built a graph")
 
     monkeypatch.setattr(domw.interval_solver, "intersection_graph", refuse)
-    monkeypatch.setattr(domw.tree_edge_solver, "build_intersection_graph", refuse)
-    monkeypatch.setattr(domw.graph_core, "build_intersection_graph", refuse)
+    monkeypatch.setattr(domw.tree_edge_solver, "_intersection_graph", refuse)
+    monkeypatch.setattr(domw.graph_core, "_intersection_graph", refuse)
     monkeypatch.setattr(WeightedGraph, "from_edges", refuse)
+    monkeypatch.setattr(WeightedGraph, "_checked", refuse)
     monkeypatch.setattr(WeightedGraph, "__post_init__", refuse)
     fam = gen_interval(3, 300, 600, 5)
     cert = solve_interval(fam)
@@ -614,6 +622,8 @@ def test_public_passes_build_no_graph(monkeypatch):
 
     monkeypatch.setattr(domw.interval_solver, "intersection_graph", refuse)
     monkeypatch.setattr(WeightedGraph, "from_edges", refuse)
+    monkeypatch.setattr(WeightedGraph, "_checked", refuse)
+    monkeypatch.setattr(domw.graph_core, "_intersection_graph", refuse)
     fam = gen_interval(1, 2000, 8000, 5)
     f, _ = forward_greedy(fam)
     g, _ = backward_greedy(fam)

@@ -13,7 +13,6 @@ from domw import (
     LCG,
     DominationFunction,
     WeightedGraph,
-    build_intersection_graph,
     brute_gamma,
     brute_gamma_i,
     brute_rho,
@@ -40,7 +39,7 @@ from domw.instances_io import (
 )
 from domw.interval_solver import intersection_graph, order_by_right_endpoint
 
-from .strategies import weighted_graphs
+from .strategies import subtree_graph, weighted_graphs
 
 
 def path(weights) -> WeightedGraph:
@@ -469,7 +468,7 @@ def lp_graphs():
         yield intersection_graph(gen_interval(seed, 1 + seed % 10, 12, 5))
         yield edge_line_graph(*gen_tree(seed, 1 + seed % 10, 5))
         yield gen_split(seed, 1 + seed % 4, 1 + (seed // 4) % 6, 60, 5).graph
-        yield build_intersection_graph(*gen_subtrees(seed, 3 + seed % 6, 1 + seed % 10, 5))
+        yield subtree_graph(*gen_subtrees(seed, 3 + seed % 6, 1 + seed % 10, 5))
         rng = LCG(seed)
         n = rng.randint(1, 10)
         weights = [rng.randint(1, 5) for _ in range(n)]
