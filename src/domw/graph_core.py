@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from operator import ge, itemgetter, lt
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
@@ -153,7 +154,11 @@ class CertificateCheck:
 
 def _search(n: int, edges: Sequence[tuple[Vertex, Vertex]]) -> list[Vertex] | None:
     """Each vertex's parent in a search from 0 (-1 at 0), or None when an
-    edge is out of range or a loop, or when a vertex is left unreached."""
+    edge is out of range or a loop, or when a vertex is left unreached.
+    An end that is no int raises TypeError: a float indexes no list, and a
+    bool would index vertex 0 or 1 but be written as `False` or `True`."""
+    if not {*map(type, chain.from_iterable(edges))} <= {int}:
+        raise TypeError("host tree vertices must be integers")
     nbrs: list[list[Vertex]] = [[] for _ in range(n)]
     for u, v in edges:
         if u == v or not (0 <= u < n and 0 <= v < n):
@@ -178,9 +183,15 @@ def _parent_order(n: int, edges: Sequence[tuple[Vertex, Vertex]]) -> list[Vertex
         return None
     us = list(map(itemgetter(0), edges))
     vs = list(map(itemgetter(1), edges))
-    # a float equals an int but indexes no list, so `_search` rejects it
+    # a float or a bool equals an int, so `_search` refuses them
     if not {*map(type, us), *map(type, vs)} <= {int}:
         return None
+    return _parent_columns(n, us, vs)
+
+
+def _parent_columns(n: int, us: list[int], vs: list[int]) -> list[Vertex] | None:
+    """The parent table [-1, *us] when the n - 1 int edges (us[i], vs[i]) are
+    in parent order: vs is 1..n-1 and 0 <= us[i] < vs[i]; otherwise None."""
     if vs != list(range(1, n)) or min(us, default=0) < 0 or not all(map(lt, us, vs)):
         return None
     return [-1, *us]
@@ -198,9 +209,13 @@ class HostTree:
     Any other edge list gets one search from 0: n - 1 edges in range and
     without loops that reach every vertex form a tree.  A repeated edge
     always leaves a vertex unreached, so repeats are looked for only when
-    the search fails, and reported ahead of `not connected`.  The subtree
-    checks read the parent table that this check computes, which the host
-    keeps as `_parent`.
+    the search fails, and reported ahead of `not connected`.  An end that is
+    no int (a bool or a float) raises TypeError.  The subtree checks read
+    the parent table that this check computes, which the host keeps as
+    `_parent`.  The tree-edges file reader tests its own int columns for
+    parent order with `_parent_columns`, as `_parent_order` does, and builds
+    the host with that table through `_checked`; a host in any other order
+    goes through this constructor.
     """
 
     n: int
@@ -217,6 +232,16 @@ class HostTree:
             _raise_host_fault(n, self.edges)
         # kept out of the fields, so equality is unchanged; never mutated
         object.__setattr__(self, "_parent", parent)
+
+    @classmethod
+    def _checked(cls, n: int, edges: tuple[tuple[Vertex, Vertex], ...], parent: list[Vertex]) -> "HostTree":
+        """A host whose int edges the caller has found in parent order with
+        `_parent_columns`, which returned `parent`."""
+        host = object.__new__(cls)
+        object.__setattr__(host, "n", n)
+        object.__setattr__(host, "edges", edges)
+        object.__setattr__(host, "_parent", parent)
+        return host
 
     def adjacency(self) -> list[set[Vertex]]:
         """A fresh, mutable list of the neighbor sets, indexed by vertex."""
@@ -320,7 +345,8 @@ def _checked_subtrees(
         if not s:
             raise EmptySubtree(f"subtree {i} is empty")
         for v in s:
-            if not 0 <= v < n:
+            # a bool would index vertex 0 or 1 but be written as `False` or `True`
+            if not (type(v) is int and 0 <= v < n):
                 raise UnknownVertex(f"subtree {i} uses vertex {v} outside the host tree")
         tops = [v for v in s if parent[v] not in s]
         if len(tops) != 1:

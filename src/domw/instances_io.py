@@ -9,18 +9,22 @@ an instance is a pure function of its parameters, reproducible anywhere:
 File formats are line oriented ASCII: one record per line, full-line '#'
 comments, an explicit version header.  parse(write(x)) == x.  A solver kind's
 file in the exact shape `write_instance` emits is read in one pass over its
-text; any other file goes through the line reader, which names the first
-fault and its line.
+text, and so is a result block in the shape its writer emits: a regular
+expression checks the shape, and the integers of an interval or tree-edges
+body or of a result block are converted by one `json.loads` call each,
+which takes ASCII digits with no leading zero.  Any other file goes through
+the line reader, which names the first fault and its line.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from operator import eq, itemgetter, le
-from typing import Any, Callable, Iterator, Sequence
+from itertools import chain, compress
+from operator import eq, itemgetter, le, lt
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     InstanceSemanticError,
@@ -37,6 +41,7 @@ from .graph_core import (
     _check_weights,
     _checked_subtrees,
     _intersection_graph,
+    _parent_columns,
     is_w_dominating,
 )
 from .interval_solver import IntervalFamily, _fault, intersection_graph, solve_interval
@@ -282,6 +287,7 @@ class SubtreeInstance:
     subtrees are checked on first use, once per instance, for the vertex
     count and the graph alike; the weights, which the file reader has
     checked but a caller may not have, are checked when the graph is built.
+    The writer checks the members' type and the weights itself.
     """
 
     host: HostTree
@@ -556,20 +562,31 @@ def _parse_explicit(lines: _Lines) -> WeightedGraph:
 # of the file and the text after the count line.  Each reads only the exact
 # shape `write_instance` emits and returns None for any other text or any
 # fault, which the line reader then names with its line.  Fields are matched
-# with [0-9], as \d also takes the digits of other scripts.
+# with [0-9], as \d also takes the digits of other scripts.  The interval
+# and tree-edges bodies are converted by `_json_ints`, whose number grammar
+# refuses a leading zero such as `007` with a ValueError: such a file, which
+# `int` reads, goes to the line reader too.
 _HEAD = re.compile(r"domw 1\nkind ([a-z-]+)\n([1-9][0-9]{0,8})\n")
 # a coordinate may be negative; `[0-9-]` costs half the time of `-?`, and a
-# lone `-` fails in `int`
+# lone `-` fails in `_json_ints`
 _INTERVAL_BODY = re.compile(r"(?:[0-9]+ [0-9-][0-9]* [0-9-][0-9]* [0-9]+\n)*")
 # a member's weight has no leading zero, so ` 0\n` ends only the lines `u v 0`
 _TREE_BODY = re.compile(r"(?:[0-9]+ [0-9]+ (?:0|1 [1-9][0-9]*)\n)*")
 _SPLIT_BODY = re.compile(r"((?:[0-9]+ [AB] [0-9]+\n)*)([0-9]+)\n((?:[0-9]+ [0-9]+\n)*)")
 
 
+def _json_ints(text: str) -> list[int]:
+    """The integers of a checked text of fields, each followed by one space
+    or newline, in one `json.loads` call: half the time of `split` and
+    `map(int, ...)`.  A field JSON refuses (`007`, a lone `-`, more than
+    4,300 digits) raises ValueError."""
+    return json.loads(f"[{text[:-1].replace(' ', ',').replace(chr(10), ',')}]")
+
+
 def _read_interval(n: int, body: str) -> IntervalFamily | None:
     if not _INTERVAL_BODY.fullmatch(body):
         return None
-    fields = list(map(int, body.split()))
+    fields = _json_ints(body)
     left, right, weight = fields[1::4], fields[2::4], fields[3::4]
     # the line count comes first, so a count far above it builds no list of n
     if (
@@ -586,16 +603,21 @@ def _read_tree_edges(nv: int, body: str) -> TreeEdgesInstance | None:
     if not _TREE_BODY.fullmatch(body):
         return None
     # a weight 0 on each line `u v 0` gives every line four fields
-    fields = body.replace(" 0\n", " 0 0\n").split()
-    us, vs = list(map(int, fields[0::4])), list(map(int, fields[1::4]))
-    member = list(map("1".__eq__, fields[2::4]))
-    weights = map(int, compress(fields[3::4], member))
+    fields = _json_ints(body.replace(" 0\n", " 0 0\n"))
+    # the line count comes first, so a count far above it builds no list of nv
+    if len(fields) != 4 * (nv - 1):
+        return None
+    us, vs = fields[0::4], fields[1::4]
     # `tuple` over an iterator grows its result by resizing, and each resize
     # puts it back in the collector's youngest generation, to be scanned
     # again; building a list first took half the time at 10^5 edges
-    f_edges = tuple(list(zip(compress(us, member), compress(vs, member), weights)))
-    # a host fault, a wrong line count included, raises, and the line reader names it
-    return TreeEdgesInstance._checked(HostTree(nv, tuple(list(zip(us, vs)))), f_edges)
+    f_edges = tuple(list(compress(zip(us, vs, fields[3::4]), fields[2::4])))
+    edges = tuple(list(zip(us, vs)))
+    parent = _parent_columns(nv, us, vs)
+    # a host in any other order gets the public check; a fault raises, and
+    # the line reader names it
+    host = HostTree(nv, edges) if parent is None else HostTree._checked(nv, edges, parent)
+    return TreeEdgesInstance._checked(host, f_edges)
 
 
 def _read_split(nv: int, body: str) -> SplitInstance | None:
@@ -694,6 +716,9 @@ def _write_split(inst: SplitInstance) -> list[str]:
 
 
 def _write_subtrees(inst: SubtreeInstance) -> list[str]:
+    # the constructor leaves members and weights to the graph's checks
+    _require_ints("subtree member", *inst.subtrees)
+    _check_weights(inst.weights)
     out = [str(inst.host.n)]
     out.extend(f"{u} {v} 1 0" for u, v in inst.host.edges)
     out.append(str(len(inst.subtrees)))
@@ -721,7 +746,18 @@ CERT_HEADER = "domw-cert 1"
 SPLIT_HEADER = "domw-split 1"
 
 
+def _require_ints(what: str, *columns: Iterable[Any]) -> None:
+    """Raise ValueError on the first value of the columns that is no int,
+    which a writer would print as `True` or `1.0` and no reader takes; the
+    test is one set of types, built at C speed."""
+    if not {*map(type, chain.from_iterable(columns))} <= {int}:
+        bad = next(x for x in chain.from_iterable(columns) if type(x) is not int)
+        raise ValueError(f"{what} {bad!r} is not an integer")
+
+
 def _write_block(header: str, f: DominationFunction, chosen: frozenset[int], value: int) -> str:
+    # a DominationFunction checks its values, not its ids
+    _require_ints("vertex", f.values, chosen)
     out = [header]
     out.extend(f"f {v} {x}" for v, x in f.items())
     out.append("I " + " ".join(str(v) for v in sorted(chosen)) if chosen else "I")
@@ -742,13 +778,45 @@ def write_split_result(result: SplitResult) -> str:
     return _write_block(SPLIT_HEADER, result.dominating, result.witness_independent, result.value)
 
 
+# a result block as `_write_block` writes it: the header, `f v x` lines, the
+# `I` line and `value n`
+_RESULT = re.compile(r"([^\n]*)\n((?:f [0-9]+ [0-9]+\n)*)I((?: [0-9]+)*\n)value ([0-9]+)\n")
+
+
 def parse_result(text: str, headers: Sequence[str]) -> tuple[str, Certificate]:
     """A result block under one of `headers`, and the header it carries.
 
     Certificates and split reports share one layout: `f v x` lines, an `I`
     line and `value n`.  A split report's `I` line is its independent witness,
-    which lands in the `dispersed` field.
+    which lands in the `dispersed` field.  A block in the written shape is
+    read in one pass; any other text, or a fault, goes to the line reader,
+    which names it.
     """
+    try:
+        block = _read_result(text, headers)
+    except ValueError:  # a fault, which the line reader names
+        block = None
+    return block or _parse_result_lines(text, headers)
+
+
+def _read_result(text: str, headers: Sequence[str]) -> tuple[str, Certificate] | None:
+    """A block in the shape `_write_block` emits, its f ids and I ids each
+    strictly increasing, so that none repeats; None for any other text."""
+    shape = _RESULT.fullmatch(text)
+    if shape is None or shape[1] not in headers:
+        return None
+    pairs = _json_ints(shape[2].replace("f ", ""))
+    chosen = _json_ints(shape[3][1:])
+    ids = pairs[0::2]
+    if not (all(map(lt, ids, ids[1:])) and all(map(lt, chosen, chosen[1:]))):
+        return None
+    f = DominationFunction(dict(zip(ids, pairs[1::2])))
+    return shape[1], Certificate(f, frozenset(chosen), int(shape[4]))
+
+
+def _parse_result_lines(text: str, headers: Sequence[str]) -> tuple[str, Certificate]:
+    """The line reader for result blocks: any block, checked line by line,
+    its first fault named with its line."""
     lines = _Lines(text)
     line, header = lines.next("header")
     if header not in headers:

@@ -297,7 +297,9 @@ def _edge_lists(rng, count):
 def test_parent_order_accepts_only_what_the_search_accepts(monkeypatch):
     """On 20,000 edge lists, half in parent order: the host with the
     parent-order rule (which takes 6,000 of them) equals the one `_search`
-    alone checks, or raises the same error; its parent table is a BFS from 0."""
+    alone checks, or raises the same error; its parent table is a BFS from 0.
+    On the lists of int pairs, the column test that the file reader runs
+    returns what the rule returns."""
     def outcome(n, edges):
         try:
             host = HostTree(n, edges)
@@ -307,6 +309,14 @@ def test_parent_order_accepts_only_what_the_search_accepts(monkeypatch):
 
     cases = list(_edge_lists(random.Random(5), 20_000))
     assert 4_000 < sum(graph_core._parent_order(n, edges) is not None for n, edges in cases) < 8_000
+    int_pairs = [
+        (n, edges) for n, edges in cases
+        if all(type(e) is tuple and len(e) == 2 and {*map(type, e)} == {int} for e in edges)
+    ]
+    assert len(int_pairs) > 15_000
+    for n, edges in int_pairs:
+        us, vs = [u for u, _ in edges], [v for _, v in edges]
+        assert graph_core._parent_columns(n, us, vs) == graph_core._parent_order(n, edges)
     outcomes = [outcome(n, edges) for n, edges in cases]
     monkeypatch.setattr(graph_core, "_parent_order", lambda n, edges: None)
     assert [outcome(n, edges) for n, edges in cases] == outcomes
@@ -314,8 +324,13 @@ def test_parent_order_accepts_only_what_the_search_accepts(monkeypatch):
     assert 5_000 < len(trees) < 15_000
     for host, parent in trees:
         assert parent == _bfs_parents(host.n, host.edges)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError) as float_end:
         HostTree(2, ((0, 1.0),))
+    # a bool indexes a list as 0 or 1, but `write_instance` would print it as `True`
+    for edges in (((False, True),), ((0, True),), ((0, 1), (True, 2))):
+        with pytest.raises(TypeError) as bool_end:
+            HostTree(len(edges) + 1, edges)
+        assert str(bool_end.value) == str(float_end.value)
 
 
 def test_subtree_graph_small_example():
@@ -333,6 +348,9 @@ def test_subtree_graph_rejects_bad_subtrees():
         subtree_graph(host, [frozenset({0, 2})], (1,))
     with pytest.raises(UnknownVertex):
         subtree_graph(host, [frozenset({0, 9})], (1,))
+    # a bool would index vertex 1 but be written as `True`
+    with pytest.raises(UnknownVertex, match="subtree 0 uses vertex True outside the host tree"):
+        subtree_graph(host, [frozenset({True})], (1,))
     with pytest.raises(ValueError, match="one weight per subtree"):
         subtree_graph(host, [frozenset({0})], (1, 2))
     # a `SubtreeInstance` built through the library holds unchecked weights,

@@ -16,6 +16,7 @@ from domw import (
     IntervalFamily,
     LCG,
     SplitInstance,
+    SplitResult,
     SubtreeInstance,
     TreeEdgesInstance,
     WeightedGraph,
@@ -40,8 +41,12 @@ from domw.errors import (
     UnknownVertex,
 )
 from domw.instances_io import (
+    CERT_HEADER,
     KINDS,
     _parse_lines,
+    _parse_result_lines,
+    _read_result,
+    parse_result,
     example_forked_star,
     example_nontu_intervals,
     example_nontu_star,
@@ -732,10 +737,11 @@ def _edit(rng, rows, block, edit):
     rows[i] = " ".join(edit(rows[i].split(" ")))
 
 
-def _respell(rng, rows, spell):
-    """Respell a random integer field after the header with `spell`."""
+def _respell(rng, rows, spell, start=2):
+    """Respell a random integer field of the rows from `start` on (after an
+    instance file's header and kind line) with `spell`."""
     fields = [row.split(" ") for row in rows]
-    i, j = rng.choice([(i, j) for i in range(2, len(rows)) for j, f in enumerate(fields[i]) if f.isdigit()])
+    i, j = rng.choice([(i, j) for i in range(start, len(rows)) for j, f in enumerate(fields[i]) if f.isdigit()])
     fields[i][j] = spell(fields[i][j])
     rows[i] = " ".join(fields[i])
 
@@ -771,6 +777,8 @@ def _mutations(kind, rows):
         "1_0": lambda rng: _respell(rng, rows, lambda f: f[:-1] + "_" + f[-1] if len(f) > 1 else "1_0"),
         "arabic digit": lambda rng: _respell(rng, rows, lambda f: f[:-1] + chr(0x660 + int(f[-1]))),
         "count off by one": lambda rng: rows.__setitem__(2, str(nv + rng.choice((-1, 1)))),
+        # `int` refuses more than 4,300 digits, and so does JSON's reader
+        "4,301 digits": lambda rng: _respell(rng, rows, lambda f: "1" + "0" * 4300),
     }
     if len(first) > 1:
         muts["records out of order"] = lambda rng: _swap(rng, rows, first)
@@ -778,6 +786,7 @@ def _mutations(kind, rows):
         muts["weight 0"] = lambda rng: _edit(rng, rows, first, lambda f: [*f[:3], "0"])
         muts["x > y"] = lambda rng: _edit(rng, rows, first, lambda f: [f[0], str(int(f[2]) + 1), *f[2:]])
         muts["negated"] = lambda rng: _edit(rng, rows, first, lambda f: [f[0], "-" + f[2], "-" + f[1], f[3]])
+        muts["-0"] = lambda rng: _edit(rng, rows, first, lambda f: [f[0], "-0", *f[2:]])
     if kind == "tree-edges":
         muts["weight 0"] = lambda rng: _edit(rng, rows, first, lambda f: [*f[:2], "1", "0"])
         muts["loop"] = lambda rng: _edit(rng, rows, first, lambda f: [f[1], *f[1:]])
@@ -811,13 +820,21 @@ def test_whole_text_readers_agree_with_the_line_reader(kind):
     """Written files, each mutated once by every mutation and twice more by
     two drawn at random: `parse_instance` returns the line reader's instance,
     or raises its fault with the same class, message, line and cause.  The
-    whole-text reader takes every written file."""
+    whole-text reader takes every written file.  A host's equality ignores
+    its parent table, so the table the tree reader builds from its own
+    checks is compared with the public constructor's."""
+    def same_parents(inst):
+        host = inst.payload.host
+        assert host._parent == HostTree(host.n, host.edges)._parent
+
     rng = random.Random(kind)
     parsed = faulty = 0
     for seed in range(60):
         text = write_instance(InstanceFile(kind, _WRITTEN[kind](seed)))
         nv, body = text.split("\n", 3)[2:]
         assert KINDS[kind].read(int(nv), body) == parse_instance(text).payload == _parse_lines(text).payload
+        if kind == "tree-edges":
+            same_parents(parse_instance(text))
         names = list(_mutations(kind, text.splitlines()))
         # a second mutation is one of the first ten, which take any rows
         for picked in [[name] for name in names] + [[rng.choice(names), rng.choice(names[:10])] for _ in range(2)]:
@@ -829,10 +846,104 @@ def test_whole_text_readers_agree_with_the_line_reader(kind):
             expected = _outcome(_parse_lines, mutant)
             assert _outcome(parse_instance, mutant) == expected, (picked, mutant)
             if isinstance(expected, InstanceFile):
+                if kind == "tree-edges":
+                    same_parents(parse_instance(mutant))
                 parsed += 1
             else:
                 faulty += 1
     assert parsed > 300 and faulty > 300
+
+
+def _result_mutations(rows):
+    """Each mutation of a written result block's rows, by name, as in
+    `_mutations`; the f and I ones apply when the block has an f line or
+    an I id, and find their rows when they run."""
+    def f_rows():
+        return [i for i, row in enumerate(rows) if row.startswith("f ")]
+
+    def i_row():
+        return [next(i for i, row in enumerate(rows) if row.split()[0] == "I")]
+
+    def repeat_f(rng):
+        i = rng.choice(f_rows())
+        rows.insert(i + 1, rows[i])
+
+    muts = {
+        "crlf": lambda rng: rows.__setitem__(slice(None), [row + "\r" for row in rows]),
+        "comment": lambda rng: rows.insert(rng.randrange(len(rows) + 1), "# a comment"),
+        "007": lambda rng: _respell(rng, rows, lambda f: "00" + f, start=1),
+        "+1": lambda rng: _respell(rng, rows, lambda f: "+" + f, start=1),
+        "swapped lines": lambda rng: _swap(rng, rows, range(len(rows))),
+    }
+    if f_rows():
+        muts["repeated f id"] = repeat_f
+    if "I" not in rows:
+        muts["repeated I id"] = lambda rng: _edit(rng, rows, i_row(), lambda f: [*f, rng.choice(f[1:])])
+    return muts
+
+
+def test_the_result_reader_agrees_with_the_line_reader():
+    """Written results of the three solver kinds, and an empty certificate,
+    each mutated once by every mutation that applies and twice more by two
+    drawn at random: `parse_result` returns the line reader's block, or
+    raises its fault with the same class, message and line.  The one-pass
+    reader takes every written block."""
+    rng = random.Random("results")
+    texts = [write_certificate(Certificate(DominationFunction(), frozenset(), 0))]
+    for kind, make in sorted(_WRITTEN.items()):
+        for seed in range(40):
+            texts.append(KINDS[kind].write_result(KINDS[kind].solve(make(seed))))
+    parsed = faulty = 0
+    for text in texts:
+        headers = sorted({CERT_HEADER, text.split("\n", 1)[0]})
+        assert _read_result(text, headers) == parse_result(text, headers) == _parse_result_lines(text, headers)
+        names = list(_result_mutations(text.splitlines()))
+        # CRLF goes last, as a respelling looks for fields of digits alone
+        pairs = [sorted(rng.sample(names, 2), key="crlf".__eq__) for _ in range(2)]
+        for picked in [[name] for name in names] + pairs:
+            rows = text.splitlines()
+            mutate = _result_mutations(rows)
+            for name in picked:
+                mutate[name](rng)
+            mutant = "\n".join(rows) + "\n"
+            expected = _outcome(lambda t: _parse_result_lines(t, headers), mutant)
+            assert _outcome(lambda t: parse_result(t, headers), mutant) == expected, (picked, mutant)
+            if isinstance(expected, tuple) and isinstance(expected[1], Certificate):
+                parsed += 1
+            else:
+                faulty += 1
+    assert parsed > 200 and faulty > 200, (parsed, faulty)
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (lambda: write_certificate(Certificate(DominationFunction({True: 1}), frozenset({True}), 1)),
+         "vertex True is not an integer"),
+        (lambda: write_certificate(Certificate(DominationFunction({0: 1}), frozenset({0, 1.0}), 1)),
+         "vertex 1.0 is not an integer"),
+        (lambda: write_split_result(SplitResult(1, DominationFunction({0: 1}), frozenset({False}))),
+         "vertex False is not an integer"),
+        (lambda: write_instance(InstanceFile(
+            "subtree-intersection", SubtreeInstance(HostTree(2, ((0, 1),)), (frozenset({True}),), (0,))
+        )), "subtree member True is not an integer"),
+        (lambda: write_instance(InstanceFile(
+            "subtree-intersection", SubtreeInstance(HostTree(2, ((0, 1),)), (frozenset({0, 1}),), (0,))
+        )), "weight of vertex 0 must be a positive integer"),
+        (lambda: write_instance(InstanceFile(
+            "subtree-intersection", SubtreeInstance(HostTree(2, ((0, 1),)), (frozenset({1}),), (True,))
+        )), "weight of vertex 0 must be a positive integer"),
+    ],
+    ids=["cert-ids", "cert-float-I", "split-I", "subtree-member", "subtree-weight-0", "subtree-weight-bool"],
+)
+def test_a_writer_refuses_what_its_reader_would_refuse(write, message):
+    """A result block or subtree file built through the library with an id or
+    member that is no int, or a weight that is not an int of at least 1, is
+    refused before anything is written: the writer would print `True` or
+    `1.0`, which no reader takes."""
+    with pytest.raises(ValueError) as err:
+        write()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
