@@ -360,7 +360,8 @@ def _intersection_graph(
 ) -> WeightedGraph:
     """Intersection graph of subtrees of a host on n vertices, each given as
     its vertices and its top and already checked (`_checked_subtrees` or a
-    host edge's ends), with one weight each; only the weights are checked here.
+    host edge's ends), with one weight each, already checked as well
+    (`SubtreeInstance` or `_normalized`); nothing is checked here.
 
     One graph vertex per subtree, in input order; two are adjacent when the
     subtrees share a host vertex.  Two subtrees meet exactly when one of them
@@ -368,7 +369,6 @@ def _intersection_graph(
     each neighbor is read off the host-vertex to subtree incidence list at a
     top and added on both sides, in O(n + sizes + edges).
     """
-    _check_weights(weights)
     holders: list[list[int]] = [[] for _ in range(n)]
     for i, (s, _) in enumerate(checked):
         for v in s:

@@ -21,9 +21,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, compress
-from operator import eq, itemgetter, le, lt
+from operator import eq, le, lt
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -283,11 +282,11 @@ class TreeEdgesInstance:
 class SubtreeInstance:
     """Host tree with a family of connected vertex sets and their weights.
 
-    The constructor checks only that there is one weight per subtree.  The
-    subtrees are checked on first use, once per instance, for the vertex
-    count and the graph alike; the weights, which the file reader has
-    checked but a caller may not have, are checked when the graph is built.
-    The writer checks the members' type and the weights itself.
+    The constructor checks the family once, whether a file or a caller built
+    it: one weight per subtree, then each subtree a nonempty connected set
+    of host vertices, then each weight an int of at least 1.  No later step
+    checks them again: the graph is built from each subtree's set and top,
+    which the instance keeps as `_checked_subtrees`.
     """
 
     host: HostTree
@@ -297,11 +296,10 @@ class SubtreeInstance:
     def __post_init__(self) -> None:
         if len(self.subtrees) != len(self.weights):
             raise ValueError("one weight per subtree is required")
-
-    @cached_property
-    def _checked_subtrees(self) -> list[tuple[frozenset[int], int]]:
+        checked = _checked_subtrees(self.host, self.subtrees)
+        _check_weights(self.weights)
         # kept out of the fields, so equality is unchanged; never mutated
-        return _checked_subtrees(self.host, self.subtrees)
+        object.__setattr__(self, "_checked_subtrees", checked)
 
 
 @dataclass(frozen=True)
@@ -423,6 +421,8 @@ def _tree_edge(line: int, text: str) -> tuple[int, int, int | None]:
         raise InstanceSyntaxError(line, "edge: member edge needs a weight")
     if flag == 0 and len(fields) != 3:
         raise InstanceSyntaxError(line, "edge: non-member edge takes no weight")
+    if flag and fields[3] < 1:
+        raise ValueError(f"edge ({u}, {v}) must have positive weight")
     return u, v, fields[3] if flag else None
 
 
@@ -435,12 +435,8 @@ def _parse_tree_edges(lines: _Lines) -> TreeEdgesInstance:
         edges.append((u, v))
         if weight is not None:
             f_edges.append((u, v, weight))
-    host = HostTree(nv, tuple(edges))
-    # the members are host edges as written, in file order; only a weight can be wrong,
-    # and the public constructor names the first weight below 1
-    if min(map(itemgetter(2), f_edges), default=1) >= 1:
-        return TreeEdgesInstance._checked(host, tuple(f_edges))
-    return TreeEdgesInstance(host, tuple(f_edges))
+    # the members are host edges as written, in file order, each weight checked on its line
+    return TreeEdgesInstance._checked(HostTree(nv, tuple(edges)), tuple(f_edges))
 
 
 def _split_vertex(line: int, text: str) -> tuple[int, bool, int]:
@@ -458,13 +454,12 @@ def _split_vertex(line: int, text: str) -> tuple[int, bool, int]:
 def _parse_split(lines: _Lines) -> SplitInstance:
     """The vertex and edge lines, read straight into neighbor sets.
 
-    Each line is checked once, in file order: its fields, the id order, an
-    edge inside one side, a repeated edge.  After the edge block come the
-    first edge out of range, in file order, and then the first weight below
-    1.  Every vertex names a side, the parser joins the clique itself and
-    every edge crosses the sides, so the result is a split partition with
-    symmetric, loop-free neighbor sets, and no graph or split check runs
-    again.
+    Each line is checked once, in file order, and its first fault raised
+    there: a vertex line's fields, id order and weight; an edge line's
+    fields, range, sides and repeat.  Every vertex names a side, the parser
+    joins the clique itself and every edge crosses the sides, so the result
+    is a split partition with symmetric, loop-free neighbor sets, and no
+    graph or split check runs again.
     """
     nv = _count(lines, "vertex count", minimum=1)
     on_a: list[bool] = []
@@ -473,33 +468,22 @@ def _parse_split(lines: _Lines) -> SplitInstance:
         ident, side_a, w = _split_vertex(line, text)
         if ident != expect_id:
             raise InstanceSemanticError(f"vertex id {ident} out of order, expected {expect_id}")
+        if w < 1:
+            raise ValueError(f"weight of vertex {ident} must be a positive integer")
         on_a.append(side_a)
         weights.append(w)
     m = _count(lines, "edge count")
     nbrs: list[set[int]] = [set() for _ in range(nv)]
-    stray: dict[tuple[int, int], tuple[int, int]] = {}  # ends out of range, in file order
     for line, text in lines.take(m, "edge line"):
         u, v = _int_fields(line, text, 2, "edge")
-        if 0 <= u < nv and 0 <= v < nv:
-            if on_a[u] == on_a[v]:
-                raise InstanceSemanticError(f"edge {u} {v} must join the A side to the B side")
-            if v in nbrs[u]:
-                raise InstanceSemanticError(f"duplicate edge {u} {v}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-            continue
-        # an id out of range sits on no side, so it counts as B; guarding the
-        # lookup keeps a negative id from indexing from the end
-        if (0 <= u < nv and on_a[u]) == (0 <= v < nv and on_a[v]):
+        if not (0 <= u < nv and 0 <= v < nv):  # before a negative id indexes from the end
+            raise UnknownVertex(f"edge ({u}, {v}) out of range")
+        if on_a[u] == on_a[v]:
             raise InstanceSemanticError(f"edge {u} {v} must join the A side to the B side")
-        key = (u, v) if u < v else (v, u)
-        if key in stray:
+        if v in nbrs[u]:
             raise InstanceSemanticError(f"duplicate edge {u} {v}")
-        stray[key] = (u, v)
-    if stray:
-        u, v = next(iter(stray.values()))
-        raise UnknownVertex(f"edge ({u}, {v}) out of range")
-    _check_weights(weights)
+        nbrs[u].add(v)
+        nbrs[v].add(u)
     return _split_instance(weights, on_a, nbrs)
 
 
@@ -716,9 +700,6 @@ def _write_split(inst: SplitInstance) -> list[str]:
 
 
 def _write_subtrees(inst: SubtreeInstance) -> list[str]:
-    # the constructor leaves members and weights to the graph's checks
-    _require_ints("subtree member", *inst.subtrees)
-    _check_weights(inst.weights)
     out = [str(inst.host.n)]
     out.extend(f"{u} {v} 1 0" for u, v in inst.host.edges)
     out.append(str(len(inst.subtrees)))
@@ -746,18 +727,18 @@ CERT_HEADER = "domw-cert 1"
 SPLIT_HEADER = "domw-split 1"
 
 
-def _require_ints(what: str, *columns: Iterable[Any]) -> None:
-    """Raise ValueError on the first value of the columns that is no int,
+def _require_ints(*columns: Iterable[Any]) -> None:
+    """Raise ValueError on the first vertex id of the columns that is no int,
     which a writer would print as `True` or `1.0` and no reader takes; the
     test is one set of types, built at C speed."""
     if not {*map(type, chain.from_iterable(columns))} <= {int}:
         bad = next(x for x in chain.from_iterable(columns) if type(x) is not int)
-        raise ValueError(f"{what} {bad!r} is not an integer")
+        raise ValueError(f"vertex {bad!r} is not an integer")
 
 
 def _write_block(header: str, f: DominationFunction, chosen: frozenset[int], value: int) -> str:
     # a DominationFunction checks its values, not its ids
-    _require_ints("vertex", f.values, chosen)
+    _require_ints(f.values, chosen)
     out = [header]
     out.extend(f"f {v} {x}" for v, x in f.items())
     out.append("I " + " ".join(str(v) for v in sorted(chosen)) if chosen else "I")
@@ -924,7 +905,7 @@ KINDS: dict[str, Kind] = {
     "subtree-intersection": Kind(
         _parse_subtrees, _write_subtrees,
         lambda p: _intersection_graph(p.host.n, p._checked_subtrees, p.weights),
-        lambda p: len(p._checked_subtrees),
+        lambda p: len(p.subtrees),
     ),
     "explicit": Kind(_parse_explicit, _write_explicit, lambda g: g, lambda g: g.n),
 }

@@ -311,6 +311,23 @@ def test_check_over_the_cap_still_checks_the_subtrees(tmp_path, capsys):
     assert err == "error: subtree 0 is not connected in the host tree\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [("solve",), ("oracle", "gamma"), ("matrix",), ("check",), ("verify",)],
+    ids=["solve", "oracle", "matrix", "check", "verify"],
+)
+def test_every_command_names_a_disconnected_subtree(argv, tmp_path, capsys):
+    """A subtree family is checked when the file is read, so `solve`, which
+    has no solver for the kind, names the fault as the other commands do."""
+    path = tmp_path / "bad.domw"
+    path.write_text("domw 1\nkind subtree-intersection\n3\n0 1 1 0\n1 2 1 0\n1\n1 2 0 2\n")
+    cert = tmp_path / "cert.txt"
+    cert.write_text("domw-cert 1\nf 0 1\nI 0\nvalue 1\n")
+    files = (str(path), str(cert)) if argv == ("verify",) else (str(path),)
+    code, out, err = invoke(capsys, *argv, *files)
+    assert (code, out) == (1, "")
+    assert err == "error: subtree 0 is not connected in the host tree\n"
+
+
 @pytest.mark.parametrize("argv", [("oracle", "gamma"), ("check",)])
 def test_oracle_and_check_check_each_subtree_once(argv, tmp_path, capsys, monkeypatch):
     inst = domw.InstanceFile("subtree-intersection", domw.SubtreeInstance(*domw.gen_subtrees(1, 8, 6, 5)))

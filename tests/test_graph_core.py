@@ -353,8 +353,7 @@ def test_subtree_graph_rejects_bad_subtrees():
         subtree_graph(host, [frozenset({True})], (1,))
     with pytest.raises(ValueError, match="one weight per subtree"):
         subtree_graph(host, [frozenset({0})], (1, 2))
-    # a `SubtreeInstance` built through the library holds unchecked weights,
-    # which the graph build checks
+    # a `SubtreeInstance` built through the library checks its weights when built
     for weight in (0, True, 1.0):
         with pytest.raises(ValueError) as err:
             subtree_graph(host, [frozenset({0}), frozenset({1})], (1, weight))

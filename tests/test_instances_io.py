@@ -35,6 +35,8 @@ from domw import (
 )
 from domw import graph_core
 from domw.errors import (
+    DisconnectedSubtree,
+    EmptySubtree,
     InstanceSemanticError,
     InstanceSyntaxError,
     ParameterOutOfRange,
@@ -433,8 +435,9 @@ Syntax, Semantic = InstanceSyntaxError, InstanceSemanticError
 @pytest.mark.parametrize(
     "text, error, message, line",
     [
-        # a member edge of weight 0 is caught by the selection check
+        # a member edge of weight 0 is named at its line, ahead of a later host fault
         (TREE_KIND + "2\n0 1 1 0\n", Semantic, "edge (0, 1) must have positive weight", None),
+        (TREE_KIND + "3\n0 1 1 0\n0 1 0\n", Semantic, "edge (0, 1) must have positive weight", None),
         # host faults, from the host tree check
         (TREE_KIND + "3\n0 1 0\n1 0 1 2\n", Semantic, "duplicate edge (1, 0)", None),
         (TREE_KIND + "4\n0 1 1 1\n1 2 0\n2 0 1 1\n", Semantic, "host tree is not connected", None),
@@ -577,22 +580,28 @@ ABA = "3\n0 A 1\n1 B 1\n2 A 1\n"  # id -1 read from the end would land on A
         (AAB + "x\n", Syntax, "line 7: edge count: fields must be integers", 7, None),
         (AAB + "-1\n", Semantic, "edge count must be at least 0, got -1", None, None),
         ("1\n0 A 1\n", Syntax, "line 5: missing edge count", 5, None),
-        # an edge inside one side; an id out of range sits on the B side, and
-        # a negative one must not index from the end
+        # an edge inside one side, and a repeat in either orientation
         (AAB + "1\n0 1\n", Semantic, "edge 0 1 must join the A side to the B side", None, None),
         (AAB + "1\n2 2\n", Semantic, "edge 2 2 must join the A side to the B side", None, None),
-        (AAB + "1\n-1 2\n", Semantic, "edge -1 2 must join the A side to the B side", None, None),
-        (ABA + "1\n-1 1\n", Semantic, "edge -1 1 must join the A side to the B side", None, None),
-        (AAB + "1\n5 6\n", Semantic, "edge 5 6 must join the A side to the B side", None, None),
-        # repeats, in either orientation, in range or not
         (AAB + "2\n0 2\n2 0\n", Semantic, "duplicate edge 2 0", None, None),
-        (AAB + "2\n0 5\n5 0\n", Semantic, "duplicate edge 5 0", None, None),
-        # after the block: the first edge out of range, then the first weight below 1
-        (AAB + "3\n0 5\n0 2\n2 0\n", Semantic, "duplicate edge 2 0", None, None),
+        # an end out of range is named at its line, ahead of the sides and
+        # of any later line; a negative end never indexes from the end, where
+        # -1 would land on an A vertex
+        (AAB + "1\n-1 2\n", Semantic, "edge (-1, 2) out of range", None, UnknownVertex),
+        (ABA + "1\n-1 1\n", Semantic, "edge (-1, 1) out of range", None, UnknownVertex),
+        (ABA + "1\n1 -1\n", Semantic, "edge (1, -1) out of range", None, UnknownVertex),
         (AAB + "1\n0 -1\n", Semantic, "edge (0, -1) out of range", None, UnknownVertex),
         (ABA + "1\n0 -1\n", Semantic, "edge (0, -1) out of range", None, UnknownVertex),
+        (AAB + "1\n5 6\n", Semantic, "edge (5, 6) out of range", None, UnknownVertex),
+        (AAB + "2\n0 5\n5 0\n", Semantic, "edge (0, 5) out of range", None, UnknownVertex),
+        (AAB + "3\n0 5\n0 2\n2 0\n", Semantic, "edge (0, 5) out of range", None, UnknownVertex),
         (AAB + "2\n0 5\n1 7\n", Semantic, "edge (0, 5) out of range", None, UnknownVertex),
-        ("3\n0 A 1\n1 A 0\n2 B 1\n1\n0 5\n", Semantic, "edge (0, 5) out of range", None, UnknownVertex),
+        (AAB + "2\n0 5\n0 x\n", Semantic, "edge (0, 5) out of range", None, UnknownVertex),
+        # a weight below 1 is named at its vertex line, ahead of any edge
+        ("3\n0 A 1\n1 A 0\n2 B 1\n1\n0 5\n", Semantic,
+         "weight of vertex 1 must be a positive integer", None, ValueError),
+        ("3\n0 A 1\n1 A 0\n2 B 1\n1\n0 1\n", Semantic,
+         "weight of vertex 1 must be a positive integer", None, ValueError),
         ("3\n0 A 1\n1 A 0\n2 B 1\n1\n0 2\n", Semantic,
          "weight of vertex 1 must be a positive integer", None, ValueError),
         ("3\n0 A 1\n1 A 0\n2 B -3\n1\n0 2\nextra\n", Semantic,
@@ -924,26 +933,38 @@ def test_the_result_reader_agrees_with_the_line_reader():
          "vertex 1.0 is not an integer"),
         (lambda: write_split_result(SplitResult(1, DominationFunction({0: 1}), frozenset({False}))),
          "vertex False is not an integer"),
-        (lambda: write_instance(InstanceFile(
-            "subtree-intersection", SubtreeInstance(HostTree(2, ((0, 1),)), (frozenset({True}),), (0,))
-        )), "subtree member True is not an integer"),
-        (lambda: write_instance(InstanceFile(
-            "subtree-intersection", SubtreeInstance(HostTree(2, ((0, 1),)), (frozenset({0, 1}),), (0,))
-        )), "weight of vertex 0 must be a positive integer"),
-        (lambda: write_instance(InstanceFile(
-            "subtree-intersection", SubtreeInstance(HostTree(2, ((0, 1),)), (frozenset({1}),), (True,))
-        )), "weight of vertex 0 must be a positive integer"),
     ],
-    ids=["cert-ids", "cert-float-I", "split-I", "subtree-member", "subtree-weight-0", "subtree-weight-bool"],
+    ids=["cert-ids", "cert-float-I", "split-I"],
 )
 def test_a_writer_refuses_what_its_reader_would_refuse(write, message):
-    """A result block or subtree file built through the library with an id or
-    member that is no int, or a weight that is not an int of at least 1, is
+    """A result block built through the library with an id that is no int is
     refused before anything is written: the writer would print `True` or
     `1.0`, which no reader takes."""
     with pytest.raises(ValueError) as err:
         write()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "subtree, weight, error, message",
+    [
+        # a bool would be written as `True`, which no reader takes
+        ({True}, 1, UnknownVertex, "subtree 0 uses vertex True outside the host tree"),
+        ({0, 1}, 0, ValueError, "weight of vertex 0 must be a positive integer"),
+        ({1}, True, ValueError, "weight of vertex 0 must be a positive integer"),
+        ({1, 3}, 1, UnknownVertex, "subtree 0 uses vertex 3 outside the host tree"),
+        (set(), 1, EmptySubtree, "subtree 0 is empty"),
+        ({0, 2}, 1, DisconnectedSubtree, "subtree 0 is not connected in the host tree"),
+    ],
+    ids=["bool-member", "weight-0", "bool-weight", "outside-host", "empty", "disconnected"],
+)
+def test_the_subtree_constructor_refuses_what_the_reader_would_refuse(subtree, weight, error, message):
+    """A subtree family built through the library is checked when it is
+    built, as a file's is when it is read: nothing is left for the writer or
+    the graph build to find."""
+    with pytest.raises(error) as err:
+        SubtreeInstance(HostTree(3, ((0, 1), (1, 2))), (frozenset(subtree),), (weight,))
+    assert type(err.value) is error and str(err.value) == message
 
 
 @pytest.mark.parametrize(
