@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from operator import ge, itemgetter, lt
+from operator import ge, lt
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .errors import (
@@ -175,23 +175,10 @@ def _search(n: int, edges: Sequence[tuple[Vertex, Vertex]]) -> list[Vertex] | No
     return parent if len(reached) == n else None
 
 
-def _parent_order(n: int, edges: Sequence[tuple[Vertex, Vertex]]) -> list[Vertex] | None:
-    """The parent table of edges in parent order, [-1, u_1, ..., u_(n-1)] when
-    edge i - 1 is the int pair (u_i, i) with 0 <= u_i < i; None for any other
-    edge list, which `_search` then checks."""
-    if not {*map(type, edges)} <= {tuple} or not {*map(len, edges)} <= {2}:
-        return None
-    us = list(map(itemgetter(0), edges))
-    vs = list(map(itemgetter(1), edges))
-    # a float or a bool equals an int, so `_search` refuses them
-    if not {*map(type, us), *map(type, vs)} <= {int}:
-        return None
-    return _parent_columns(n, us, vs)
-
-
 def _parent_columns(n: int, us: list[int], vs: list[int]) -> list[Vertex] | None:
     """The parent table [-1, *us] when the n - 1 int edges (us[i], vs[i]) are
-    in parent order: vs is 1..n-1 and 0 <= us[i] < vs[i]; otherwise None."""
+    in parent order: vs is 1..n-1 and 0 <= us[i] < vs[i]; otherwise None.
+    Only `HostTree._from_columns` takes this table, in place of a search."""
     if vs != list(range(1, n)) or min(us, default=0) < 0 or not all(map(lt, us, vs)):
         return None
     return [-1, *us]
@@ -201,21 +188,21 @@ def _parent_columns(n: int, us: list[int], vs: list[int]) -> list[Vertex] | None
 class HostTree:
     """A tree on vertices 0..n-1, the host for subtree intersection graphs.
 
-    Construction checks the edge count, then the edges.  Edges in parent
-    order, edge i - 1 joining some u < i to i, form a tree with no search:
-    each vertex's chain of strictly smaller parents ends at 0, so the graph
-    is connected, and a connected graph on n vertices with n - 1 edges is a
-    tree.  `gen_tree` and `gen_subtrees` write their hosts in this order.
-    Any other edge list gets one search from 0: n - 1 edges in range and
-    without loops that reach every vertex form a tree.  A repeated edge
-    always leaves a vertex unreached, so repeats are looked for only when
-    the search fails, and reported ahead of `not connected`.  An end that is
-    no int (a bool or a float) raises TypeError.  The subtree checks read
-    the parent table that this check computes, which the host keeps as
-    `_parent`.  The tree-edges file reader tests its own int columns for
-    parent order with `_parent_columns`, as `_parent_order` does, and builds
-    the host with that table through `_checked`; a host in any other order
-    goes through this constructor.
+    Construction checks the edge count, then the edges, by one search from
+    0: n - 1 edges in range and without loops that reach every vertex form
+    a tree.  A repeated edge always leaves a vertex unreached, so repeats
+    are looked for only when the search fails, and reported ahead of `not
+    connected`.  An end that is no int (a bool or a float) raises
+    TypeError.  The subtree checks read the parent table that this check
+    computes, which the host keeps as `_parent`.
+
+    Callers that hold int edge columns (the file readers and the
+    generators) build the host through `_from_columns` instead.  Edges in
+    parent order, edge i - 1 joining some u < i to i, form a tree with no
+    search: each vertex's chain of strictly smaller parents ends at 0, so
+    the graph is connected, and a connected graph on n vertices with n - 1
+    edges is a tree.  `gen_tree` and `gen_subtrees` write their hosts in
+    this order.  Columns in any other order go through the constructor.
     """
 
     n: int
@@ -227,16 +214,21 @@ class HostTree:
             raise ValueError("host tree needs at least one vertex")
         if len(self.edges) != n - 1:
             raise ValueError("a tree on n vertices has exactly n-1 edges")
-        parent = _parent_order(n, self.edges) or _search(n, self.edges)
+        parent = _search(n, self.edges)
         if parent is None:
             _raise_host_fault(n, self.edges)
         # kept out of the fields, so equality is unchanged; never mutated
         object.__setattr__(self, "_parent", parent)
 
     @classmethod
-    def _checked(cls, n: int, edges: tuple[tuple[Vertex, Vertex], ...], parent: list[Vertex]) -> "HostTree":
-        """A host whose int edges the caller has found in parent order with
-        `_parent_columns`, which returned `parent`."""
+    def _from_columns(cls, n: int, us: list[int], vs: list[int]) -> "HostTree":
+        """The host on n >= 1 vertices with the int edges (us[i], vs[i]): in
+        parent order it takes the table of `_parent_columns` and runs no
+        search; in any other order the constructor checks it."""
+        edges = tuple(list(zip(us, vs)))  # a list first: see `_read_tree_edges`
+        parent = _parent_columns(n, us, vs)
+        if parent is None:
+            return cls(n, edges)
         host = object.__new__(cls)
         object.__setattr__(host, "n", n)
         object.__setattr__(host, "edges", edges)

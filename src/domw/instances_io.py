@@ -40,7 +40,6 @@ from .graph_core import (
     _check_weights,
     _checked_subtrees,
     _intersection_graph,
-    _parent_columns,
     is_w_dominating,
 )
 from .interval_solver import IntervalFamily, _fault, intersection_graph, solve_interval
@@ -170,8 +169,8 @@ def gen_interval(seed: int, n: int, max_coord: int, max_w: int) -> IntervalFamil
 
 
 def _random_recursive_tree(rng: LCG, n: int) -> HostTree:
-    edges = tuple((rng.randint(0, v - 1), v) for v in range(1, n))
-    return HostTree(n, edges)
+    vs = list(range(1, n))
+    return HostTree._from_columns(n, [rng.randint(0, v - 1) for v in vs], vs)
 
 
 def gen_tree(seed: int, n_edges: int, max_w: int) -> tuple[HostTree, tuple[FEdge, ...]]:
@@ -373,13 +372,15 @@ def _count(lines: _Lines, what: str, minimum: int = 0) -> int:
 def _parse_host_tree(lines: _Lines) -> HostTree:
     """A host tree section; every edge line ends with the flag 1 and weight 0."""
     nv = _count(lines, "vertex count", minimum=1)
-    edges = []
+    us: list[int] = []
+    vs: list[int] = []
     for line, text in lines.take(nv - 1, "host edge line"):
         u, v, flag, w = _int_fields(line, text, 4, "host edge")
         if (flag, w) != (1, 0):
             raise InstanceSyntaxError(line, "host edge must end with 1 0")
-        edges.append((u, v))
-    return HostTree(nv, tuple(edges))
+        us.append(u)
+        vs.append(v)
+    return HostTree._from_columns(nv, us, vs)
 
 
 def _parse_interval(lines: _Lines) -> IntervalFamily:
@@ -428,15 +429,17 @@ def _tree_edge(line: int, text: str) -> tuple[int, int, int | None]:
 
 def _parse_tree_edges(lines: _Lines) -> TreeEdgesInstance:
     nv = _count(lines, "vertex count", minimum=1)
-    edges = []
+    us: list[int] = []
+    vs: list[int] = []
     f_edges = []
     for line, text in lines.take(nv - 1, "edge line"):
         u, v, weight = _tree_edge(line, text)
-        edges.append((u, v))
+        us.append(u)
+        vs.append(v)
         if weight is not None:
             f_edges.append((u, v, weight))
     # the members are host edges as written, in file order, each weight checked on its line
-    return TreeEdgesInstance._checked(HostTree(nv, tuple(edges)), tuple(f_edges))
+    return TreeEdgesInstance._checked(HostTree._from_columns(nv, us, vs), tuple(f_edges))
 
 
 def _split_vertex(line: int, text: str) -> tuple[int, bool, int]:
@@ -514,32 +517,38 @@ def _parse_subtrees(lines: _Lines) -> SubtreeInstance:
             raise InstanceSyntaxError(line, f"subtree: announced {size} vertices, got {len(members)}")
         if len(set(members)) != size:
             raise InstanceSemanticError(f"subtree on line {line} repeats a vertex")
-        if w < 1:
-            raise InstanceSemanticError(f"subtree on line {line} has weight {w} < 1")
         subtrees.append(frozenset(members))
         weights.append(w)
     return SubtreeInstance(host, tuple(subtrees), tuple(weights))
 
 
 def _parse_explicit(lines: _Lines) -> WeightedGraph:
+    """The vertex and edge lines, read straight into neighbor sets as
+    `_parse_split` reads them: each line is checked once, in file order, and
+    its first fault raised there: a vertex line's fields, id order and
+    weight; an edge line's fields, range, self-loop and repeat."""
     nv = _count(lines, "vertex count", minimum=1)
     weights = []
     for expect_id, (line, text) in enumerate(lines.take(nv, "vertex line")):
         ident, w = _int_fields(line, text, 2, "vertex")
         if ident != expect_id:
             raise InstanceSemanticError(f"vertex id {ident} out of order, expected {expect_id}")
+        if w < 1:
+            raise ValueError(f"weight of vertex {ident} must be a positive integer")
         weights.append(w)
     m = _count(lines, "edge count")
-    edges = []
-    seen = set()
+    nbrs: list[set[int]] = [set() for _ in range(nv)]
     for line, text in lines.take(m, "edge line"):
         u, v = _int_fields(line, text, 2, "edge")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
+        if not (0 <= u < nv and 0 <= v < nv):  # before a negative id indexes from the end
+            raise UnknownVertex(f"edge ({u}, {v}) out of range")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if v in nbrs[u]:
             raise InstanceSemanticError(f"duplicate edge {u} {v}")
-        seen.add(key)
-        edges.append((u, v))
-    return WeightedGraph.from_edges(weights, edges)
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return WeightedGraph._checked(tuple(weights), tuple(map(frozenset, nbrs)))
 
 
 # The whole-text readers, one per solver kind, take the count from the head
@@ -596,12 +605,8 @@ def _read_tree_edges(nv: int, body: str) -> TreeEdgesInstance | None:
     # puts it back in the collector's youngest generation, to be scanned
     # again; building a list first took half the time at 10^5 edges
     f_edges = tuple(list(compress(zip(us, vs, fields[3::4]), fields[2::4])))
-    edges = tuple(list(zip(us, vs)))
-    parent = _parent_columns(nv, us, vs)
-    # a host in any other order gets the public check; a fault raises, and
-    # the line reader names it
-    host = HostTree(nv, edges) if parent is None else HostTree._checked(nv, edges, parent)
-    return TreeEdgesInstance._checked(host, f_edges)
+    # a host fault raises, and the line reader names it
+    return TreeEdgesInstance._checked(HostTree._from_columns(nv, us, vs), f_edges)
 
 
 def _read_split(nv: int, body: str) -> SplitInstance | None:

@@ -294,32 +294,37 @@ def _edge_lists(rng, count):
         yield n, tuple(edges)
 
 
-def test_parent_order_accepts_only_what_the_search_accepts(monkeypatch):
-    """On 20,000 edge lists, half in parent order: the host with the
-    parent-order rule (which takes 6,000 of them) equals the one `_search`
-    alone checks, or raises the same error; its parent table is a BFS from 0.
-    On the lists of int pairs, the column test that the file reader runs
-    returns what the rule returns."""
-    def outcome(n, edges):
+def test_parent_order_accepts_only_what_the_search_accepts():
+    """On 20,000 edge lists, half in parent order: on the lists of int
+    pairs, the host `_from_columns` builds from their columns (with no
+    search on the 6,000 in parent order) equals the one the constructor's
+    search checks, or raises the same error; its parent table is a BFS
+    from 0."""
+    def outcome(build, n, edges):
         try:
-            host = HostTree(n, edges)
+            host = build(n, edges)
         except (ValueError, TypeError) as exc:
             return type(exc), str(exc)
         return host, host._parent
 
+    def from_columns(n, edges):
+        return HostTree._from_columns(n, [u for u, _ in edges], [v for _, v in edges])
+
     cases = list(_edge_lists(random.Random(5), 20_000))
-    assert 4_000 < sum(graph_core._parent_order(n, edges) is not None for n, edges in cases) < 8_000
     int_pairs = [
         (n, edges) for n, edges in cases
         if all(type(e) is tuple and len(e) == 2 and {*map(type, e)} == {int} for e in edges)
     ]
     assert len(int_pairs) > 15_000
-    for n, edges in int_pairs:
-        us, vs = [u for u, _ in edges], [v for _, v in edges]
-        assert graph_core._parent_columns(n, us, vs) == graph_core._parent_order(n, edges)
-    outcomes = [outcome(n, edges) for n, edges in cases]
-    monkeypatch.setattr(graph_core, "_parent_order", lambda n, edges: None)
-    assert [outcome(n, edges) for n, edges in cases] == outcomes
+    in_order = sum(
+        graph_core._parent_columns(n, [u for u, _ in edges], [v for _, v in edges]) is not None
+        for n, edges in int_pairs
+    )
+    assert 4_000 < in_order < 8_000
+    assert [outcome(from_columns, n, edges) for n, edges in int_pairs] == [
+        outcome(HostTree, n, edges) for n, edges in int_pairs
+    ]
+    outcomes = [outcome(HostTree, n, edges) for n, edges in cases]
     trees = [(host, parent) for host, parent in outcomes if isinstance(host, HostTree)]
     assert 5_000 < len(trees) < 15_000
     for host, parent in trees:

@@ -112,6 +112,16 @@ def test_generated_files_match_their_pinned_digest(kind, digest):
     assert written.hexdigest() == digest
 
 
+def test_generated_hosts_equal_the_searched_host():
+    """The hosts that `gen_tree` and `gen_subtrees` build from their drawn
+    parents, with no search, equal the constructor's host on 500 seeds
+    each, parent table included, from one vertex up."""
+    for seed in range(500):
+        for host in (gen_tree(seed, 1 + seed % 40, 5)[0], gen_subtrees(seed, 1 + seed % 40, 2, 4)[0]):
+            searched = HostTree(host.n, host.edges)
+            assert host == searched and host._parent == searched._parent
+
+
 def test_generator_parameter_validation():
     with pytest.raises(ParameterOutOfRange):
         gen_interval(0, 0, 12, 5)
@@ -459,6 +469,17 @@ Syntax, Semantic = InstanceSyntaxError, InstanceSemanticError
         # a repeated edge, given in the other orientation
         (SPLIT_AB + "2\n0 1\n1 0\n", Semantic, "duplicate edge 1 0", None),
         ("domw 1\nkind explicit\n2\n0 1\n1 1\n2\n0 1\n1 0\n", Semantic, "duplicate edge 1 0", None),
+        # an explicit file is read like a split file: its first faulty line
+        # is named, with that line's first fault
+        (EXPLICIT + "2\n0 1\n1 0\n1\n0 5\n", Semantic, "weight of vertex 1 must be a positive integer", None),
+        (EXPLICIT + "2\n0 1\n1 1\n2\n0 5\n0 x\n", Semantic, "edge (0, 5) out of range", None),
+        (EXPLICIT + "2\n0 1\n1 1\n2\n1 1\n1 1\n", Semantic, "self-loop at vertex 1", None),
+        (EXPLICIT + "3\n0 1\n1 1\n2 1\n3\n0 1\n1 0\n0 7\n", Semantic, "duplicate edge 1 0", None),
+        # a subtree weight below 1 is named by its index, as the constructor
+        # names it, after the subtrees themselves are checked
+        (SUBTREE + "0 1 0\n", Semantic, "weight of vertex 0 must be a positive integer", None),
+        ("domw 1\nkind subtree-intersection\n3\n0 1 1 0\n1 2 1 0\n2\n0 1 0\n1 2 0 2\n", Semantic,
+         "subtree 1 is not connected in the host tree", None),
     ],
 )
 def test_parser_fault_class_message_and_line(text, error, message, line):
@@ -997,21 +1018,21 @@ def test_a_count_far_above_the_body_costs_only_the_bytes(text, message):
 
 def test_reading_a_subtree_file_checks_each_host_once(monkeypatch):
     """Reading a subtree-intersection file and building its graph runs the
-    host check once: `_parent_order` on the written host, and `_search` too
-    when the host's edges are not in parent order."""
+    host check once: `_parent_columns` on the written host, and `_search`
+    instead of its table when the host's edges are not in parent order."""
     host, subtrees, weights = gen_subtrees(3, 12, 6, 4)
     cases = []
     for edges, searches in ((host.edges, 0), (host.edges[::-1], 1)):
         inst = InstanceFile("subtree-intersection", SubtreeInstance(HostTree(host.n, edges), subtrees, weights))
         cases.append((write_instance(inst), instance_graph(inst), searches))
     calls = {}
-    for name in ("_parent_order", "_search"):
-        def spy(n, edges, check=getattr(graph_core, name), name=name):
+    for name in ("_parent_columns", "_search"):
+        def spy(*args, check=getattr(graph_core, name), name=name):
             calls[name] += 1
-            return check(n, edges)
+            return check(*args)
 
         monkeypatch.setattr(graph_core, name, spy)
     for text, graph, searches in cases:
-        calls.update(_parent_order=0, _search=0)
+        calls.update(_parent_columns=0, _search=0)
         assert instance_graph(parse_instance(text)) == graph
-        assert calls == {"_parent_order": 1, "_search": searches}
+        assert calls == {"_parent_columns": 1, "_search": searches}
