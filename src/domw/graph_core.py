@@ -61,9 +61,9 @@ class WeightedGraph:
 
     @classmethod
     def from_edges(cls, weights: Sequence[int], edges: Iterable[tuple[Vertex, Vertex]]) -> "WeightedGraph":
-        """The graph of an edge list, with the constructor's checks in its
-        order: edge range, then weights, then self-loops.  Each edge lands in
-        both neighbor sets, so symmetry needs no rescan."""
+        """The graph of an edge list.  The edge range is checked first, as an
+        edge indexes the neighbor sets; the constructor then checks the
+        weights and self-loops."""
         n = len(weights)
         nbrs: list[set[Vertex]] = [set() for _ in range(n)]
         for u, v in edges:
@@ -71,11 +71,7 @@ class WeightedGraph:
                 raise UnknownVertex(f"edge ({u}, {v}) out of range")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        _check_weights(weights)
-        for v, s in enumerate(nbrs):
-            if v in s:
-                raise ValueError(f"self-loop at vertex {v}")
-        return cls._checked(tuple(weights), tuple(map(frozenset, nbrs)))
+        return cls(tuple(weights), tuple(map(frozenset, nbrs)))
 
     @property
     def n(self) -> int:

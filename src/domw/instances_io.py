@@ -317,8 +317,12 @@ class _Lines:
     """Line cursor over the meaningful lines of a file, tracking numbers."""
 
     def __init__(self, text: str):
+        # lines end where universal newlines end them, `\r\n`, `\r` or `\n`,
+        # as `domw` opens files; `str.splitlines` also ends one at `\v`, `\f`,
+        # `\x1c`-`\x1e` and three non-ASCII separators
+        rows = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
         self.rows: list[tuple[int, str]] = [
-            (i, row) for i, row in enumerate(map(str.strip, text.splitlines()), start=1)
+            (i, row) for i, row in enumerate(map(str.strip, rows), start=1)
             if row and row[0] != "#"
         ]
         self.at = 0
@@ -565,7 +569,26 @@ _HEAD = re.compile(r"domw 1\nkind ([a-z-]+)\n([1-9][0-9]{0,8})\n")
 _INTERVAL_BODY = re.compile(r"(?:[0-9]+ [0-9-][0-9]* [0-9-][0-9]* [0-9]+\n)*")
 # a member's weight has no leading zero, so ` 0\n` ends only the lines `u v 0`
 _TREE_BODY = re.compile(r"(?:[0-9]+ [0-9]+ (?:0|1 [1-9][0-9]*)\n)*")
+# matched whole, not by `_match_lines` below like the two above: its groups
+# capture whole blocks, and split files stay small
 _SPLIT_BODY = re.compile(r"((?:[0-9]+ [AB] [0-9]+\n)*)([0-9]+)\n((?:[0-9]+ [0-9]+\n)*)")
+# A `(?:...)*` repeat keeps a backtracking frame of some 320 bytes per line it
+# matches, 32 MB on a 10^5-line body, so `_match_lines` matches a body in
+# chunks of at most this many characters, each ending just after a `\n`
+_CHUNK = 1 << 16
+
+
+def _match_lines(body_shape: re.Pattern[str], body: str) -> bool:
+    """Whether `body_shape`, a repeat of `\n`-ended lines, matches all of
+    `body`.  A chunk with no line end holds part of a line longer than any
+    written one, so it fails."""
+    pos, end = 0, len(body)
+    while end - pos > _CHUNK:
+        stop = body.rfind("\n", pos, pos + _CHUNK) + 1
+        if not stop or not body_shape.fullmatch(body, pos, stop):
+            return False
+        pos = stop
+    return body_shape.fullmatch(body, pos, end) is not None
 
 
 def _json_ints(text: str) -> list[int]:
@@ -577,7 +600,7 @@ def _json_ints(text: str) -> list[int]:
 
 
 def _read_interval(n: int, body: str) -> IntervalFamily | None:
-    if not _INTERVAL_BODY.fullmatch(body):
+    if not _match_lines(_INTERVAL_BODY, body):
         return None
     fields = _json_ints(body)
     left, right, weight = fields[1::4], fields[2::4], fields[3::4]
@@ -593,7 +616,7 @@ def _read_interval(n: int, body: str) -> IntervalFamily | None:
 
 
 def _read_tree_edges(nv: int, body: str) -> TreeEdgesInstance | None:
-    if not _TREE_BODY.fullmatch(body):
+    if not _match_lines(_TREE_BODY, body):
         return None
     # a weight 0 on each line `u v 0` gives every line four fields
     fields = _json_ints(body.replace(" 0\n", " 0 0\n"))

@@ -402,6 +402,33 @@ def test_gen_then_solve_round_trip(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "gen",
+    [
+        ("interval", "--seed", "3", "--n", "40"),
+        ("tree-edges", "--seed", "3", "--n-edges", "40"),
+        ("split", "--seed", "3", "--n-a", "6", "--n-b", "10"),
+    ],
+    ids=lambda gen: gen[0],
+)
+def test_a_crlf_copy_of_a_written_file_takes_the_whole_text_reader(gen, tmp_path, capsys, monkeypatch):
+    """Files are opened in text mode, so CRLF line ends reach the readers as
+    `\n`: a CRLF copy of a written file is read in one pass, and solves to
+    the written file's bytes."""
+    _, text, _ = invoke(capsys, "gen", *gen)
+    written, crlf = tmp_path / "written.domw", tmp_path / "crlf.domw"
+    written.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    code, expected, _ = invoke(capsys, "solve", str(written))
+    assert code == 0
+
+    def refuse(text):
+        raise AssertionError("the line reader ran")
+
+    monkeypatch.setattr(domw.instances_io, "_parse_lines", refuse)
+    assert invoke(capsys, "solve", str(crlf)) == (0, expected, "")
+
+
 def test_sweep_runs_clean_on_twenty_seeds(capsys):
     code, out, _ = invoke(capsys, "sweep", "--seeds", "20")
     assert code == 0

@@ -45,6 +45,9 @@ from domw.errors import (
 from domw.instances_io import (
     CERT_HEADER,
     KINDS,
+    _INTERVAL_BODY,
+    _TREE_BODY,
+    _match_lines,
     _parse_lines,
     _parse_result_lines,
     _read_result,
@@ -438,6 +441,7 @@ def test_random_hosts_round_trip_through_the_tree_format(host: HostTree):
 
 
 TREE_KIND = "domw 1\nkind tree-edges\n"
+INTERVAL_KIND = "domw 1\nkind interval\n"
 SPLIT_AB = "domw 1\nkind split\n2\n0 A 1\n1 B 1\n"
 Syntax, Semantic = InstanceSyntaxError, InstanceSemanticError
 
@@ -480,6 +484,10 @@ Syntax, Semantic = InstanceSyntaxError, InstanceSemanticError
         (SUBTREE + "0 1 0\n", Semantic, "weight of vertex 0 must be a positive integer", None),
         ("domw 1\nkind subtree-intersection\n3\n0 1 1 0\n1 2 1 0\n2\n0 1 0\n1 2 0 2\n", Semantic,
          "subtree 1 is not connected in the host tree", None),
+        # records end only at line ends: a form feed splits no record, and a
+        # `\x1c` line shifts no line number after it
+        (INTERVAL_KIND + "2\n0 1 2 3\f1 4 5 6\n", Syntax, "line 4: interval: expected 4 fields, got 8", 4),
+        (INTERVAL_KIND + "2\n0 1 2 1\n\x1c\n1 x 2 1\n", Syntax, "line 6: interval: fields must be integers", 6),
     ],
 )
 def test_parser_fault_class_message_and_line(text, error, message, line):
@@ -1014,6 +1022,28 @@ def test_a_count_far_above_the_body_costs_only_the_bytes(text, message):
             tracemalloc.stop()
         assert str(err.value) == message
         assert peak < 100_000, count
+
+
+@pytest.mark.parametrize(
+    "body_shape, line",
+    [(_INTERVAL_BODY, "{0} -{0} {0} 1\n"), (_TREE_BODY, "{0} {0} 1 9\n")],
+    ids=["interval", "tree-edges"],
+)
+def test_the_body_shape_check_runs_in_constant_memory(body_shape, line):
+    """The body regex is matched in chunks, so its traced peak on a
+    10^5-line body stays below 2 MB; matched whole, it held 32 MB."""
+    body = "".join(line.format(i) for i in range(10**5))
+    tracemalloc.start()
+    try:
+        assert _match_lines(body_shape, body)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    # a faulty line in the first chunk or in the last, and a line longer
+    # than a chunk, so that the first chunk holds no line end
+    for faulty in ("x\n" + body, body + "x\n", "x" * 2**16 + "\n" + body):
+        assert not _match_lines(body_shape, faulty)
 
 
 def test_reading_a_subtree_file_checks_each_host_once(monkeypatch):

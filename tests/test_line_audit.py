@@ -1,5 +1,5 @@
 """The line audit's verdicts (tools/line_audit.py) on a small module with a
-chosen set of run lines, including each way an allowlist can be wrong."""
+chosen set of run lines: one fault per executable line that never ran."""
 
 import importlib.util
 from pathlib import Path
@@ -30,38 +30,15 @@ def module(tmp_path):
     return path
 
 
-def _faults(module, unrun, allowed):
+def _faults(module, unrun):
     ran = {str(module): line_audit.executable_lines(module) - set(unrun)}
-    return line_audit.audit(ran, allowed, module.parent)
+    return line_audit.audit(ran, module.parent)
 
 
-def _entry(source, **fields):
-    return {"file": "mod.py", "source": source, "reason": "why", **fields}
-
-
-def test_unlisted_unrun_lines_are_faults(module):
-    assert _faults(module, {3, 4, 8}, []) == [
+def test_each_unrun_line_is_a_fault_even_when_its_text_repeats(module):
+    assert _faults(module, {3, 4, 8}) == [
         "mod.py:3: never run: return None",
         "mod.py:4: never run: return None",
         'mod.py:8: never run: raise ValueError("no")',
     ]
-    assert _faults(module, set(), []) == []
-
-
-def test_an_entry_covers_only_its_count_of_lines_with_its_text(module):
-    assert _faults(module, {3, 4}, [_entry("return None")]) == ["mod.py:4: never run: return None"]
-    assert _faults(module, {3, 4}, [_entry("return None", count=2)]) == []
-
-
-def test_a_listed_line_that_runs_or_is_gone_is_a_fault(module):
-    raise_line = 'raise ValueError("no")'
-    assert _faults(module, set(), [_entry(raise_line)]) == [f"mod.py: listed 1 but 0 unrun: {raise_line}"]
-    assert _faults(module, {3}, [_entry("return None", count=2)]) == [
-        "mod.py: listed 2 but 1 unrun: return None"
-    ]
-    assert _faults(module, set(), [_entry("gone()")]) == ["mod.py: listed 1 but 0 unrun: gone()"]
-
-
-def test_an_entry_without_a_reason_is_a_fault(module):
-    entry = {"file": "mod.py", "source": "return None"}
-    assert _faults(module, {3}, [entry]) == [f"allowlist entry without a reason: {entry}"]
+    assert _faults(module, set()) == []

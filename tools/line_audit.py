@@ -4,29 +4,19 @@ of src/domw that it never runs.
     python tools/line_audit.py
 
 The executable lines of each module are the line starts
-(`dis.findlinestarts`) of every code object compiled from its source.  `sys.settrace` and `threading.settrace` record which of
-them run while `pytest.main` runs the suite in this process; a code object is
-no longer traced once all of its lines have run, which keeps the traced run
-to a few times the untraced one.
-
-`tools/line_audit_allow.json` lists the lines that may stay unrun, each as
-{"file", "source", "reason"} and an optional "count": the file relative to
-the repository, the line's text without its indentation, why no test runs
-it, and how many unrun lines of that file have that text (1 if left out).
-The audit fails on unrun lines beyond the count listed for their text, on
-a listed text with fewer unrun lines than its count (one now runs or is
-gone), and on an entry without a reason, so the list can only shrink.
-Exit code: pytest's, when the suite fails; else 1 when the audit fails, 0
-when it passes.
+(`dis.findlinestarts`) of every code object compiled from its source.
+`sys.settrace` records which of them run while `pytest.main` runs the suite
+in this process (the suite runs no `domw` code in a thread); a code object
+is no longer traced once all of its lines have run, which keeps the traced
+run to a few times the untraced one.  Each executable line that never runs
+is a fault, printed as `path:line: never run: <text>`.  Exit code: pytest's,
+when the suite fails; else 1 when there are faults, 0 when there are none.
 """
 
 from __future__ import annotations
 
 import dis
-import json
 import sys
-import threading
-from collections import Counter
 from pathlib import Path
 from types import CodeType
 
@@ -34,7 +24,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "domw"
-ALLOWLIST = Path(__file__).resolve().parent / "line_audit_allow.json"
 
 
 def _code_objects(code: CodeType):
@@ -93,29 +82,17 @@ class LineTracer:
         return ran
 
 
-def audit(ran: dict[str, set[int]], allowed: list[dict], root: Path) -> list[str]:
-    """The audit's faults: unrun lines beyond their listed count, listed lines
-    that run or are gone, entries without a reason.  `ran` maps each audited
-    file to its lines that ran; allowlist files are relative to `root`."""
-    faults = [f"allowlist entry without a reason: {entry}" for entry in allowed if not entry.get("reason")]
-    listed: Counter[tuple[str, str]] = Counter()
-    for entry in allowed:
-        listed[entry["file"], entry["source"]] += entry.get("count", 1)
-    unrun: Counter[tuple[str, str]] = Counter()
+def audit(ran: dict[str, set[int]], root: Path) -> list[str]:
+    """One fault per executable line that never ran, as `path:line: never
+    run: <text>` with the path relative to `root`.  `ran` maps each audited
+    file to its lines that ran."""
+    faults = []
     for name in sorted(ran):
         path = Path(name)
         text = path.read_text().splitlines()
         relative = path.relative_to(root).as_posix()
         for line in sorted(executable_lines(path) - ran[name]):
-            key = (relative, text[line - 1].strip())
-            unrun[key] += 1
-            if unrun[key] > listed[key]:
-                faults.append(f"{relative}:{line}: never run: {key[1]}")
-    faults += [
-        f"{file}: listed {listed[file, source]} but {unrun[file, source]} unrun: {source}"
-        for file, source in sorted(listed)
-        if unrun[file, source] < listed[file, source]
-    ]
+            faults.append(f"{relative}:{line}: never run: {text[line - 1].strip()}")
     return faults
 
 
@@ -123,16 +100,14 @@ def main() -> int:
     # domw is first imported under the tracer, so its module-level lines count
     sys.path.insert(0, str(PACKAGE.parent))
     tracer = LineTracer({str(path) for path in sorted(PACKAGE.glob("*.py"))})
-    threading.settrace(tracer.call)
     sys.settrace(tracer.call)
     try:
         code = pytest.main([str(ROOT / "tests"), "-q", "--continue-on-collection-errors"])
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     if code:
         return int(code)
-    faults = audit(tracer.run_lines(), json.loads(ALLOWLIST.read_text()), ROOT)
+    faults = audit(tracer.run_lines(), ROOT)
     for fault in faults:
         print(fault)
     executable = sum(len(executable_lines(Path(name))) for name in tracer.files)
