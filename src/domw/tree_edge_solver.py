@@ -8,17 +8,17 @@ a bottom-up pass charges every edge with the worst deficit among its sons, a
 root adjustment closes the remaining gap, and a top-down peeling collects a
 dispersed set of edges whose weight matches the function size exactly.
 
-`solve_tree` runs the phases on lists over the whole host, filled by one
-search per component: each vertex's edges and each edge's two ends.  Bottom-up
-and root adjustment keep A[v], f summed over v's out-edges; the peeling keeps
-each vertex's remaining mass, so a son (x, y) is paid exactly on its remaining
-neighborhood when mass[x] + mass[y] - g(son) == w(son), an O(1) test.  A
-layer walks the edges at its roots, then those at its chosen edges' ends, in
-place; the loop that deletes them also sums the weight paid and the mass
-freed, which must match per layer, as their running sum must match the
-component's mass.  A `RootedEdgeTree` is a view on those lists: a root and its
-component's edges in search order.  The public phase functions run the same
-code on the same lists, with their sums in dicts over the one component.
+`solve_tree` runs each phase once over the whole forest, on lists over the
+host filled by one loop of searches: each vertex's edges, each edge's two ends,
+and every edge, component after component, each after the edge above it.
+Bottom-up and root adjustment keep A[v], f summed over v's out-edges; the
+peeling keeps each vertex's remaining mass, so a son (x, y) is paid exactly on
+its remaining neighborhood when mass[x] + mass[y] - g(son) == w(son), an O(1)
+test.  A layer walks the edges at its roots, then those at its chosen edges'
+ends, in place; the loop that deletes them checks that each chosen edge frees
+mass equal to its weight.  A `RootedEdgeTree` is a view on those lists: a root
+and its component's edges in search order.  The public phase functions run the
+same code on the same lists, with their sums in dicts over the one component.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ FEdge = tuple[int, int, int]
 # phase state by edge id or vertex: lists over the whole host, or dicts over one component
 _Ints = list[int] | dict[int, int]
 _Flags = list[bool] | dict[int, bool]
+_Start = tuple[int, int, int | None]  # a component's (root, d, e0) for the peeling
 
 
 @dataclass(frozen=True)
@@ -67,33 +68,33 @@ class RootedEdgeTree:
         return frozenset((self.root, *map(self.tables.child.__getitem__, self.order)))
 
 
-def _orient(tb: _Tables, other: list[int], root: int) -> list[int]:
-    """Orient root's component away from root, other[e] being the XOR of e's
-    ends; returns its edges, each after the edge above it."""
-    parent, child, _, touching = tb
-    order: list[int] = []
-    reached = [root]
-    for u in reached:
-        for e in touching[u]:
-            if child[e] < 0:
-                parent[e] = u
-                child[e] = v = other[e] ^ u
-                order.append(e)
-                reached.append(v)
-    return order
-
-
-def _forest(n: int, subset: Sequence[FEdge]) -> tuple[_Tables, list[tuple[int, list[int]]]]:
-    """The selected forest on vertices 0..n-1, and (root, `_orient` order) per component,
-    each rooted at its smallest vertex, in the order of their roots."""
+def _forest(n: int, subset: Sequence[FEdge]) -> tuple[_Tables, list[int], list[int], list[int]]:
+    """The selected forest on vertices 0..n-1, each component oriented away from its
+    smallest vertex by a breadth-first search: the tables, the roots in ascending
+    order, every edge (component after component, each after the edge above it)
+    and each component's start in that list."""
     touching: list[list[int]] = [[] for _ in range(n)]
     for e, (u, v, _) in enumerate(subset):
         touching[u].append(e)
         touching[v].append(e)
     tb = _Tables([-1] * len(subset), [-1] * len(subset), [w for _, _, w in subset], touching)
-    other = [u ^ v for u, v, _ in subset]
-    # a vertex reached from a smaller root already has an oriented edge
-    return tb, [(r, _orient(tb, other, r)) for r in range(n) if touching[r] and tb.child[touching[r][0]] < 0]
+    parent, child = tb.parent, tb.child
+    other = [u ^ v for u, v, _ in subset]  # XOR of e's ends
+    roots, edges, starts = [], [], []
+    for r in range(n):
+        # a vertex reached from a smaller root already has an oriented edge
+        if touching[r] and child[touching[r][0]] < 0:
+            roots.append(r)
+            starts.append(len(edges))
+            reached = [r]
+            for u in reached:
+                for e in touching[u]:
+                    if child[e] < 0:
+                        parent[e] = u
+                        child[e] = v = other[e] ^ u
+                        edges.append(e)
+                        reached.append(v)
+    return tb, roots, edges, starts
 
 
 def _normalized(host: HostTree, subset: Sequence[FEdge]) -> tuple[FEdge, ...]:
@@ -129,8 +130,9 @@ def _normalized(host: HostTree, subset: Sequence[FEdge]) -> tuple[FEdge, ...]:
 def reduce_to_full_tree(host: HostTree, subset: Sequence[FEdge]) -> tuple[RootedEdgeTree, ...]:
     """Drop unselected host edges and return each component, canonically rooted."""
     _normalized(host, subset)
-    tb, components = _forest(host.n, subset)
-    return tuple(RootedEdgeTree(root, tuple(order), tb) for root, order in components)
+    tb, roots, edges, starts = _forest(host.n, subset)
+    ends = [*starts[1:], len(edges)]
+    return tuple(RootedEdgeTree(r, tuple(edges[a:b]), tb) for r, a, b in zip(roots, starts, ends))
 
 
 def _bottom_up(tb: _Tables, upward: Iterable[int], f: _Ints, at: _Ints) -> None:
@@ -161,18 +163,22 @@ def bottom_up_f(t: RootedEdgeTree) -> DominationFunction:
     return DominationFunction(f)
 
 
-def _root_gap(tb: _Tables, root: int, at: _Ints) -> tuple[int, int]:
-    """The largest w(e) - f[A(root)] - f[A(child end)] over the root's edges, and its first edge by id."""
-    edges, weight, child = tb.touching[root], tb.weight, tb.child
-    if not edges:  # a component always has at least one root edge
-        raise TheoremViolation("the root has no out-edge")
-    e0 = edges[0]
-    top = weight[e0] - at[child[e0]]
-    for e in edges:  # in id order, so only a strictly larger gap moves e0
-        gap = weight[e] - at[child[e]]
-        if gap > top:
-            top, e0 = gap, e
-    return top - at[root], e0
+def _root_gaps(tb: _Tables, roots: Iterable[int], at: _Ints) -> list[_Start]:
+    """(root, d, e0) per root: d the largest w(e) - f[A(root)] - f[A(child end)] over its edges, e0 the first by id."""
+    _, child, weight, touching = tb
+    starts: list[_Start] = []
+    for root in roots:
+        edges = touching[root]
+        if not edges:  # a component always has at least one root edge
+            raise TheoremViolation("the root has no out-edge")
+        e0 = edges[0]
+        top = weight[e0] - at[child[e0]]
+        for e in edges:  # in id order, so only a strictly larger gap moves e0
+            gap = weight[e] - at[child[e]]
+            if gap > top:
+                top, e0 = gap, e
+        starts.append((root, top - at[root], e0))
+    return starts
 
 
 def root_adjust(t: RootedEdgeTree, f: DominationFunction) -> tuple[DominationFunction, int, int | None]:
@@ -184,30 +190,32 @@ def root_adjust(t: RootedEdgeTree, f: DominationFunction) -> tuple[DominationFun
     at = dict.fromkeys(t.vertices, 0)
     for e in t.order:
         at[t.tables.parent[e]] += f(e)
-    d, e0 = _root_gap(t.tables, t.root, at)
+    ((_, d, e0),) = _root_gaps(t.tables, [t.root], at)
     if d <= 0:
         return f, d, None
     return DominationFunction({**f.values, e0: f(e0) + d}), d, e0
 
 
 def _peel(
-    tb: _Tables, root: int, d: int, e0: int | None, edges: Sequence[int], g: _Ints, mass: _Ints, alive: _Flags
+    tb: _Tables, starts: Sequence[_Start], edges: Sequence[int], g: _Ints, mass: _Ints, alive: _Flags
 ) -> list[tuple[list[int], list[int]]]:
-    """The (chosen, deleted) edges of each peeling layer of one component, on which
-    mass starts at 0 and alive at true; mass[v] stays g summed over v's alive edges."""
+    """The (chosen, deleted) edges of each peeling layer of the components with edges, one start each,
+    on which mass starts at 0 and alive at true; mass[v] stays g summed over v's alive edges.
+    Components share no vertex, so layer k of the forest is layer k of each component."""
     parent, child, weight, touching = tb
     for e in edges:
         ge = g[e]
         mass[parent[e]] += ge
         mass[child[e]] += ge
-    if d > 0 and e0 is None:
-        raise TheoremViolation("a positive root adjustment names no root edge")
     layers: list[tuple[list[int], list[int]]] = []
     left = len(edges)
-    # A positive adjustment elects e0 alone in the first layer.  A layer
-    # deletes every remaining out-edge of its roots, so the next layer's roots
-    # are the child ends of the edges it deleted, and their parent edges are gone.
-    chosen, roots = ([e0], []) if d > 0 else ([], [root])
+    # A positive adjustment elects e0 alone in its component's first layer.  A
+    # layer deletes every remaining out-edge of its roots, so the next layer's
+    # roots are the child ends of the edges it deleted, and their parent edges are gone.
+    chosen = [e0 for _, d, e0 in starts if d > 0]
+    roots: Iterable[int] = [root for root, d, _ in starts if d <= 0]
+    if None in chosen:
+        raise TheoremViolation("a positive root adjustment names no root edge")
     while left:
         deleted: list[int] = []
         for v in roots:
@@ -229,9 +237,9 @@ def _peel(
                 if best < 0:
                     raise TheoremViolation(f"no candidate son pays for root edge {e} exactly")
                 chosen.append(best)
-        paid = freed = 0
+        off = 0  # nonzero once a chosen edge frees other mass than its weight
         for s in chosen:
-            paid += weight[s]
+            rest = weight[s]
             for x in (parent[s], child[s]):
                 for e in touching[x]:
                     if alive[e]:
@@ -240,9 +248,10 @@ def _peel(
                         ge = g[e]
                         mass[parent[e]] -= ge
                         mass[child[e]] -= ge
-                        freed += ge
+                        rest -= ge
+            off |= rest
         # an empty layer would never end the peeling
-        if not deleted or freed != paid:
+        if not deleted or off:
             raise TheoremViolation("layer accounting failed: empty layer or deleted mass != chosen weight")
         left -= len(deleted)
         layers.append((chosen, deleted))
@@ -261,11 +270,11 @@ def extract_dispersed_tree(
     Within each not-yet-deleted subtree, every positive root edge elects one
     of its sons whose weight is paid exactly by g on the son's remaining
     neighborhood; the son, its neighbors, and the zero root edges are deleted.
-    Per layer the deleted mass equals the weight of the elected edges, so the
-    final set pays for all of g.
+    Each elected edge frees mass equal to its weight, so the final set pays
+    for all of g.
     """
     g_at = {e: g(e) for e in t.order}
-    layers = _peel(t.tables, t.root, d, e0, t.order, g_at, dict.fromkeys(t.vertices, 0), dict.fromkeys(g_at, True))
+    layers = _peel(t.tables, [(t.root, d, e0)], t.order, g_at, dict.fromkeys(t.vertices, 0), dict.fromkeys(g_at, True))
     chosen = tuple(frozenset(c) for c, _ in layers)
     return frozenset().union(*chosen), DeletionLayers(chosen, tuple(frozenset(x) for _, x in layers))
 
@@ -284,17 +293,18 @@ def edge_line_graph(host: HostTree, subset: Sequence[FEdge]) -> WeightedGraph:
 
 def _solve_forest(n: int, subset: Sequence[FEdge]) -> Certificate:
     """solve_tree on a selection checked against a host on vertices 0..n-1; the self-check refuses an empty one."""
-    tb, components = _forest(n, subset)
-    f, at, mass, alive = [0] * len(subset), [0] * n, [0] * n, [True] * len(subset)
-    dispersed: list[int] = []
-    for root, order in components:
-        _bottom_up(tb, reversed(order), f, at)
-        d, e0 = _root_gap(tb, root, at)
+    tb, roots, edges, _ = _forest(n, subset)
+    f, at = [0] * len(subset), [0] * n
+    # each phase runs once over the whole forest; reversed, edges puts each edge after the edges below it
+    _bottom_up(tb, reversed(edges), f, at)
+    starts = _root_gaps(tb, roots, at)
+    for _, d, e0 in starts:
         if d > 0:
             f[e0] += d
-        dispersed += [s for chosen, _ in _peel(tb, root, d, e0, order, f, mass, alive) for s in chosen]
+    layers = _peel(tb, starts, edges, f, [0] * n, [True] * len(subset))
     total = DominationFunction({e: x for e, x in enumerate(f) if x})
-    return self_check(check_tree_edges, subset, Certificate(total, frozenset(dispersed), total.size))
+    dispersed = frozenset(s for chosen, _ in layers for s in chosen)
+    return self_check(check_tree_edges, subset, Certificate(total, dispersed, total.size))
 
 
 def solve_tree(host: HostTree, subset: Sequence[FEdge]) -> Certificate:

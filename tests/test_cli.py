@@ -746,7 +746,7 @@ def test_tree_self_check_failure_exits_two(witnesses, tmp_path, replay_dir, caps
     path.write_text(text)
     monkeypatch.setattr(
         domw.tree_edge_solver, "_peel",
-        lambda tb, root, d, e0, edges, *scratch: [(witnesses(edges), list(edges))],
+        lambda tb, starts, edges, *scratch: [(witnesses(edges), list(edges))],
     )
     code, out, err = invoke(capsys, "solve", str(path))
     assert (code, out) == (2, "")

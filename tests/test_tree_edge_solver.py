@@ -22,7 +22,10 @@ from domw.errors import EmptyEdgeSet, TheoremViolation, UnknownVertex
 from domw.instances_io import example_nontu_star, gen_tree
 from domw.tree_edge_solver import (
     RootedEdgeTree,
+    _forest,
     _normalized,
+    _peel,
+    _solve_forest,
     bottom_up_f,
     edge_line_graph,
     extract_dispersed_tree,
@@ -316,21 +319,54 @@ def phase_cases():
     yield HostTree(m + 1, tuple((i, i + 1) for i in range(m))), [(i, i + 1, 1 + 7 * i % 5) for i in range(m)]
 
 
+def _assert_matches_the_public_phases(cert, host, subset):
+    values: dict[int, int] = {}
+    dispersed: set[int] = set()
+    for t in reduce_to_full_tree(host, subset):
+        g, chosen, layers = _solve_component(t)
+        _assert_layers_cover_once(t, chosen, layers)
+        values.update(g.values)
+        dispersed |= chosen
+    assert cert.dominating == DominationFunction(values)
+    assert cert.dispersed == dispersed
+
+
 def test_solve_tree_matches_the_public_phases():
     """solve_tree runs the phases on lists over the whole host, the public
     phase functions one component at a time; both must give the same
     function and dispersed set on 200 seeded hosts, a star and a path."""
     for host, subset in phase_cases():
-        values: dict[int, int] = {}
-        dispersed: set[int] = set()
-        for t in reduce_to_full_tree(host, subset):
-            g, chosen, layers = _solve_component(t)
-            _assert_layers_cover_once(t, chosen, layers)
-            values.update(g.values)
-            dispersed |= chosen
-        cert = solve_tree(host, subset)
-        assert cert.dominating == DominationFunction(values)
-        assert cert.dispersed == dispersed
+        _assert_matches_the_public_phases(solve_tree(host, subset), host, subset)
+
+
+def test_forest_passes_match_the_per_component_phases():
+    """_solve_forest runs each phase once over the whole forest; its function
+    and dispersed set must be the union of the public phases' over the
+    components, on 2,000 seeded hosts.  Every other host has vertex 0 swapped
+    with another label, so its edges are out of parent order and the search
+    roots some components elsewhere."""
+    for seed in range(2000):
+        host, subset = gen_tree(seed, 1 + seed % 80, 5)
+        if seed % 2:
+            host, subset = swap_labels(host, subset, 0, 1 + seed % (host.n - 1))
+            # parent order: edge i joins some u < i + 1 to i + 1
+            assert not all(u < v == i + 1 for i, (u, v) in enumerate(host.edges))
+        _assert_matches_the_public_phases(_solve_forest(host.n, subset), host, subset)
+
+
+def test_layer_accounting_is_checked_per_chosen_edge():
+    """Two single-edge components, each with a positive adjustment, peel in the
+    same layer.  A tampered g over-pays the first chosen edge by one and
+    under-pays the second by one, so the layer's freed mass still equals its
+    chosen weight; the guard must fire all the same."""
+    tb, roots, edges, starts = _forest(4, ((0, 1, 2), (2, 3, 2)))  # the path 0-1-2-3 less its middle edge
+    assert (roots, edges, starts) == ([0, 2], [0, 1], [0, 1])
+    peel_starts = [(0, 1, 0), (2, 1, 1)]
+    layer = r"^layer accounting failed: empty layer or deleted mass != chosen weight$"
+    with pytest.raises(TheoremViolation, match=layer):
+        _peel(tb, peel_starts, edges, [3, 1], [0] * 4, [True, True])
+    # g = w pays each chosen edge exactly: one layer elects and deletes both
+    assert _peel(tb, peel_starts, edges, [2, 2], [0] * 4, [True, True]) == [([0, 1], [0, 1])]
 
 
 def test_phases_match_their_pinned_digest():
