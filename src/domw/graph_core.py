@@ -107,6 +107,13 @@ class DominationFunction:
                 kept[v] = x
         object.__setattr__(self, "values", kept)
 
+    @classmethod
+    def _checked(cls, values: dict[Vertex, int]) -> "DominationFunction":
+        """A function of a dict whose every value the caller built as a positive int."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "values", values)
+        return f
+
     def __call__(self, v: Vertex) -> int:
         return self.values.get(v, 0)
 

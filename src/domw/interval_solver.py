@@ -10,12 +10,17 @@ optimality of both sides at once.
 A family is three columns indexed by id: left ends, right ends and weights.
 All three phases read those columns and two orders of the ids, K_r = (right,
 left, id) and K_l = (left, right, id), which a family sorts once, each by one
-int key, and keeps; the self-check is `checkers.check_interval`, which shares
-no code with the solver: it sorts only f's support and the witnesses, by
-each end, on its own, and reads the columns in id order.  Each
-pass returns its steps as a `GreedyTrace` of three int columns (source, target,
-amount), which the extraction reads as they are; the solve is the three public
-phases and the self-check.
+int key, and keeps.  It keeps one reach table derived from them as well: the
+lefts in K_l order, the rights in K_r order, the K_r-latest id over each K_l
+prefix and the K_l-earliest id over each reversed K_r prefix.  The passes read
+their targets off the last two, and the extraction its block ends and each
+source's furthest-left-reaching neighbor.  The self-check is
+`checkers.check_interval`, which shares no code with the solver: it sorts
+only f's support, by each end, and the witnesses, once, by left end, on its
+own, and reads the columns in id order.  Each pass returns its steps as a
+`GreedyTrace` of three int columns (source, target, amount), which the
+extraction reads as they are; the solve is the three public phases and the
+self-check.
 """
 
 from __future__ import annotations
@@ -124,6 +129,19 @@ class IntervalFamily:
             pos_l[i] = k
         return by_right, by_left, tuple(pos_r), tuple(pos_l)
 
+    @cached_property
+    def _reach(self) -> tuple[list[int], ...]:
+        """Tables of the two orders that every phase reads: the lefts in K_l
+        order, the rights in K_r order, the K_r-latest id among each K_l
+        prefix and the K_l-earliest id among each reversed K_r prefix.
+
+        They are derived from `_orders`, so orders planted there reach them.
+        """
+        by_right, by_left, pos_r, pos_l = self._orders
+        lefts = list(map(self.left.__getitem__, by_left))
+        rights = list(map(self.right.__getitem__, by_right))
+        return lefts, rights, _latest(pos_r, by_left), _earliest(pos_l, reversed(by_right))
+
 
 @dataclass(frozen=True)
 class GreedyTrace:
@@ -187,30 +205,31 @@ def order_by_right_endpoint(fam: IntervalFamily) -> tuple[int, ...]:
 # The running extrema compare inline and index in the loop: for 150 ints,
 # accumulate(map(rank.__getitem__, ids), max) takes 37 us, as it calls the
 # builtin once per item, and these loops 8 us (CPython 3.11, 2-core x86).
-# In that form the four of a solve took about a tenth of an interval-dense one.
+# They keep the id along with its rank, which spares a map from positions
+# back to ids.
 
 
-def _running_max(rank: Sequence[int], ids: Iterable[int]) -> list[int]:
-    """The maximum of rank[i] over each prefix of ids."""
+def _latest(rank: Sequence[int], ids: Iterable[int]) -> list[int]:
+    """The id of highest rank over each prefix of ids."""
     out = []
-    top = -inf
+    top, best = -inf, None
     for i in ids:
         r = rank[i]
         if r > top:
-            top = r
-        out.append(top)
+            top, best = r, i
+        out.append(best)
     return out
 
 
-def _running_min(rank: Sequence[int], ids: Iterable[int]) -> list[int]:
-    """The minimum of rank[i] over each prefix of ids."""
+def _earliest(rank: Sequence[int], ids: Iterable[int]) -> list[int]:
+    """The id of lowest rank over each prefix of ids."""
     out = []
-    low = inf
+    low, best = inf, None
     for i in ids:
         r = rank[i]
         if r < low:
-            low = r
-        out.append(low)
+            low, best = r, i
+        out.append(best)
     return out
 
 
@@ -221,21 +240,19 @@ def _greedy(fam: IntervalFamily, forward: bool) -> tuple[DominationFunction, Gre
     # in K_r: furthest right, on a tie the later interval, never the source
     # itself while it has other neighbors.  The backward pass mirrors it on
     # (lo, hi) = (-right, -left): descending K_l, onto the earliest in K_l.
-    by_right, by_left, pos_r, pos_l = fam._orders
+    # starts holds lo over the other order, ascending; of the intervals with
+    # lo <= hi[v], the one latest in the settle order ends at or after v, so
+    # the family's reach table, read at the last of them, names the target.
+    # It is read only after a whole run of equal lo, so the order inside such
+    # a run does not matter.
+    lefts, rights, latest, earliest = fam._reach
     if forward:
         los, his = fam.left, fam.right
-        settle, scan, rank = by_right, by_left, pos_r
+        settle, starts, reach = fam._orders[0], lefts, latest
     else:
-        last = fam.n - 1
         los, his = [-y for y in fam.right], [-x for x in fam.left]
-        settle, scan, rank = by_left[::-1], by_right[::-1], [last - p for p in pos_l]
-    starts = list(map(los.__getitem__, scan))
+        settle, starts, reach = fam._orders[1][::-1], [-y for y in reversed(rights)], earliest
     weight = fam.weight
-    # rank[i] is i's position in the settle order.  Of the intervals with
-    # lo <= hi[v], the one ranked highest ends at or after v, so it is the
-    # target.  The running maximum is read only after a whole run of equal
-    # lo, so the order inside such a run does not matter.
-    best = _running_max(rank, scan)
     values: dict[int, int] = {}
     sources: list[int] = []
     targets: list[int] = []
@@ -253,7 +270,7 @@ def _greedy(fam: IntervalFamily, forward: bool) -> tuple[DominationFunction, Gre
         amount = weight[v] - total + placed[bisect_left(target_ends, lo)]
         if amount <= 0:
             continue
-        target = settle[best[bisect_right(starts, hi) - 1]]
+        target = reach[bisect_right(starts, hi) - 1]
         target_hi = his[target]
         if los[target] > hi or target_hi < lo:
             raise TheoremViolation(f"target {target} misses its source {v}")
@@ -266,7 +283,7 @@ def _greedy(fam: IntervalFamily, forward: bool) -> tuple[DominationFunction, Gre
         target_ends.append(target_hi)
         total += amount
         placed.append(total)
-    return DominationFunction(values), GreedyTrace(tuple(sources), tuple(targets), tuple(amounts))
+    return DominationFunction._checked(values), GreedyTrace(tuple(sources), tuple(targets), tuple(amounts))
 
 
 def forward_greedy(fam: IntervalFamily) -> tuple[DominationFunction, GreedyTrace]:
@@ -293,8 +310,8 @@ def extract_dispersed(
     endpoints; no graph is built.
     """
     n, left, right, weight = fam.n, fam.left, fam.right, fam.weight
-    order, by_left, position, pos_l = fam._orders
-    lefts, rights = [left[i] for i in by_left], [right[v] for v in order]
+    order, by_left, position, _ = fam._orders
+    lefts, rights, last, earliest = fam._reach
     # f and g at the ids 0..n-1; mass on any other id is left out, so the final weight check raises on it
     fv, gv = [0] * n, [0] * n
     for column, h in ((fv, f), (gv, g)):
@@ -307,8 +324,7 @@ def extract_dispersed(
     # the latest in it of the first hi by left ends at or after z: both are in N[z].
     g_l = [0, *accumulate(map(gv.__getitem__, by_left))]
     f_r, g_r = ([0, *accumulate(map(h.__getitem__, order))] for h in (fv, gv))
-    first = [by_left[p] for p in _running_min(pos_l, reversed(order))][::-1]
-    last = _running_max(position, by_left)
+    first = earliest[::-1]
     pushed_by: dict[int, list[int]] = {}  # the sources of each target
     for source, target in zip(gtrace.sources, gtrace.targets):
         pushed_by.setdefault(target, []).append(source)
@@ -342,7 +358,7 @@ def extract_dispersed(
                 z, hi = s, s_hi
         if z is None:
             raise TheoremViolation(f"no witness interval for {v}")
-        end = last[hi - 1] + 1
+        end = position[last[hi - 1]] + 1
         block = order[pos:end]
         wz = weight[z]
         # The block holds every neighbor of z from v on.  The others lie inside

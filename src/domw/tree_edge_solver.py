@@ -302,7 +302,7 @@ def _solve_forest(n: int, subset: Sequence[FEdge]) -> Certificate:
         if d > 0:
             f[e0] += d
     layers = _peel(tb, starts, edges, f, [0] * n, [True] * len(subset))
-    total = DominationFunction({e: x for e, x in enumerate(f) if x})
+    total = DominationFunction._checked({e: x for e, x in enumerate(f) if x})
     dispersed = frozenset(s for chosen, _ in layers for s in chosen)
     return self_check(check_tree_edges, subset, Certificate(total, dispersed, total.size))
 

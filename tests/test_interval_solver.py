@@ -440,32 +440,50 @@ def test_interval_checker_agrees_with_verify_certificate_on_every_small_case():
                     assert outcome(check_interval, fam, cert) == outcome(verify_certificate, graph, cert)
 
 
-def test_interval_checker_agrees_with_verify_certificate_on_seeded_corruptions():
-    """440 certificates: each of 40 seeded families' own and 10 broken
-    copies, out-of-range and negative ids included; the reason, or the
-    UnknownVertex raised, is the explicit graph's."""
-    checked = 0
-    for seed in range(40):
-        fam = gen_interval(seed, 1 + seed % 9, 4 + seed % 17, 1 + seed % 4)
-        graph = intersection_graph(fam)
-        for cert in seeded_corruptions(solve_interval(fam), graph, seed):
-            assert outcome(check_interval, fam, cert) == outcome(verify_certificate, graph, cert)
-            checked += 1
-    assert checked == 440
+def short_intervals(seed: int, n: int) -> IntervalFamily:
+    """n intervals of length 0..6 on 1..2n + 6, weights 1..5: each meets only
+    a few others, so a solve has tens of witnesses with short gaps between them."""
+    rng = LCG(seed)
+    triples = []
+    for _ in range(n):
+        left = rng.randint(1, 2 * n)
+        triples.append((left, left + rng.randint(0, 6), rng.randint(1, 5)))
+    return IntervalFamily.of(triples)
 
 
-def test_interval_checker_agrees_with_verify_certificate_on_dense_families():
-    """440 certificates on 40 dense families of 30 to 149 intervals on
-    1..600: small supports and long nested intervals, where one interval
-    can meet two witnesses that it does not contain."""
-    checked = 0
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda seed: gen_interval(seed, 1 + seed % 9, 4 + seed % 17, 1 + seed % 4),
+        lambda seed: gen_interval(seed, 30 + seed % 120, 600, 5),
+        lambda seed: short_intervals(seed, 30 + 3 * seed),
+    ],
+    ids=["small", "dense", "sparse"],
+)
+def test_interval_checker_agrees_with_verify_certificate_on_seeded_corruptions(make):
+    """440 certificates per kind of family: each of 40 seeded families' own
+    and 10 broken copies, out-of-range and negative ids included; the reason,
+    or the UnknownVertex raised, is the explicit graph's.  The dense families
+    (30 to 149 intervals on 1..600) have small supports and long nested
+    intervals, where one interval can meet two witnesses that it does not
+    contain.  The sparse ones (30 to 147 short intervals) have 8 to 39
+    witnesses.  For each kind, the member sets rejected as not dispersed
+    include both faults: two members, consecutive by left end, that meet, and
+    disjoint members with a non-member across the gap between two of them."""
+    checked, kinds = 0, {"members meet": 0, "gap spanned": 0}
     for seed in range(40):
-        fam = gen_interval(seed, 30 + seed % 120, 600, 5)
+        fam = make(seed)
         graph = intersection_graph(fam)
         for cert in seeded_corruptions(solve_interval(fam), graph, seed):
-            assert outcome(check_interval, fam, cert) == outcome(verify_certificate, graph, cert)
+            reason = outcome(check_interval, fam, cert)
+            assert reason == outcome(verify_certificate, graph, cert)
             checked += 1
+            if reason == "NotDispersed":
+                members = sorted(cert.dispersed, key=lambda m: (fam.left[m], fam.right[m]))
+                meet = any(fam.right[a] >= fam.left[b] for a, b in zip(members, members[1:]))
+                kinds["members meet" if meet else "gap spanned"] += 1
     assert checked == 440
+    assert min(kinds.values()) >= 1, kinds
 
 
 def test_extraction_takes_the_smallest_passing_source_as_the_witness():
@@ -576,8 +594,8 @@ def test_each_family_sorts_its_two_orders_once(monkeypatch):
     """The passes and the extraction share the family's K_r and K_l orders,
     sorted on first use: two sorts of all n ids per family.  The self-check
     sorts nothing of length n: only f's support, by each end, and the
-    witnesses' two ends.  Before a solve the family holds its three columns
-    only; the cached orders leave its value alone."""
+    witnesses, once, by left end.  Before a solve the family holds its three
+    columns only; the cached orders leave its value alone."""
     calls = []
 
     def counting(module):
@@ -598,7 +616,7 @@ def test_each_family_sorts_its_two_orders_once(monkeypatch):
     cert = solve_interval(fam)
     support, witnesses = len(cert.dominating.values), len(cert.dispersed)
     assert 60 not in (support, witnesses)
-    checker_sorts = [(domw.checkers, size) for size in (support, support, witnesses, witnesses)]
+    checker_sorts = [(domw.checkers, size) for size in (support, support, witnesses)]
     assert calls == [(domw.interval_solver, 60)] * 2 + checker_sorts
     assert vars(fam) != columns
     calls.clear()
@@ -633,11 +651,13 @@ def test_public_passes_build_no_graph(monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(interval_families())
 def test_solve_matches_the_public_phases(fam: IntervalFamily):
-    """The solve gives what the public phases give when composed."""
+    """The solve gives what the public phases give when composed.  The passes
+    build their functions unchecked; each equals the checking constructor's."""
     cert = solve_interval(fam)
     f, _ = forward_greedy(fam)
     g, gtrace = backward_greedy(fam)
     dispersed, _ = extract_dispersed(fam, f, g, gtrace)
+    assert f == DominationFunction(f.values) and g == DominationFunction(g.values)
     assert cert.dominating == f
     assert cert.dispersed == dispersed
     assert cert.value == f.size
