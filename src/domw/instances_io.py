@@ -10,10 +10,11 @@ File formats are line oriented ASCII: one record per line, full-line '#'
 comments, an explicit version header.  parse(write(x)) == x.  A solver kind's
 file in the exact shape `write_instance` emits is read in one pass over its
 text, and so is a result block in the shape its writer emits: a regular
-expression checks the shape, and the integers of an interval or tree-edges
-body or of a result block are converted by one `json.loads` call each,
-which takes ASCII digits with no leading zero.  Any other file goes through
-the line reader, which names the first fault and its line.
+expression checks the shape, and the integers of an interval, tree-edges
+or split body or of a result block are converted by `json.loads` calls,
+one per block, which take ASCII digits with no leading zero.  Any other
+file goes through the line reader, which names the first fault and its
+line.
 """
 
 from __future__ import annotations
@@ -494,9 +495,10 @@ def _parse_split(lines: _Lines) -> SplitInstance:
     return _split_instance(weights, on_a, nbrs)
 
 
-def _split_instance(weights: list[int], on_a: list[bool], nbrs: list[set[int]]) -> SplitInstance:
-    """The split instance of checked weights, sides and crossing edges (as
-    symmetric neighbor sets); the A side is joined into a clique here."""
+def _split_instance(weights: list[int], on_a: Sequence[int], nbrs: list[set[int]]) -> SplitInstance:
+    """The split instance of checked weights, sides (true or 1 on the A
+    side) and crossing edges (as symmetric neighbor sets); the A side is
+    joined into a clique here."""
     vertices = range(len(weights))
     clique = frozenset(compress(vertices, on_a))
     for a in clique:
@@ -559,10 +561,10 @@ def _parse_explicit(lines: _Lines) -> WeightedGraph:
 # of the file and the text after the count line.  Each reads only the exact
 # shape `write_instance` emits and returns None for any other text or any
 # fault, which the line reader then names with its line.  Fields are matched
-# with [0-9], as \d also takes the digits of other scripts.  The interval
-# and tree-edges bodies are converted by `_json_ints`, whose number grammar
-# refuses a leading zero such as `007` with a ValueError: such a file, which
-# `int` reads, goes to the line reader too.
+# with [0-9], as \d also takes the digits of other scripts.  The interval,
+# tree-edges and split bodies are converted by `_json_ints`, whose number
+# grammar refuses a leading zero such as `007` with a ValueError: such a
+# file, which `int` reads, goes to the line reader too.
 _HEAD = re.compile(r"domw 1\nkind ([a-z-]+)\n([1-9][0-9]{0,8})\n")
 # a coordinate may be negative; `[0-9-]` costs half the time of `-?`, and a
 # lone `-` fails in `_json_ints`
@@ -636,13 +638,14 @@ def _read_split(nv: int, body: str) -> SplitInstance | None:
     shape = _SPLIT_BODY.fullmatch(body)
     if shape is None:
         return None
-    vertex_fields, ends = shape[1].split(), list(map(int, shape[3].split()))
-    weights = list(map(int, vertex_fields[2::3]))
-    on_a = list(map("A".__eq__, vertex_fields[1::3]))
+    # the sides become 1 (A) and 0 (B): `_SPLIT_BODY` puts each between spaces
+    vertex_fields = _json_ints(shape[1].replace(" A ", " 1 ").replace(" B ", " 0 "))
+    ends = _json_ints(shape[3])
+    on_a, weights = vertex_fields[1::3], vertex_fields[2::3]
     m, us, vs = int(shape[2]), ends[0::2], ends[1::2]
     if (
         len(vertex_fields) != 3 * nv  # nv lines, checked before a list of nv is built
-        or list(map(int, vertex_fields[0::3])) != list(range(nv))  # ids in order
+        or vertex_fields[0::3] != list(range(nv))  # ids in order
         or len(us) != m
         or min(weights) < 1
         or max(ends, default=0) >= nv

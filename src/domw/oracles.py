@@ -9,7 +9,9 @@ gamma_i_w prices the maximal independent sets, which a Bron-Kerbosch
 enumeration on an explicit stack lists without a 2^n table.
 The branch and bound `min_dominating` is also the split solver's cover
 search; the split tests therefore keep a plain exhaustive reference that
-does not use it.  Its node state is a bitmask over the demands for each
+does not use it.  It checks its ids before it builds a mask, and one pass
+over each demand's closed neighborhood builds the demand's conflict and
+supplier masks.  Its node state is a bitmask over the demands for each
 remaining deficit, and its greedy packing bound reads one conflict mask per
 demand.  Before its first pass it computes the exact packing and prunes
 every node on what the packed demands still lack.  It searches one target
@@ -29,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BadPermutation, InstanceTooLarge, LPInternalError, TheoremViolation
-from .graph_core import DominationFunction, WeightedGraph, is_w_dominating
+from .graph_core import DominationFunction, WeightedGraph, _check_ids, is_w_dominating
 
 DEFAULT_CAP = 10
 # Nodes one min_dominating search may visit before it raises InstanceTooLarge
@@ -152,7 +154,9 @@ def min_dominating(
     those vertices may carry mass.  A search that visits more than
     NODE_BUDGET nodes, over all its passes, raises InstanceTooLarge.  Among
     equal optima the greedy seed (below) is returned when it is optimal, and
-    otherwise the first optimum in depth-first order.
+    otherwise the first optimum in depth-first order.  A demand or supplier
+    id that is not an int vertex of g (a bool is none) raises UnknownVertex
+    before any mask is built.
 
     The node state is bit-parallel.  Demands are bits, at their positions in
     sorted order, and a node holds level[0..W], W the largest demand weight:
@@ -163,7 +167,9 @@ def min_dominating(
     latest) up to the highest level that meets its cover mask (anything above
     is reducible).  Placing a value moves each covered demand that many
     levels down in O(W) mask operations, and the child gets the new levels as
-    its own.
+    its own.  One pass over each demand's closed neighborhood builds two
+    more masks: its conflict mask (below) and its supplier mask, the
+    positions of its suppliers in the branching order.
 
     Demands with disjoint supplier sets need disjoint mass, so two packings
     bound each node.  Before its first pass, the search computes P, a
@@ -180,27 +186,37 @@ def min_dominating(
     bound prunes.  Neither bound prunes a node that could beat the
     incumbent.
 
-    The incumbent starts as a greedy cover, the seed.  The search then runs
-    in passes with targets T = w(P), w(P) + 1, ... up to the seed's size
-    less one, each from the root.  A pass bounds every node by T + 1, so it
-    prunes each node that cannot reach a cover of size T or less, and it
-    stops at its first cover.  A pass that finds none proves the optimum
-    above T; the passes before it proved it at least T, so the first cover
-    weighs T and is the first optimum in depth-first order.  If every target
-    fails, the seed is optimal and is returned.
+    The incumbent starts as a greedy cover, the seed.  Each of its rounds
+    meets the neediest unmet demand, the lowest on a tie, at the supplier in
+    that demand's supplier mask that covers the most unmet demands, the
+    lowest vertex on a tie.  The search then runs in passes with targets
+    T = w(P), w(P) + 1, ... up to the seed's size less one, each from the
+    root.  A pass bounds every node by T + 1, so it prunes each node that
+    cannot reach a cover of size T or less, and it stops at its first cover.
+    A pass that finds none proves the optimum above T; the passes before it
+    proved it at least T, so the first cover weighs T and is the first
+    optimum in depth-first order.  If every target fails, the seed is
+    optimal and is returned.
     """
-    demand_list = sorted(set(demands))
+    demand_set = set(demands)
+    _check_ids(demand_set, g.n)
+    pool = g.vertices if suppliers is None else set(suppliers)
+    if suppliers is not None:
+        _check_ids(pool, g.n)
+    demand_list = sorted(demand_set)
     if not demand_list:
         return 0, DominationFunction()
-    w = g.weights
+    w, adjacency = g.weights, g.adjacency
     # holders[x]: the demands whose closed neighborhood contains x, which is
     # the cover mask of x as a supplier
     holders = [0] * g.n
     for i, u in enumerate(demand_list):
-        for x in (u, *g.adjacency[u]):
-            holders[x] |= 1 << i
-    pool = g.vertices if suppliers is None else sorted(set(suppliers))
-    variables = sorted((v for v in pool if holders[v]), key=lambda v: (-g.degree(v), v))
+        bit = 1 << i
+        holders[u] |= bit
+        for x in adjacency[u]:
+            holders[x] |= bit
+    # suppliers by falling degree; the sort is stable, so by id on a tie
+    variables = sorted(filter(holders.__getitem__, sorted(pool)), key=lambda v: -len(adjacency[v]))
     covers = [holders[v] for v in variables]
     # lasts[j]: the demands whose last supplier in the branching order is at
     # position j.  The node there forces at least their deficit onto it, so
@@ -218,13 +234,21 @@ def min_dominating(
         missing = full & ~seen
         u = demand_list[(missing & -missing).bit_length() - 1]
         raise ValueError(f"demand at vertex {u} has no available supplier")
-    # conflict[i]: the demands whose closed neighborhood meets demand i's
+    # one pass over each closed neighborhood N[u_i] builds conflict[i], the
+    # demands whose closed neighborhood meets demand i's, and supply[i], the
+    # positions of demand i's suppliers, as bitmasks
+    position = [0] * g.n  # the bit of each supplier's position, 0 off the pool
+    for j, v in enumerate(variables):
+        position[v] = 1 << j
     conflict = []
+    supply = []
     for u in demand_list:
-        mask = 0
-        for x in (u, *g.adjacency[u]):
+        mask, mine = holders[u], position[u]
+        for x in adjacency[u]:
             mask |= holders[x]
+            mine |= position[x]
         conflict.append(mask)
+        supply.append(mine)
     max_w = max(w[u] for u in demand_list)
     start = [0] * (max_w + 1)
     for i, u in enumerate(demand_list):
@@ -242,7 +266,8 @@ def min_dominating(
     def greedy_seed() -> dict[int, int]:
         # each round meets the neediest unmet demand, the lowest on a tie, by
         # adding what it lacks at its supplier that covers the most unmet
-        # demands; so the seed is never worse than w(u) on every demand u
+        # demands, the lowest vertex on a tie; so the seed is never worse
+        # than w(u) on every demand u
         values: dict[int, int] = {}
         level = start
         while level[0] != full:
@@ -251,23 +276,21 @@ def min_dominating(
                 d -= 1
             bit = level[d] & -level[d]
             unmet = ~level[0]
-            j = max(
-                (j for j, cover in enumerate(covers) if cover & bit),
-                key=lambda j: ((covers[j] & unmet).bit_count(), -variables[j]),
-            )
+            j, top = 0, (0, 0)
+            rest = supply[bit.bit_length() - 1]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                k = low.bit_length() - 1
+                key = ((covers[k] & unmet).bit_count(), -variables[k])
+                if key > top:
+                    j, top = k, key
             values[variables[j]] = values.get(variables[j], 0) + d
             level = place(level, covers[j], d)
         return values
 
     best_values = greedy_seed()
     best_size = sum(best_values.values())
-    # supply[i]: the positions of demand i's suppliers, as a bitmask
-    supply = [0] * len(demand_list)
-    for j, cover in enumerate(covers):
-        while cover:
-            low = cover & -cover
-            supply[low.bit_length() - 1] |= 1 << j
-            cover ^= low
     packed = _max_packing(supply, [w[u] for u in demand_list])  # P, over the demands
     floor = sum(w[u] for i, u in enumerate(demand_list) if packed >> i & 1)  # w(P)
     path = [0] * len(variables)  # the value at each position above the node

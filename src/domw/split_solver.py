@@ -72,5 +72,6 @@ def solve_split(inst: SplitInstance) -> SplitResult:
         a_star = min(a for a in inst.clique if w[a] == heaviest)
         values[a_star] = values.get(a_star, 0) + heaviest - cover.size
         witness = isolated | {a_star}
-    f = DominationFunction(values)
+    # the cover's values, the isolated weights and the top-up are positive ints
+    f = DominationFunction._checked(values)
     return SplitResult(f.size, f, witness)

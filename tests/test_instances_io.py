@@ -892,6 +892,21 @@ def test_whole_text_readers_agree_with_the_line_reader(kind):
     assert parsed > 300 and faulty > 300
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(seed, 9, 40, 30, 5) for seed in range(5)] + [(3, 18, 40, 50, 5), (5, 20, 40, 50, 5), (3, 24, 60, 50, 5)],
+)
+def test_written_split_files_take_the_whole_text_reader(args):
+    """Split files at the benchmark's shape and at the three larger shapes
+    that CI solves are read by the whole-text reader, into the line
+    reader's instance: a reader fault cannot hide as a fall-back."""
+    text = write_instance(InstanceFile("split", gen_split(*args)))
+    nv, body = text.split("\n", 3)[2:]
+    read = KINDS["split"].read(int(nv), body)
+    assert read is not None
+    assert read == _parse_lines(text).payload
+
+
 def _result_mutations(rows):
     """Each mutation of a written result block's rows, by name, as in
     `_mutations`; the f and I ones apply when the block has an f line or

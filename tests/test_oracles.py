@@ -30,7 +30,7 @@ from domw import (
 )
 from domw import oracles
 from domw.cli import sweep_instance
-from domw.errors import BadPermutation, InstanceTooLarge, LPInternalError
+from domw.errors import BadPermutation, InstanceTooLarge, LPInternalError, UnknownVertex
 from domw.instances_io import (
     example_nontu_intervals,
     example_split_triangle,
@@ -282,6 +282,31 @@ def test_cover_search_rejects_a_demand_with_no_supplier():
     with pytest.raises(ValueError) as info:
         oracles.min_dominating(path((1, 1, 1)), [2], [0])
     assert str(info.value) == "demand at vertex 2 has no available supplier"
+
+
+@pytest.mark.parametrize(
+    "demands, suppliers, bad",
+    [
+        ([0, 1, 2, 3, 7], None, 7),
+        (range(5), [0, 1, 2, 3, 5], 5),
+        (range(5), [0, 1, 2, 3, -1], -1),
+        ([0, 1, 2, 3, -1], None, -1),
+        ([True, 0, 2, 3, 4], None, True),
+        (range(5), [True, 0, 2, 3, 4], True),
+    ],
+)
+def test_cover_search_checks_its_ids_before_any_node(monkeypatch, demands, suppliers, bad):
+    """A demand or supplier id that is no vertex, out of range, negative or
+    a bool, is named before any mask is built.  On the unit 5-cycle the
+    packing bound (1) is below every cover (2), so a search runs; with a
+    budget of 0 it would raise at its first node.  A negative id or a bool
+    would otherwise index a vertex of its own, and an id past the end
+    would raise IndexError."""
+    monkeypatch.setattr(oracles, "NODE_BUDGET", 0)
+    cycle = WeightedGraph.from_edges((1,) * 5, [(v, (v + 1) % 5) for v in range(5)])
+    with pytest.raises(UnknownVertex) as info:
+        oracles.min_dominating(cycle, demands, suppliers)
+    assert str(info.value) == f"vertex {bad} out of range 0..4"
 
 
 @settings(max_examples=150, deadline=None)
